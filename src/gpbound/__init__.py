@@ -8,7 +8,16 @@ lb <= opt <= ub end to end.
 """
 
 from .admm import AdmmParams, AdmmResult, AdmmState, ResidualRecord, SolverDivergedError, solve
-from .certify import BoundCertificate, certify_bound, eig_lower_bound, lp_lower_bound, xbar_for
+from .certify import (
+    BoundCertificate,
+    CutLoopParams,
+    CutRound,
+    certify_bound,
+    cutting_loop,
+    eig_lower_bound,
+    lp_lower_bound,
+    xbar_for,
+)
 from .graphs import (
     Gpkc,
     GraphInstance,
@@ -25,8 +34,6 @@ from .graphs import (
     write_instance,
 )
 from .model import (
-    CutLoopParams,
-    CutRound,
     SdpProblem,
     TriangleCut,
     add_cuts,
@@ -34,7 +41,6 @@ from .model import (
     build_gpkc_sdp,
     build_keq_dnn,
     build_keq_sdp,
-    cutting_loop,
     separate_met,
 )
 from .oracle import OracleResult, brute_force_gpkc, brute_force_keq

@@ -141,38 +141,25 @@ def update_y(state: AdmmState, factor: NormalFactor, problem: SdpProblem):
     return yy[: factor.m], yy[factor.m :]
 
 
-def update_S(state: AdmmState, problem: SdpProblem) -> np.ndarray:
-    """Box-dual update; expects y/ybar already advanced this sweep."""
+def sweep(state: AdmmState, factor: NormalFactor, problem: SdpProblem) -> None:
+    """One three-block sweep, in place: (y, ybar), then S, then Z, v, X and s.
+
+    S is the box-dual interval projection, Z and X come from one eigenvalue
+    split of N = A*(y) + B*(ybar) + S + X/sigma - C (X = sigma * P_psd(N),
+    Z = -P_nsd(N)), and the slack s and its dual v from clipping
+    t = s - sigma * ybar to the slack interval.
+    """
     sigma = state.sigma
+    state.y, state.ybar = update_y(state, factor, problem)
     M = problem.adjoint(state.y, state.ybar) + state.Z + state.X / sigma - problem.C
-    return problem.clip_box(sigma * M) / sigma - M
-
-
-def update_Z_v(state: AdmmState, problem: SdpProblem):
-    """PSD-dual and interval-dual updates; expects y/ybar and S already advanced."""
-    sigma = state.sigma
-    N = problem.adjoint(state.y, state.ybar) + state.S + state.X / sigma - problem.C
-    _, neg = psd_split(N)
-    Z = -neg
+    state.S = problem.clip_box(sigma * M) / sigma - M
+    pos, neg = psd_split(M - state.Z + state.S)
+    state.Z = -neg
+    state.X = sigma * pos
     if problem.q:
         t = state.s - sigma * state.ybar
-        v = (problem.clip_slack(t) - t) / sigma
-    else:
-        v = np.zeros(0)
-    return Z, v
-
-
-def update_primal(state: AdmmState, problem: SdpProblem):
-    """Primal update; expects all dual blocks advanced. X = sigma * P_psd(N)."""
-    sigma = state.sigma
-    N = problem.adjoint(state.y, state.ybar) + state.S + state.X / sigma - problem.C
-    pos, _ = psd_split(N)
-    X = sigma * pos
-    if problem.q:
-        s = problem.clip_slack(state.s - sigma * state.ybar)
-    else:
-        s = np.zeros(0)
-    return X, s
+        state.s = problem.clip_slack(t)
+        state.v = (state.s - t) / sigma
 
 
 def residuals(state: AdmmState, problem: SdpProblem) -> ResidualRecord:
@@ -379,30 +366,16 @@ def solve(
         )
 
     C = problem.C
-    q = problem.q
     status = "iter_limit"
     view = unscaled_view()
     rec = residuals(view, problem)
 
     for k in range(prm.max_iter):
-        sigma = state.sigma
-        state.y, state.ybar = update_y(state, factor, work)
-        adj = work.adjoint(state.y, state.ybar)
-        M = adj + state.Z + state.X / sigma - C
-        state.S = work.clip_box(sigma * M) / sigma - M
-        N = M - state.Z + state.S
-        pos, neg = psd_split(N)
-        state.Z = -neg
-        newX = sigma * pos
-        if q:
-            t = state.s - sigma * state.ybar
-            state.s = work.clip_slack(t)
-            state.v = (state.s - t) / sigma
-        state.X = newX
+        sweep(state, factor, work)
         state.iter = k + 1
 
         if not (np.isfinite(state.X).all() and np.isfinite(state.y).all()):
-            raise SolverDivergedError(k + 1, f"sigma={sigma:.3e}")
+            raise SolverDivergedError(k + 1, f"sigma={state.sigma:.3e}")
 
         view = unscaled_view()
         rec = residuals(view, problem)

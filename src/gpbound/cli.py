@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -100,12 +99,6 @@ def _load_problem(args):
     return g, spec
 
 
-def _build(g, spec, relaxation):
-    if isinstance(spec, KEquipartition):
-        return model.build_keq_dnn(g, spec.k) if relaxation == "dnn" else model.build_keq_sdp(g, spec.k)
-    return model.build_gpkc_dnn(g, spec) if relaxation == "dnn" else model.build_gpkc_sdp(g, spec)
-
-
 def _k_or_w(spec) -> str:
     if isinstance(spec, KEquipartition):
         return str(spec.k)
@@ -149,18 +142,18 @@ def _solve_one(args, g, spec) -> list[reports.SolveRow]:
     certs: list[reports.CertRow] = []
 
     if relaxation == "dnn+met":
-        prm = model.CutLoopParams(max_rounds=args.max_rounds, m_met=args.m_met,
-                                  tol=args.eps_tol, max_iter=args.max_iter,
-                                  sigma0=args.sigma0)
-        trace = model.cutting_loop(g, spec, prm)
+        prm = certify.CutLoopParams(max_rounds=args.max_rounds, m_met=args.m_met,
+                                    tol=args.eps_tol, max_iter=args.max_iter,
+                                    sigma0=args.sigma0)
+        trace = certify.cutting_loop(g, spec, prm)
         for rnd in trace:
-            rows.append(reports.SolveRow(g.n, _k_or_w(spec), "dnn+met", rnd.bound,
+            rows.append(reports.SolveRow(g.name, g.n, _k_or_w(spec), "dnn+met", rnd.bound,
                                          rnd.iterations, rnd.seconds, rnd.status))
         if args.cuts_out:
             reports.write_rows(_out_path(args.cuts_out),
                                [reports.CutRoundRow(r.round, r.bound, r.cuts) for r in trace])
     else:
-        problem = _build(g, spec, relaxation)
+        problem = model.build(g, spec, relaxation)
         trace_rows: list[reports.TraceRow] = []
         callback = None
         if args.trace:
@@ -182,7 +175,7 @@ def _solve_one(args, g, spec) -> list[reports.SolveRow]:
         )
         cpu = time.process_time() - t_cpu
         cert = certify.certify_bound(problem, result, method=args.certify, mu=args.mu)
-        rows.append(reports.SolveRow(g.n, _k_or_w(spec), relaxation, cert.value,
+        rows.append(reports.SolveRow(g.name, g.n, _k_or_w(spec), relaxation, cert.value,
                                      result.iterations, cpu, result.status))
         certs.append(reports.CertRow(g.name, relaxation, cert.method, cert.value,
                                      cert.perturbation, cert.xbar,
@@ -214,30 +207,12 @@ def cmd_solve(args) -> int:
 
 def cmd_heur(args) -> int:
     g, spec = _load_problem(args)
-    problem = _build(g, spec, args.relaxation)
+    problem = model.build(g, spec, args.relaxation)
     result = admm.solve(problem, admm.AdmmParams(eps_tol=args.eps_tol,
                                                  max_iter=args.max_iter))
-    X = result.state.X
-
-    method = args.method
-    kwargs = dict(samples=args.samples, time_limit=args.time_limit, seed=args.seed)
-    if method == "vc":
-        if isinstance(spec, KEquipartition):
-            heur = rounding.vc_round_keq(g, X, spec.k, spec.m, **kwargs)
-        else:
-            heur = rounding.vc_round_gpkc(g, X, spec.a, spec.W, **kwargs)
-    elif method == "hyp":
-        if not isinstance(spec, KEquipartition):
-            raise SystemExit("hyperplane rounding applies to equipartition problems only")
-        heur = rounding.hyperplane_round(g, X, spec.k, spec.m,
-                                         distribution=args.distribution, **kwargs)
-    elif method == "vc+2opt":
-        heur = rounding.vc_plus_two_opt(g, X, spec, **kwargs)
-    elif method == "hyp+2opt":
-        heur = rounding.hyp_plus_two_opt(g, X, spec, **kwargs)
-    else:
-        raise SystemExit(f"unknown method {method!r}")
-
+    heur = rounding.round_relaxation(g, result.state.X, spec, args.method,
+                                     samples=args.samples, time_limit=args.time_limit,
+                                     seed=args.seed, distribution=args.distribution)
     heur.partition.validate_for(spec)
     lb = _read_lb(args)
     gap = None
@@ -283,9 +258,6 @@ def cmd_oracle(args) -> int:
     return EXIT_CERT_VIOLATION if violated else EXIT_OK
 
 
-_N_PATTERN = re.compile(r"_n(\d+)_")
-
-
 def cmd_report(args) -> int:
     solve_rows: list[reports.SolveRow] = []
     for path in args.solve_csv:
@@ -297,19 +269,16 @@ def cmd_report(args) -> int:
     for path in args.cert_csv:
         reports.read_rows(path)  # parse check; certificates carry no extra join key
 
-    by_key: dict[tuple[int, str], dict[str, float]] = {}
+    # lower bounds join on (instance, k or W); upper bounds on the instance alone
+    lbs: dict[tuple[str, str], dict[str, float]] = {}
+    sizes: dict[str, int] = {}
     for row in solve_rows:
-        by_key.setdefault((row.n, row.k_or_w), {})[row.relaxation] = row.lb
-
-    # generated names embed n and the problem kind; upper bounds join on both
-    best_ub: dict[tuple[int, str], tuple[float, str]] = {}
+        lbs.setdefault((row.instance, row.k_or_w), {})[row.relaxation] = row.lb
+        sizes[row.instance] = row.n
+    best_ub: dict[str, tuple[float, str]] = {}
     for row in heur_rows:
-        match = _N_PATTERN.search(row.instance)
-        if not match:
-            continue
-        key = (int(match.group(1)), "gpkc" if row.instance.startswith("GPKC") else "keq")
-        if key not in best_ub or row.ub < best_ub[key][0]:
-            best_ub[key] = (row.ub, row.method)
+        if row.instance not in best_ub or row.ub < best_ub[row.instance][0]:
+            best_ub[row.instance] = (row.ub, row.method)
 
     def imp(new, base):
         if new is None or base is None or abs(base) < 1e-12:
@@ -317,18 +286,25 @@ def cmd_report(args) -> int:
         return 100.0 * (new - base) / base
 
     summary = []
-    for (n, kw), bounds in sorted(by_key.items()):
+    violated = False
+    for (instance, kw), bounds in sorted(lbs.items()):
         lb_sdp = bounds.get("sdp")
         lb_dnn = bounds.get("dnn")
         lb_met = bounds.get("dnn+met")
-        kind = "keq" if float(kw) <= n else "gpkc"  # capacities exceed n, k never does
-        ub, ub_method = best_ub.get((n, kind), (None, None))
+        ub, ub_method = best_ub.get(instance, (None, None))
+        if ub is not None and any(ub < lb - 1e-9 for lb in bounds.values()):
+            print(f"certificate violation: {instance} at {kw}: ub {ub} undercuts "
+                  f"lb {max(bounds.values())}", file=sys.stderr)
+            violated = True
         ref = next((v for v in (lb_met, lb_dnn, lb_sdp) if v is not None), None)
         gap = None
         if ub is not None and ref is not None and abs(ref) > 1e-12:
             gap = 100.0 * (ub - ref) / ref
-        summary.append(reports.SummaryRow(n, kw, lb_sdp, lb_dnn, imp(lb_dnn, lb_sdp),
-                                          lb_met, imp(lb_met, lb_sdp), ub, ub_method, gap))
+        summary.append(reports.SummaryRow(instance, sizes[instance], kw, lb_sdp, lb_dnn,
+                                          imp(lb_dnn, lb_sdp), lb_met, imp(lb_met, lb_sdp),
+                                          ub, ub_method, gap))
+    if violated:
+        return EXIT_CERT_VIOLATION
     reports.write_rows(_out_path(args.out), summary)
     print(_out_path(args.out))
     return EXIT_OK
@@ -381,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--problem", choices=["keq", "gpkc"])
     p.add_argument("--k", type=int)
-    p.add_argument("--method", choices=["vc", "hyp", "vc+2opt", "hyp+2opt"],
-                   default="vc+2opt")
+    p.add_argument("--method", choices=rounding.ROUNDING_METHODS, default="vc+2opt")
     p.add_argument("--distribution", choices=["uniform", "gaussian"], default="uniform",
                    help="direction sampling for hyperplane rounding")
     p.add_argument("--relaxation", choices=["sdp", "dnn"], default="dnn")

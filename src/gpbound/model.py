@@ -5,6 +5,10 @@ All relaxations share one container: minimize <C, X> subject to equality rows
 an elementwise box on X, and X PSD. Infinite bounds are stored as IEEE infinities;
 they are only ever consumed by clip operations and support-function evaluations,
 never by norms.
+
+This module only builds problems and separates cuts; the loop that solves,
+certifies and tightens them with cuts, ``cutting_loop``, lives in
+:mod:`gpbound.certify`.
 """
 from __future__ import annotations
 
@@ -238,6 +242,15 @@ def build_gpkc_dnn(g: GraphInstance, spec: Gpkc) -> SdpProblem:
     )
 
 
+def build(g: GraphInstance, spec: PartitionSpec, relaxation: str) -> SdpProblem:
+    """The ``"sdp"`` or ``"dnn"`` relaxation of the partition problem ``spec`` on ``g``."""
+    if relaxation not in ("sdp", "dnn"):
+        raise ValueError(f"unknown relaxation {relaxation!r}")
+    if isinstance(spec, KEquipartition):
+        return build_keq_dnn(g, spec.k) if relaxation == "dnn" else build_keq_sdp(g, spec.k)
+    return build_gpkc_dnn(g, spec) if relaxation == "dnn" else build_gpkc_sdp(g, spec)
+
+
 def separate_met(X: np.ndarray, max_cuts: int, tol: float = MET_VIOLATION_TOL) -> list[TriangleCut]:
     """Most violated transitivity inequalities, sorted by decreasing violation.
 
@@ -300,62 +313,3 @@ def add_cuts(p: SdpProblem, cuts) -> SdpProblem:
         p, ineq_mats=new_mats, l=new_l, u=new_u, tag=tag,
         met_cuts=p.met_cuts + tuple(fresh),
     )
-
-
-@dataclass
-class CutLoopParams:
-    max_rounds: int = 10
-    m_met: int | None = None       # defaults to 2n
-    tol: float = 1e-5
-    max_iter: int = 20000
-    sigma0: float = 1.0
-
-
-@dataclass(frozen=True)
-class CutRound:
-    round: int
-    bound: float
-    cuts: int                      # cuts active in the relaxation this round
-    iterations: int
-    status: str
-    seconds: float = 0.0
-
-
-def cutting_loop(g: GraphInstance, spec: PartitionSpec, params: CutLoopParams | None = None):
-    """Tighten the doubly nonnegative relaxation with rounds of violated triangle cuts.
-
-    Round 0 solves the plain DNN; each later round appends at most ``m_met`` most
-    violated inequalities, re-solves warm-started, and certifies a safe bound
-    (eigenvalue method for equipartition, LP method for the knapsack variant).
-    Returns at most ``max_rounds`` per-round records; the loop also stops as soon
-    as separation comes back empty.
-    """
-    import time
-
-    from . import admm, certify
-
-    prm = params or CutLoopParams()
-    m_met = prm.m_met if prm.m_met is not None else 2 * g.n
-    if isinstance(spec, KEquipartition):
-        problem = build_keq_dnn(g, spec.k)
-    else:
-        problem = build_gpkc_dnn(g, spec)
-    solve_prm = admm.AdmmParams(eps_tol=prm.tol, max_iter=prm.max_iter, sigma0=prm.sigma0)
-
-    trace: list[CutRound] = []
-    start = None
-    for rnd in range(prm.max_rounds):
-        t0 = time.perf_counter()
-        result = admm.solve(problem, solve_prm, start=start)
-        cert = certify.certify_bound(problem, result)
-        trace.append(CutRound(rnd, cert.value, len(problem.met_cuts),
-                              result.iterations, result.status,
-                              time.perf_counter() - t0))
-        if rnd == prm.max_rounds - 1:
-            break
-        cuts = separate_met(result.state.X, m_met)
-        if not cuts:
-            break
-        problem = add_cuts(problem, cuts)
-        start = admm.pad_state(result.state, problem)
-    return trace

@@ -6,6 +6,7 @@ minimum found. Hard size caps raise instead of silently truncating.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,7 +78,7 @@ def brute_force_keq(g: GraphInstance, k: int) -> OracleResult:
                 best_groups = list(groups)
             return
         head, rest = remaining[0], remaining[1:]
-        for combo in _combinations(rest, m - 1):
+        for combo in itertools.combinations(rest, m - 1):
             group = (head,) + combo
             inside = set(group)
             outside = [v for v in rest if v not in inside]
@@ -89,12 +90,6 @@ def brute_force_keq(g: GraphInstance, k: int) -> OracleResult:
     recurse(tuple(range(n)), 0.0)
     part = Partition.from_groups(n, best_groups)
     return OracleResult(opt=cut_value(g, part, lap=L), argmin=part, enumerated=count)
-
-
-def _combinations(pool, r):
-    import itertools
-
-    return itertools.combinations(pool, r)
 
 
 def brute_force_gpkc(g: GraphInstance, a: np.ndarray, W_cap: float) -> OracleResult:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 @dataclass(frozen=True)
 class SolveRow:
+    instance: str
     n: int
     k_or_w: str
     relaxation: str
@@ -78,6 +79,7 @@ class CutRoundRow:
 
 @dataclass(frozen=True)
 class SummaryRow:
+    instance: str
     n: int
     k_or_w: str
     lb_sdp: float | None

@@ -285,38 +285,47 @@ def two_opt_multi(
     return Partition.from_groups(partition.n, groups)
 
 
-def _round_for_spec(g, X, spec, samples, time_limit, rng, method):
-    if isinstance(spec, KEquipartition):
-        if method == "hyp":
-            return hyperplane_round(g, X, spec.k, spec.m, samples, time_limit, rng)
-        return vc_round_keq(g, X, spec.k, spec.m, samples, time_limit, rng)
-    if method == "hyp":
-        raise ValueError("hyperplane rounding applies to equipartition problems only")
-    return vc_round_gpkc(g, X, spec.a, spec.W, samples, time_limit, rng)
+ROUNDING_METHODS = ("vc", "hyp", "vc+2opt", "hyp+2opt")
 
 
-def _with_two_opt(g, spec, base: HeuristicResult, time_limit, rng, label) -> HeuristicResult:
+def round_relaxation(g, X, spec, method="vc+2opt", samples=100, time_limit=None, seed=None,
+                     distribution="uniform") -> HeuristicResult:
+    """Feasible partition from a relaxation solution by one of ``ROUNDING_METHODS``.
+
+    ``"vc"`` is vector clustering (capacity-aware for knapsack specs), ``"hyp"``
+    hyperplane rounding (equipartition only, directions drawn from
+    ``distribution``); a ``"+2opt"`` suffix chains pairwise swap refinement on
+    the same generator, within what is left of ``time_limit``.
+    """
+    if method not in ROUNDING_METHODS:
+        raise ValueError(f"unknown rounding method {method!r}")
+    rng = _rng(seed)
+    if method.startswith("hyp"):
+        if not isinstance(spec, KEquipartition):
+            raise ValueError("hyperplane rounding applies to equipartition problems only")
+        base = hyperplane_round(g, X, spec.k, spec.m, samples, time_limit, rng, distribution)
+    elif isinstance(spec, KEquipartition):
+        base = vc_round_keq(g, X, spec.k, spec.m, samples, time_limit, rng)
+    else:
+        base = vc_round_gpkc(g, X, spec.a, spec.W, samples, time_limit, rng)
+    if not method.endswith("+2opt"):
+        return base
+
     t0 = time.perf_counter()
-    remaining = None
-    if time_limit is not None:
-        remaining = max(0.0, time_limit - base.elapsed)
+    remaining = None if time_limit is None else max(0.0, time_limit - base.elapsed)
     refined = two_opt_multi(g, base.partition, spec, time_limit=remaining, seed=rng)
     ub = cut_value(g, refined)
     if ub > base.ub:  # pairwise refinement never worsens; guard regardless
         refined, ub = base.partition, base.ub
     elapsed = base.elapsed + (time.perf_counter() - t0)
-    return HeuristicResult(refined, ub, base.samples_used, elapsed, label)
+    return HeuristicResult(refined, ub, base.samples_used, elapsed, base.method + "+2opt")
 
 
 def vc_plus_two_opt(g, X, spec, samples=100, time_limit=None, seed=None) -> HeuristicResult:
     """Vector clustering chained into pairwise swap refinement."""
-    rng = _rng(seed)
-    base = _round_for_spec(g, X, spec, samples, time_limit, rng, "vc")
-    return _with_two_opt(g, spec, base, time_limit, rng, "Vc+2opt")
+    return round_relaxation(g, X, spec, "vc+2opt", samples, time_limit, seed)
 
 
 def hyp_plus_two_opt(g, X, spec, samples=100, time_limit=None, seed=None) -> HeuristicResult:
     """Hyperplane rounding chained into pairwise swap refinement."""
-    rng = _rng(seed)
-    base = _round_for_spec(g, X, spec, samples, time_limit, rng, "hyp")
-    return _with_two_opt(g, spec, base, time_limit, rng, "Hyp+2opt")
+    return round_relaxation(g, X, spec, "hyp+2opt", samples, time_limit, seed)

@@ -63,12 +63,6 @@ def smat(vec: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def utvec(mat: np.ndarray) -> np.ndarray:
-    """Plain upper-triangle entries; pair with :func:`tri_weights` for inner products."""
-    rows, cols = tri_indices(mat.shape[0])
-    return mat[rows, cols].copy()
-
-
 def psd_split(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a symmetric matrix into its projections onto the PSD and NSD cones.
 

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from gpbound import reports
+from gpbound.admm import AdmmParams, solve
 from gpbound.cli import main
-from gpbound.graphs import GraphInstance, gen_gpkc_instance, write_instance
+from gpbound.graphs import (GraphInstance, KEquipartition, gen_gpkc_instance, read_instance,
+                            write_instance)
+from gpbound.model import build_keq_dnn
+from gpbound.rounding import vc_plus_two_opt
 
 
 @pytest.fixture
@@ -149,6 +153,30 @@ class TestHeur:
             outs.append(reports.read_rows(out)[0])
         assert outs[0] == outs[1]
 
+    def test_matches_library_rounding(self, tmp_path, capsys):
+        # the command and the library share one rounding path: same X, seed, ub;
+        # two samples keep the ub seed-dependent on this instance
+        main(["gen", "--n", "30", "--density", "0.5", "--seed", "3", "--outdir", str(tmp_path)])
+        inst = tmp_path / "rand50_n30_s3.gp"
+        capsys.readouterr()
+        code = main(["heur", "--instance", str(inst), "--problem", "keq", "--k", "3",
+                     "--method", "vc+2opt", "--samples", "2", "--time-limit", "inf",
+                     "--seed", "6"])
+        assert code == 0
+        printed = float(capsys.readouterr().out.split(",")[2])
+        g, _ = read_instance(inst)
+        X = solve(build_keq_dnn(g, 3), AdmmParams()).state.X
+        lib = vc_plus_two_opt(g, X, KEquipartition.for_graph(30, 3), samples=2,
+                              time_limit=float("inf"), seed=6)
+        assert printed == float(f"{lib.ub:.6f}")
+
+    @pytest.mark.parametrize("method", ["hyp", "hyp+2opt"])
+    def test_hyperplane_refuses_knapsack(self, gpkc_file, method, capsys):
+        code = main(["heur", "--instance", str(gpkc_file), "--method", method,
+                     "--samples", "3"])
+        assert code == 1
+        assert "equipartition problems only" in capsys.readouterr().err
+
     def test_detail_rows(self, k8_file, tmp_path):
         detail = tmp_path / "detail.csv"
         main(["heur", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
@@ -199,6 +227,39 @@ class TestReport:
         assert len(rows) == 1
         assert rows[0].lb_sdp is not None and rows[0].lb_dnn is not None
         assert rows[0].imp_dnn_pct is not None
+
+    def test_same_size_instances_join_by_name(self, tmp_path):
+        # rand20_n20_s1 and rand80_n20_s1 share (n, k); a join on (n, k) once paired
+        # rand80's lb with rand20's ub and printed gap_pct = -92.35
+        main(["gen", "--n", "20", "--density", "0.2", "0.8", "--seed", "1",
+              "--outdir", str(tmp_path)])
+        solve_csv, heur_csv = tmp_path / "solve.csv", tmp_path / "heur.csv"
+        for name in ("rand20_n20_s1", "rand80_n20_s1"):
+            base = ["--instance", str(tmp_path / f"{name}.gp"), "--problem", "keq", "--k", "2"]
+            assert main(["solve", *base, "--out", str(solve_csv)]) == 0
+            assert main(["heur", *base, "--samples", "20", "--out", str(heur_csv)]) == 0
+        summary = tmp_path / "summary.csv"
+        assert main(["report", "--solve-csv", str(solve_csv), "--heur-csv", str(heur_csv),
+                     "--out", str(summary)]) == 0
+        lb = {r.instance: r.lb for r in reports.read_rows(solve_csv)}
+        ub = {r.instance: r.ub for r in reports.read_rows(heur_csv)}
+        rows = reports.read_rows(summary)
+        assert sorted(r.instance for r in rows) == ["rand20_n20_s1", "rand80_n20_s1"]
+        for row in rows:
+            assert (row.n, row.k_or_w) == (20, "2")
+            assert row.lb_dnn == lb[row.instance] and row.ub == ub[row.instance]
+            assert row.gap_pct >= 0.0
+
+    def test_ub_below_lb_exits_5(self, tmp_path, capsys):
+        solve_csv, heur_csv = tmp_path / "solve.csv", tmp_path / "heur.csv"
+        reports.write_rows(solve_csv, [reports.SolveRow("a", 8, "2", "dnn", 16.0, 10, 0.1,
+                                                        "converged")])
+        reports.write_rows(heur_csv, [reports.HeurRow("a", "Vc", 15.0)])
+        summary = tmp_path / "summary.csv"
+        assert main(["report", "--solve-csv", str(solve_csv), "--heur-csv", str(heur_csv),
+                     "--out", str(summary)]) == 5
+        assert "certificate violation" in capsys.readouterr().err
+        assert not summary.exists()
 
     def test_every_emitted_csv_parses(self, k8_file, tmp_path):
         paths = {

@@ -214,7 +214,7 @@ class TestCuttingLoop:
         assert trace[0].cuts == 0
 
     def test_trace_length_capped_by_max_rounds(self):
-        from gpbound.model import CutLoopParams, cutting_loop
+        from gpbound.certify import CutLoopParams, cutting_loop
         from gpbound.graphs import KEquipartition
 
         g = gen_rand_graph(8, 0.8, 0)  # known to violate triangles at the optimum
@@ -223,7 +223,7 @@ class TestCuttingLoop:
         assert 1 <= len(trace) <= 2
 
     def test_bound_non_decreasing_fixed_seed(self):
-        from gpbound.model import CutLoopParams, cutting_loop
+        from gpbound.certify import CutLoopParams, cutting_loop
         from gpbound.graphs import KEquipartition
 
         g = gen_rand_graph(8, 0.5, 8)
@@ -234,7 +234,7 @@ class TestCuttingLoop:
 
 
 def model_cutting_loop_for(g, k):
-    from gpbound.model import CutLoopParams, cutting_loop
+    from gpbound.certify import CutLoopParams, cutting_loop
     from gpbound.graphs import KEquipartition
 
     return cutting_loop(g, KEquipartition.for_graph(g.n, k), CutLoopParams(max_rounds=5))

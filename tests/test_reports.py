@@ -16,8 +16,8 @@ from gpbound.reports import (
 )
 
 SAMPLES = {
-    "solve": [SolveRow(8, "2", "dnn", 16.0, 120, 0.25, "converged"),
-              SolveRow(8, "2", "sdp", 15.5, 80, 0.125, "converged")],
+    "solve": [SolveRow("rand80_n8_s1", 8, "2", "dnn", 16.0, 120, 0.25, "converged"),
+              SolveRow("rand80_n8_s1", 8, "2", "sdp", 15.5, 80, 0.125, "converged")],
     "heur": [HeurRow("rand80_n8_s1", "Vc+2opt", 17.0, 6.25),
              HeurRow("rand80_n8_s1", "Hyp+2opt", 18.0, None)],
     "detail": [HeurDetailRow("rand80_n8_s1", "Vc", 17.0, 100, 0.5)],
@@ -26,7 +26,8 @@ SAMPLES = {
     "oracle": [OracleRow("rand80_n8_s1", 16.0, 35)],
     "trace": [TraceRow(100, 1e-3, 2e-3, 0.0, 1e-5, 0.0, 1.5, 16.2, 15.8)],
     "cuts": [CutRoundRow(0, 15.5, 0), CutRoundRow(1, 15.9, 12)],
-    "summary": [SummaryRow(8, "2", 15.5, 16.0, 3.2258, None, None, 17.0, "Vc+2opt", 6.25)],
+    "summary": [SummaryRow("rand80_n8_s1", 8, "2", 15.5, 16.0, 3.2258, None, None, 17.0,
+                           "Vc+2opt", 6.25)],
 }
 
 
