@@ -10,9 +10,10 @@ valid no matter how early the solver stopped:
 * LP route: freeze the PSD part and re-optimize the remaining multipliers
   exactly with the bundled dense simplex.
 
-Equipartition problems default to the eigenvalue route (xbar = group size),
-knapsack problems to the LP route. ``cutting_loop`` runs solve and certificate
-round by round while tightening the DNN with violated triangle cuts.
+Equipartition problems default to the eigenvalue route (xbar = group size m
+for the DNN, n - m for the SDP), knapsack problems to the LP route.
+``cutting_loop`` runs solve and certificate round by round while tightening the
+DNN with violated triangle cuts.
 """
 from __future__ import annotations
 
@@ -61,11 +62,15 @@ class BoundCertificate:
 def xbar_for(p: SdpProblem, X_tilde: np.ndarray, mu: float = DEFAULT_MU) -> float:
     """Upper bound for the top eigenvalue of an optimal primal matrix.
 
-    Equipartition feasible sets satisfy X <= m I, so the group size is returned
-    there; otherwise the estimate mu * lambda_max(X~) with mu > 1 is used.
+    Equipartition DNN feasible points are nonnegative with row sums m, so their
+    top eigenvalue is at most the group size m. SDP feasible points have e as an
+    eigenvector with eigenvalue m and trace n, so every other eigenvalue is
+    nonnegative and at most n - m. Otherwise the estimate mu * lambda_max(X~)
+    with mu > 1 is used.
     """
     if p.tag.problem == "keq":
-        return float(p.tag.m)
+        m = p.tag.m
+        return float(m if p.tag.relaxation != "sdp" else max(m, p.n - m))
     if mu <= 1.0:
         raise ValueError("the eigenvalue safety factor must exceed 1")
     return float(mu * np.linalg.eigvalsh(0.5 * (X_tilde + X_tilde.T))[-1])
@@ -126,49 +131,29 @@ def _standard_form_box_lp(p: SdpProblem, Cz: np.ndarray):
     lo = np.concatenate([p.box_lo[rows_, cols_], p.l])
     hi = np.concatenate([p.box_hi[rows_, cols_], p.u])
 
-    columns, costs, bound_rows = [], [], []
-    const = 0.0
-    for j in range(nut + q):
-        col = M[:, j]
-        cj = cost[j]
-        lj, hj = lo[j], hi[j]
-        if np.isinf(lj) and np.isinf(hj):
-            columns.append(col)
-            costs.append(cj)
-            columns.append(-col)
-            costs.append(-cj)
-        elif np.isinf(hj):
-            if lj != 0.0:
-                rhs = rhs - col * lj
-                const += cj * lj
-            columns.append(col)
-            costs.append(cj)
-        elif np.isinf(lj):
-            rhs = rhs - col * hj
-            const += cj * hj
-            columns.append(-col)
-            costs.append(-cj)
-        else:
-            if lj != 0.0:
-                rhs = rhs - col * lj
-                const += cj * lj
-            bound_rows.append((len(columns), hj - lj))
-            columns.append(col)
-            costs.append(cj)
+    # a free variable becomes a +/- pair; one bounded above only is shifted by that
+    # bound and reflected; the others are shifted by their lower bound, and boxed
+    # ones get a bound row whose slack is a unit column
+    lo_inf, hi_inf = np.isinf(lo), np.isinf(hi)
+    free = lo_inf & hi_inf
+    boxed = ~lo_inf & ~hi_inf
+    shift = np.where(lo_inf, np.where(hi_inf, 0.0, hi), lo)
+    rhs = rhs - M @ shift
+    const = float(cost @ shift)
+    src = np.repeat(np.arange(nut + q), np.where(free, 2, 1))
+    second = np.zeros(src.size, dtype=bool)
+    second[1:] = src[1:] == src[:-1]
+    sign = np.where(second | (lo_inf[src] & ~hi_inf[src]), -1.0, 1.0)
 
-    A = np.column_stack(columns)
-    c = np.asarray(costs)
-    if bound_rows:
-        extra = np.zeros((len(bound_rows), A.shape[1] + len(bound_rows)))
-        A = np.hstack([A, np.zeros((A.shape[0], len(bound_rows)))])
-        add_rhs = np.zeros(len(bound_rows))
-        for t, (j, gap) in enumerate(bound_rows):
-            extra[t, j] = 1.0
-            extra[t, A.shape[1] - len(bound_rows) + t] = 1.0
-            add_rhs[t] = gap
-        A = np.vstack([A, extra])
-        rhs = np.concatenate([rhs, add_rhs])
-        c = np.concatenate([c, np.zeros(len(bound_rows))])
+    nb = int(boxed.sum())
+    ncols = src.size
+    A = np.zeros((m + q + nb, ncols + nb))
+    A[:m + q, :ncols] = M[:, src] * sign
+    t = np.arange(nb)
+    A[m + q + t, np.flatnonzero(boxed[src])] = 1.0
+    A[m + q + t, ncols + t] = 1.0
+    rhs = np.concatenate([rhs, (hi - lo)[boxed]])
+    c = np.concatenate([cost[src] * sign, np.zeros(nb)])
     return c, A, rhs, const
 
 

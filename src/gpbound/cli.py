@@ -105,12 +105,14 @@ def _k_or_w(spec) -> str:
     return str(int(spec.W)) if float(spec.W).is_integer() else repr(float(spec.W))
 
 
-def _read_lb(args) -> float | None:
-    if getattr(args, "lb", None) is not None:
+def _read_lb(args, g, spec) -> float | None:
+    """``--lb``, else the last solve row of ``--lb-csv`` for this instance and k or W."""
+    if args.lb is not None:
         return args.lb
-    path = getattr(args, "lb_csv", None)
-    if path:
-        rows = [r for r in reports.read_rows(path) if isinstance(r, reports.SolveRow)]
+    if args.lb_csv:
+        key = (g.name, _k_or_w(spec))
+        rows = [r for r in reports.read_rows(args.lb_csv)
+                if isinstance(r, reports.SolveRow) and (r.instance, r.k_or_w) == key]
         if rows:
             return rows[-1].lb
     return None
@@ -214,17 +216,17 @@ def cmd_heur(args) -> int:
                                      samples=args.samples, time_limit=args.time_limit,
                                      seed=args.seed, distribution=args.distribution)
     heur.partition.validate_for(spec)
-    lb = _read_lb(args)
+    lb = _read_lb(args, g, spec)
     gap = None
     if lb is not None and abs(lb) > 1e-12:
         gap = 100.0 * (heur.ub - lb) / lb
-    row = reports.HeurRow(g.name, heur.method, heur.ub, gap)
+    row = reports.HeurRow(g.name, _k_or_w(spec), heur.method, heur.ub, gap)
     print(f"{row.instance},{row.method},{row.ub:.6f}," +
           ("" if gap is None else f"{gap:.4f}"))
     if args.out:
         reports.write_rows(_out_path(args.out), [row], append=True)
     if args.detail_out:
-        detail = reports.HeurDetailRow(g.name, heur.method, heur.ub,
+        detail = reports.HeurDetailRow(g.name, row.k_or_w, heur.method, heur.ub,
                                        heur.samples_used, heur.elapsed)
         reports.write_rows(_out_path(args.detail_out), [detail], append=True)
     return EXIT_OK
@@ -241,11 +243,13 @@ def cmd_oracle(args) -> int:
     if args.out:
         reports.write_rows(_out_path(args.out), [row], append=True)
 
-    lb = _read_lb(args)
+    lb = _read_lb(args, g, spec)
     ub = args.ub
     if ub is None and args.ub_csv:
+        key = (g.name, _k_or_w(spec))
         hrows = [r for r in reports.read_rows(args.ub_csv)
-                 if isinstance(r, (reports.HeurRow, reports.HeurDetailRow))]
+                 if isinstance(r, (reports.HeurRow, reports.HeurDetailRow))
+                 and (r.instance, r.k_or_w) == key]
         if hrows:
             ub = min(r.ub for r in hrows)
     violated = False
@@ -269,16 +273,17 @@ def cmd_report(args) -> int:
     for path in args.cert_csv:
         reports.read_rows(path)  # parse check; certificates carry no extra join key
 
-    # lower bounds join on (instance, k or W); upper bounds on the instance alone
+    # lower and upper bounds join on (instance, k or W)
     lbs: dict[tuple[str, str], dict[str, float]] = {}
     sizes: dict[str, int] = {}
     for row in solve_rows:
         lbs.setdefault((row.instance, row.k_or_w), {})[row.relaxation] = row.lb
         sizes[row.instance] = row.n
-    best_ub: dict[str, tuple[float, str]] = {}
+    best_ub: dict[tuple[str, str], tuple[float, str]] = {}
     for row in heur_rows:
-        if row.instance not in best_ub or row.ub < best_ub[row.instance][0]:
-            best_ub[row.instance] = (row.ub, row.method)
+        key = (row.instance, row.k_or_w)
+        if key not in best_ub or row.ub < best_ub[key][0]:
+            best_ub[key] = (row.ub, row.method)
 
     def imp(new, base):
         if new is None or base is None or abs(base) < 1e-12:
@@ -291,7 +296,7 @@ def cmd_report(args) -> int:
         lb_sdp = bounds.get("sdp")
         lb_dnn = bounds.get("dnn")
         lb_met = bounds.get("dnn+met")
-        ub, ub_method = best_ub.get(instance, (None, None))
+        ub, ub_method = best_ub.get((instance, kw), (None, None))
         if ub is not None and any(ub < lb - 1e-9 for lb in bounds.values()):
             print(f"certificate violation: {instance} at {kw}: ub {ub} undercuts "
                   f"lb {max(bounds.values())}", file=sys.stderr)

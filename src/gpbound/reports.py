@@ -25,6 +25,7 @@ class SolveRow:
 @dataclass(frozen=True)
 class HeurRow:
     instance: str
+    k_or_w: str
     method: str
     ub: float
     gap_vs_lb_percent: float | None = None
@@ -33,6 +34,7 @@ class HeurRow:
 @dataclass(frozen=True)
 class HeurDetailRow:
     instance: str
+    k_or_w: str
     method: str
     ub: float
     samples: int

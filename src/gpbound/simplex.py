@@ -5,12 +5,20 @@ steepest-coefficient with a switch to Bland's rule after a run of degenerate
 pivots, which keeps termination guaranteed. Solutions are certified against
 the original data: feasibility, dual feasibility of the reduced costs, and the
 complementary-slackness / duality-gap residual.
+
+Two things keep the tableau cheap. A pivot updates it in place with one BLAS
+rank-1 call (``dger`` on the Fortran-ordered view ``T.T``), so no tableau-sized
+temporary is allocated. Phase 1 starts from a slack basis: after negative
+right-hand sides are flipped, every row that owns a ``+1`` unit column starts
+with that column basic, and artificial columns are added only for the other
+rows, whose sum is the phase-1 objective.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 FEAS_TOL = 1e-8
 PIVOT_TOL = 1e-9
@@ -30,7 +38,9 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    # T -= outer(factors, T[row]) in place; T is C-contiguous, so T.T is a
+    # Fortran array that dger updates without a copy
+    dger(-1.0, T[row].copy(), factors, a=T.T, overwrite_a=1)
     basis[row] = col
 
 
@@ -111,15 +121,22 @@ def solve_dense_lp(
 
     scale = max(1.0, float(np.abs(b).sum()))
 
-    # phase 1: artificial basis
-    ncols = n + m
+    # phase 1: a +1 unit column starts basic in its row; the other rows get artificials
+    unit = np.flatnonzero((np.count_nonzero(A, axis=0) == 1)
+                          & (A.max(axis=0, initial=0.0) == 1.0))
+    slack_rows, first = np.unique(np.nonzero(A[:, unit].T)[1], return_index=True)
+    art_rows = np.setdiff1d(np.arange(m), slack_rows)
+    ncols = n + art_rows.size
     T = np.zeros((m + 1, ncols + 1))
+    assert T.flags.c_contiguous  # dger updates T.T in place only if it is Fortran-ordered
     T[:m, :n] = A
-    T[:m, n:ncols] = np.eye(m)
+    T[art_rows, np.arange(n, ncols)] = 1.0
     T[:m, -1] = b
-    T[-1, :n] = -A.sum(axis=0)
-    T[-1, -1] = -b.sum()
-    basis = np.arange(n, ncols)
+    T[-1, :n] = -A[art_rows].sum(axis=0)
+    T[-1, -1] = -b[art_rows].sum()
+    basis = np.empty(m, dtype=int)
+    basis[slack_rows] = unit[first]
+    basis[art_rows] = np.arange(n, ncols)
     allowed = np.ones(ncols, dtype=bool)
     status, it1 = _run(T, basis, ncols, allowed, max_iter)
     if status == "iteration_limit":
@@ -153,8 +170,8 @@ def solve_dense_lp(
     obj = float(c @ x)
 
     # certification against the original data (duals flipped back for negated rows)
-    ext = np.hstack([A, np.eye(m)])
-    cext = np.concatenate([c, np.zeros(m)])
+    ext = np.hstack([A, np.eye(m)[:, art_rows]])
+    cext = np.concatenate([c, np.zeros(art_rows.size)])
     try:
         duals = np.linalg.solve(ext[:, basis].T, cext[basis])
     except np.linalg.LinAlgError:

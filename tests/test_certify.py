@@ -43,6 +43,19 @@ class TestXbar:
         p = build_keq_dnn(g, 5)
         assert xbar_for(p, np.eye(100)) == 20.0
 
+    def test_keq_sdp_covers_feasible_spectrum(self):
+        # X = ee'/3 + 4uu' is SDP-feasible for n=6, k=3 (diag 1, row sums m=2)
+        # with top eigenvalue 4 > m; the SDP bound is n - m = 4
+        g = gen_rand_graph(6, 0.5, 0)
+        p = build_keq_sdp(g, 3)
+        u = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]) / np.sqrt(6.0)
+        X = np.ones((6, 6)) / 3.0 + 4.0 * np.outer(u, u)
+        assert np.allclose(np.diag(X), 1.0) and np.allclose(X.sum(axis=1), 2.0)
+        top = np.linalg.eigvalsh(X)[-1]
+        assert top == pytest.approx(4.0)
+        assert xbar_for(p, X) >= top
+        assert xbar_for(build_keq_dnn(g, 3), X) == 2.0
+
     def test_gpkc_scaled_top_eigenvalue(self):
         p = diag_problem([1.0, 1.0], tag=ProblemTag("gpkc", "dnn"))
         assert xbar_for(p, np.eye(2), mu=1.1) == pytest.approx(1.1)

@@ -177,6 +177,24 @@ class TestHeur:
         assert code == 1
         assert "equipartition problems only" in capsys.readouterr().err
 
+    def test_lb_csv_matches_instance(self, tmp_path, capsys):
+        # rand80's row comes last in solve.csv; taking it gave rand20 a gap of -92.35
+        main(["gen", "--n", "20", "--density", "0.2", "0.8", "--seed", "1",
+              "--outdir", str(tmp_path)])
+        solve_csv = tmp_path / "solve.csv"
+        base = {name: ["--instance", str(tmp_path / f"{name}.gp"), "--problem", "keq",
+                       "--k", "2"] for name in ("rand20_n20_s1", "rand80_n20_s1")}
+        for argv in base.values():
+            assert main(["solve", *argv, "--out", str(solve_csv)]) == 0
+        lb = {r.instance: r.lb for r in reports.read_rows(solve_csv)}
+        capsys.readouterr()
+        assert main(["heur", *base["rand20_n20_s1"], "--samples", "20",
+                     "--lb-csv", str(solve_csv)]) == 0
+        _, _, ub, gap = capsys.readouterr().out.strip().split(",")
+        expected = 100.0 * (float(ub) - lb["rand20_n20_s1"]) / lb["rand20_n20_s1"]
+        assert float(gap) == pytest.approx(expected, abs=1e-4)
+        assert float(gap) >= 0.0
+
     def test_detail_rows(self, k8_file, tmp_path):
         detail = tmp_path / "detail.csv"
         main(["heur", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
@@ -204,6 +222,22 @@ class TestOracle:
         main(["gen", "--n", "20", "--density", "0.5", "--seed", "0", "--outdir", str(tmp_path)])
         inst = tmp_path / "rand50_n20_s0.gp"
         assert main(["oracle", "--instance", str(inst), "--problem", "keq", "--k", "10"]) == 1
+
+    def test_csv_bounds_match_instance_and_k(self, tmp_path):
+        # two instances at two k values in one solve.csv and one heur.csv: the
+        # oracle reads only the rows of the instance and k it checks
+        main(["gen", "--n", "8", "--density", "0.2", "0.8", "--seed", "1",
+              "--outdir", str(tmp_path)])
+        solve_csv, heur_csv = tmp_path / "solve.csv", tmp_path / "heur.csv"
+        runs = [(name, k) for name in ("rand20_n8_s1", "rand80_n8_s1") for k in ("2", "4")]
+        for name, k in runs:
+            base = ["--instance", str(tmp_path / f"{name}.gp"), "--problem", "keq", "--k", k]
+            assert main(["solve", *base, "--out", str(solve_csv)]) == 0
+            assert main(["heur", *base, "--samples", "20", "--out", str(heur_csv)]) == 0
+        for name, k in runs:
+            assert main(["oracle", "--instance", str(tmp_path / f"{name}.gp"),
+                         "--problem", "keq", "--k", k, "--lb-csv", str(solve_csv),
+                         "--ub-csv", str(heur_csv)]) == 0, (name, k)
 
     def test_gpkc_oracle(self, gpkc_file, tmp_path):
         code = main(["oracle", "--instance", str(gpkc_file)])
@@ -250,11 +284,29 @@ class TestReport:
             assert row.lb_dnn == lb[row.instance] and row.ub == ub[row.instance]
             assert row.gap_pct >= 0.0
 
+    def test_one_instance_at_two_k_values(self, tmp_path):
+        # the k=2 ub once joined the k=4 lb: "ub 210.0 undercuts lb 397.66", exit 5
+        main(["gen", "--n", "20", "--density", "0.2", "--seed", "1", "--outdir", str(tmp_path)])
+        solve_csv, heur_csv = tmp_path / "solve.csv", tmp_path / "heur.csv"
+        for k in ("2", "4"):
+            base = ["--instance", str(tmp_path / "rand20_n20_s1.gp"), "--problem", "keq",
+                    "--k", k]
+            assert main(["solve", *base, "--out", str(solve_csv)]) == 0
+            assert main(["heur", *base, "--samples", "20", "--out", str(heur_csv)]) == 0
+        summary = tmp_path / "summary.csv"
+        assert main(["report", "--solve-csv", str(solve_csv), "--heur-csv", str(heur_csv),
+                     "--out", str(summary)]) == 0
+        ub = {r.k_or_w: r.ub for r in reports.read_rows(heur_csv)}
+        rows = reports.read_rows(summary)
+        assert sorted(r.k_or_w for r in rows) == ["2", "4"]
+        for row in rows:
+            assert row.ub == ub[row.k_or_w] and row.gap_pct >= 0.0
+
     def test_ub_below_lb_exits_5(self, tmp_path, capsys):
         solve_csv, heur_csv = tmp_path / "solve.csv", tmp_path / "heur.csv"
         reports.write_rows(solve_csv, [reports.SolveRow("a", 8, "2", "dnn", 16.0, 10, 0.1,
                                                         "converged")])
-        reports.write_rows(heur_csv, [reports.HeurRow("a", "Vc", 15.0)])
+        reports.write_rows(heur_csv, [reports.HeurRow("a", "2", "Vc", 15.0)])
         summary = tmp_path / "summary.csv"
         assert main(["report", "--solve-csv", str(solve_csv), "--heur-csv", str(heur_csv),
                      "--out", str(summary)]) == 5

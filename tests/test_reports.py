@@ -18,9 +18,9 @@ from gpbound.reports import (
 SAMPLES = {
     "solve": [SolveRow("rand80_n8_s1", 8, "2", "dnn", 16.0, 120, 0.25, "converged"),
               SolveRow("rand80_n8_s1", 8, "2", "sdp", 15.5, 80, 0.125, "converged")],
-    "heur": [HeurRow("rand80_n8_s1", "Vc+2opt", 17.0, 6.25),
-             HeurRow("rand80_n8_s1", "Hyp+2opt", 18.0, None)],
-    "detail": [HeurDetailRow("rand80_n8_s1", "Vc", 17.0, 100, 0.5)],
+    "heur": [HeurRow("rand80_n8_s1", "2", "Vc+2opt", 17.0, 6.25),
+             HeurRow("rand80_n8_s1", "2", "Hyp+2opt", 18.0, None)],
+    "detail": [HeurDetailRow("rand80_n8_s1", "2", "Vc", 17.0, 100, 0.5)],
     "cert": [CertRow("rand80_n8_s1", "dnn", "eig", 15.9, -0.1, 4.0, True),
              CertRow("rand80_n8_s1", "dnn", "lp", 15.8, None, None, False)],
     "oracle": [OracleRow("rand80_n8_s1", 16.0, 35)],
