@@ -10,7 +10,6 @@ lb <= opt <= ub end to end.
 from .admm import AdmmParams, AdmmResult, AdmmState, ResidualRecord, SolverDivergedError, solve
 from .certify import (
     BoundCertificate,
-    CutLoopParams,
     CutRound,
     certify_bound,
     cutting_loop,
@@ -64,7 +63,6 @@ __all__ = [
     "AdmmResult",
     "AdmmState",
     "BoundCertificate",
-    "CutLoopParams",
     "CutRound",
     "Gpkc",
     "GraphInstance",

@@ -91,10 +91,6 @@ class NormalFactor:
     m: int
     q: int
 
-    @property
-    def dim(self) -> int:
-        return self.m + self.q
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         # forward substitution with R, then backward with R'
         return scipy.linalg.cho_solve((self.R, True), rhs)

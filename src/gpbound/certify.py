@@ -5,15 +5,16 @@ valid no matter how early the solver stopped:
 
 * eigenvalue route: evaluate the dual objective at sign-feasible multipliers and
   pay for the dual-equality violation through the negative spectrum of the
-  rebuilt slack matrix, scaled by an upper bound ``xbar`` on the largest
-  eigenvalue of any optimal primal matrix;
+  rebuilt slack matrix, scaled by a provable upper bound ``xbar`` on the largest
+  eigenvalue of any feasible primal matrix;
 * LP route: freeze the PSD part and re-optimize the remaining multipliers
   exactly with the bundled dense simplex.
 
 Equipartition problems default to the eigenvalue route (xbar = group size m
-for the DNN, n - m for the SDP), knapsack problems to the LP route.
-``cutting_loop`` runs solve and certificate round by round while tightening the
-DNN with violated triangle cuts.
+for the DNN, n - m for the SDP), knapsack problems to the LP route (their xbar
+is min(n, W / min(a)) for the DNN and n for the SDP). ``cutting_loop`` is the
+one solve-then-certify loop: one round for the SDP and the DNN, rounds of
+violated triangle cuts for DNN+MET.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from .symm import psd_project, tri_indices, tri_scale, tri_weights
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MU = 1.1
 GPKC_EIG_ACCURACY = 1e-5
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "eig_lower_bound",
     "lp_lower_bound",
     "certify_bound",
-    "CutLoopParams",
     "CutRound",
     "cutting_loop",
     "solve_dense_lp",
@@ -59,21 +58,25 @@ class BoundCertificate:
     clamp: float = 0.0               # magnitude of sign-clamped multiplier entries
 
 
-def xbar_for(p: SdpProblem, X_tilde: np.ndarray, mu: float = DEFAULT_MU) -> float:
-    """Upper bound for the top eigenvalue of an optimal primal matrix.
+def xbar_for(p: SdpProblem) -> float:
+    """Provable upper bound on the top eigenvalue of every feasible primal matrix.
 
-    Equipartition DNN feasible points are nonnegative with row sums m, so their
-    top eigenvalue is at most the group size m. SDP feasible points have e as an
+    Equipartition DNN points are nonnegative with row sums m, so their top
+    eigenvalue is at most the group size m. Equipartition SDP points have e as an
     eigenvector with eigenvalue m and trace n, so every other eigenvalue is
-    nonnegative and at most n - m. Otherwise the estimate mu * lambda_max(X~)
-    with mu > 1 is used.
+    nonnegative and at most n - m. Knapsack SDP points are PSD with trace n.
+    Knapsack DNN points are also nonnegative with (X a)_i <= W, so the row sums of
+    Diag(a)^-1 X Diag(a) are at most W / min(a), and by Perron so is the top
+    eigenvalue. A problem whose tag names none of these raises ``ValueError``.
     """
-    if p.tag.problem == "keq":
-        m = p.tag.m
-        return float(m if p.tag.relaxation != "sdp" else max(m, p.n - m))
-    if mu <= 1.0:
-        raise ValueError("the eigenvalue safety factor must exceed 1")
-    return float(mu * np.linalg.eigvalsh(0.5 * (X_tilde + X_tilde.T))[-1])
+    tag = p.tag
+    if tag.problem == "keq" and tag.m is not None:
+        return float(tag.m if tag.relaxation != "sdp" else max(tag.m, p.n - tag.m))
+    if tag.problem == "gpkc" and tag.relaxation == "sdp":
+        return float(p.n)
+    if tag.problem == "gpkc" and tag.capacity is not None and tag.min_weight:
+        return float(min(p.n, tag.capacity / tag.min_weight))
+    raise ValueError(f"no provable xbar for a {tag.problem!r} {tag.relaxation!r} problem")
 
 
 def eig_lower_bound(p: SdpProblem, approx: AdmmState, xbar: float) -> BoundCertificate:
@@ -161,7 +164,6 @@ def lp_lower_bound(
     p: SdpProblem,
     Z_tilde: np.ndarray,
     project: bool = True,
-    max_iter: int | None = None,
 ) -> BoundCertificate:
     """Dual-adjustment bound: freeze the PSD block and re-optimize the rest exactly.
 
@@ -173,7 +175,7 @@ def lp_lower_bound(
     """
     Z = psd_project(Z_tilde) if project else Z_tilde
     c, A, rhs, const = _standard_form_box_lp(p, p.C - Z)
-    res = solve_dense_lp(c, A, rhs, max_iter=max_iter)
+    res = solve_dense_lp(c, A, rhs)
     if res.status == "optimal":
         return BoundCertificate(value=res.objective + const, method="lp", feasible=True)
     if res.status not in ("unbounded", "infeasible"):
@@ -181,8 +183,7 @@ def lp_lower_bound(
     return BoundCertificate(value=-np.inf, method="lp", feasible=False)
 
 
-def certify_bound(p: SdpProblem, result: AdmmResult, method: str = "auto",
-                  mu: float = DEFAULT_MU) -> BoundCertificate:
+def certify_bound(p: SdpProblem, result: AdmmResult, method: str = "auto") -> BoundCertificate:
     """Route a solver result to the default certificate for its problem family."""
     if method == "auto":
         method = "eig" if p.tag.problem == "keq" else "lp"
@@ -195,60 +196,65 @@ def certify_bound(p: SdpProblem, result: AdmmResult, method: str = "auto",
             )
             method = "lp"
     if method == "eig":
-        xbar = xbar_for(p, result.state.X, mu=mu)
-        return eig_lower_bound(p, result.state, xbar)
+        return eig_lower_bound(p, result.state, xbar_for(p))
     if method == "lp":
         return lp_lower_bound(p, result.state.Z, project=False)
     raise ValueError(f"unknown certificate method {method!r}")
 
 
-@dataclass
-class CutLoopParams:
-    max_rounds: int = 10
-    m_met: int | None = None       # defaults to 2n
-    tol: float = 1e-5
-    max_iter: int = 20000
-    sigma0: float = 1.0
-
-
 @dataclass(frozen=True)
 class CutRound:
     round: int
-    bound: float
+    certificate: BoundCertificate
     cuts: int                      # cuts active in the relaxation this round
     iterations: int
     status: str
-    seconds: float = 0.0
+    seconds: float                 # CPU time of this round's solve and certificate
+
+    @property
+    def bound(self) -> float:
+        return self.certificate.value
 
 
-def cutting_loop(g: GraphInstance, spec: PartitionSpec, params: CutLoopParams | None = None):
-    """Tighten the doubly nonnegative relaxation with rounds of violated triangle cuts.
+def cutting_loop(
+    g: GraphInstance,
+    spec: PartitionSpec,
+    relaxation: str = "dnn+met",
+    params: AdmmParams | None = None,
+    max_rounds: int = 10,
+    m_met: int | None = None,
+    method: str = "auto",
+    callback=None,
+) -> list[CutRound]:
+    """Solve a relaxation and certify a safe bound, round by round.
 
-    Round 0 solves the plain DNN; each later round appends at most ``m_met`` most
-    violated inequalities, re-solves warm-started, and certifies a safe bound
-    (eigenvalue method for equipartition, LP method for the knapsack variant).
-    Returns at most ``max_rounds`` per-round records; the loop also stops as soon
-    as separation comes back empty.
+    ``"sdp"`` and ``"dnn"`` run one round. ``"dnn+met"`` starts from the plain
+    DNN; each later round appends at most ``m_met`` (default 2n) most violated
+    triangle inequalities and re-solves warm-started. It stops after
+    ``max_rounds`` rounds or as soon as separation comes back empty. Every round
+    is certified by ``certify_bound(..., method)``, and ``callback`` goes to
+    every ``solve``.
     """
-    prm = params or CutLoopParams()
-    m_met = prm.m_met if prm.m_met is not None else 2 * g.n
-    problem = build(g, spec, "dnn")
-    solve_prm = AdmmParams(eps_tol=prm.tol, max_iter=prm.max_iter, sigma0=prm.sigma0)
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
+    if relaxation != "dnn+met":
+        max_rounds = 1
+    m_met = m_met if m_met is not None else 2 * g.n
+    problem = build(g, spec, "dnn" if relaxation == "dnn+met" else relaxation)
 
-    trace: list[CutRound] = []
+    rounds: list[CutRound] = []
     start = None
-    for rnd in range(prm.max_rounds):
-        t0 = time.perf_counter()
-        result = solve(problem, solve_prm, start=start)
-        cert = certify_bound(problem, result)
-        trace.append(CutRound(rnd, cert.value, len(problem.met_cuts),
-                              result.iterations, result.status,
-                              time.perf_counter() - t0))
-        if rnd == prm.max_rounds - 1:
+    for rnd in range(max_rounds):
+        t0 = time.process_time()
+        result = solve(problem, params, start=start, callback=callback)
+        cert = certify_bound(problem, result, method)
+        rounds.append(CutRound(rnd, cert, len(problem.met_cuts), result.iterations,
+                               result.status, time.process_time() - t0))
+        if rnd == max_rounds - 1:
             break
         cuts = separate_met(result.state.X, m_met)
         if not cuts:
             break
         problem = add_cuts(problem, cuts)
         start = pad_state(result.state, problem)
-    return trace
+    return rounds

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -54,7 +53,6 @@ class RunConfig:
     seed: int | None = None
     m_met: int | None = None
     max_rounds: int | None = None
-    mu: float | None = None
     distribution: str | None = None
 
     @classmethod
@@ -139,56 +137,42 @@ def cmd_gen(args) -> int:
 
 
 def _solve_one(args, g, spec) -> list[reports.SolveRow]:
-    relaxation = args.relaxation
-    rows: list[reports.SolveRow] = []
-    certs: list[reports.CertRow] = []
+    """Every relaxation through ``certify.cutting_loop``; rows, certificates, trace
+    and cut rounds are written from the rounds it returns."""
+    every = max(1, args.trace_every)
+    trace_rows: list[reports.TraceRow] = []
+    latest: list[reports.TraceRow] = []   # the last sweep seen of the running round
 
-    if relaxation == "dnn+met":
-        prm = certify.CutLoopParams(max_rounds=args.max_rounds, m_met=args.m_met,
-                                    tol=args.eps_tol, max_iter=args.max_iter,
-                                    sigma0=args.sigma0)
-        trace = certify.cutting_loop(g, spec, prm)
-        for rnd in trace:
-            rows.append(reports.SolveRow(g.name, g.n, _k_or_w(spec), "dnn+met", rnd.bound,
-                                         rnd.iterations, rnd.seconds, rnd.status))
-        if args.cuts_out:
-            reports.write_rows(_out_path(args.cuts_out),
-                               [reports.CutRoundRow(r.round, r.bound, r.cuts) for r in trace])
-    else:
-        problem = model.build(g, spec, relaxation)
-        trace_rows: list[reports.TraceRow] = []
-        callback = None
-        if args.trace:
-            every = max(1, args.trace_every)
-            latest: list[reports.TraceRow] = []
+    def keep_latest():
+        if latest and (not trace_rows or trace_rows[-1] is not latest[0]):
+            trace_rows.append(latest[0])  # the final sweep of every round always shows
 
-            def callback(k, state, rec, primal, dual):
-                row = reports.TraceRow(k, *rec.as_tuple(), state.sigma, primal, dual)
-                latest[:] = [row]
-                if k % every == 0:
-                    trace_rows.append(row)
+    def callback(k, state, rec, primal, dual):
+        if k == 1:  # a new round: the previous one has ended
+            keep_latest()
+        latest[:] = [reports.TraceRow(k, *rec.as_tuple(), state.sigma, primal, dual)]
+        if k % every == 0:
+            trace_rows.append(latest[0])
 
-        t_cpu = time.process_time()
-        result = admm.solve(
-            problem,
-            admm.AdmmParams(eps_tol=args.eps_tol, max_iter=args.max_iter,
-                            sigma0=args.sigma0, rule=args.rule),
-            callback=callback,
-        )
-        cpu = time.process_time() - t_cpu
-        cert = certify.certify_bound(problem, result, method=args.certify, mu=args.mu)
-        rows.append(reports.SolveRow(g.name, g.n, _k_or_w(spec), relaxation, cert.value,
-                                     result.iterations, cpu, result.status))
-        certs.append(reports.CertRow(g.name, relaxation, cert.method, cert.value,
-                                     cert.perturbation, cert.xbar,
-                                     result.status == "converged"))
-        if args.trace:
-            if latest and (not trace_rows or trace_rows[-1] != latest[0]):
-                trace_rows.append(latest[0])  # the final iteration always shows
-            reports.write_rows(_out_path(args.trace), trace_rows)
-        if args.cert_out and certs:
-            reports.write_rows(_out_path(args.cert_out), certs, append=True)
-    return rows
+    params = admm.AdmmParams(eps_tol=args.eps_tol, max_iter=args.max_iter,
+                             sigma0=args.sigma0, rule=args.rule)
+    rounds = certify.cutting_loop(g, spec, args.relaxation, params,
+                                  max_rounds=args.max_rounds, m_met=args.m_met,
+                                  method=args.certify,
+                                  callback=callback if args.trace else None)
+    if args.trace:
+        keep_latest()
+        reports.write_rows(_out_path(args.trace), trace_rows)
+    if args.cert_out:
+        reports.write_rows(_out_path(args.cert_out), [
+            reports.CertRow(g.name, args.relaxation, r.certificate.method, r.bound,
+                            r.certificate.perturbation, r.certificate.xbar,
+                            r.status == "converged") for r in rounds], append=True)
+    if args.cuts_out:
+        reports.write_rows(_out_path(args.cuts_out),
+                           [reports.CutRoundRow(r.round, r.bound, r.cuts) for r in rounds])
+    return [reports.SolveRow(g.name, g.n, _k_or_w(spec), args.relaxation, r.bound,
+                             r.iterations, r.seconds, r.status) for r in rounds]
 
 
 def cmd_solve(args) -> int:
@@ -347,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma0", type=float, default=1.0)
     p.add_argument("--rule", choices=["auto", "adaptive", "classic"], default="auto")
     p.add_argument("--certify", choices=["auto", "eig", "lp"], default="auto")
-    p.add_argument("--mu", type=float, default=certify.DEFAULT_MU)
     p.add_argument("--m-met", dest="m_met", type=int, default=None)
     p.add_argument("--max-rounds", dest="max_rounds", type=int, default=10)
     p.add_argument("--out", help="append the result row to this CSV")

@@ -33,6 +33,7 @@ class ProblemTag:
     k: int | None = None
     m: int | None = None
     capacity: float | None = None
+    min_weight: float | None = None   # smallest knapsack vertex weight
     instance: str = ""
 
 
@@ -224,7 +225,8 @@ def _gpkc_base(g: GraphInstance, spec: Gpkc):
 def build_gpkc_sdp(g: GraphInstance, spec: Gpkc) -> SdpProblem:
     """Knapsack relaxation: diag(X) = e, X a <= W e, X PSD, free box."""
     eq, b, ineq, u = _gpkc_base(g, spec)
-    tag = ProblemTag("gpkc", "sdp", capacity=spec.W, instance=g.name)
+    tag = ProblemTag("gpkc", "sdp", capacity=spec.W, min_weight=float(spec.a.min()),
+                     instance=g.name)
     return SdpProblem(
         n=g.n, C=0.5 * laplacian(g), eq_mats=eq, b=b,
         ineq_mats=ineq, l=np.full(g.n, -np.inf), u=u, tag=tag,
@@ -234,7 +236,8 @@ def build_gpkc_sdp(g: GraphInstance, spec: Gpkc) -> SdpProblem:
 def build_gpkc_dnn(g: GraphInstance, spec: Gpkc) -> SdpProblem:
     """Knapsack relaxation with X >= 0; then (X a)_i >= a_i is valid and sharpens l."""
     eq, b, ineq, u = _gpkc_base(g, spec)
-    tag = ProblemTag("gpkc", "dnn", capacity=spec.W, instance=g.name)
+    tag = ProblemTag("gpkc", "dnn", capacity=spec.W, min_weight=float(spec.a.min()),
+                     instance=g.name)
     return SdpProblem(
         n=g.n, C=0.5 * laplacian(g), eq_mats=eq, b=b,
         ineq_mats=ineq, l=spec.a.copy(), u=u,

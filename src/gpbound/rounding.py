@@ -38,6 +38,28 @@ def gram_factor(X: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.maximum(vals, 0.0))
 
 
+def _best_of_samples(g: GraphInstance, draw, samples: int, time_limit: float | None,
+                     t0: float, method: str) -> HeuristicResult:
+    """Lowest-cut partition over up to ``samples`` calls of ``draw()``.
+
+    The time limit counts from ``t0`` and is checked between samples, after the
+    first one, so at least one sample is always drawn.
+    """
+    L = laplacian(g)
+    best: Partition | None = None
+    best_val = np.inf
+    used = 0
+    for _ in range(samples):
+        if time_limit is not None and time.perf_counter() - t0 > time_limit and used:
+            break
+        part = draw()
+        val = cut_value(g, part, lap=L)
+        used += 1
+        if val < best_val:
+            best, best_val = part, val
+    return HeuristicResult(best, best_val, used, time.perf_counter() - t0, method)
+
+
 def hyperplane_transform(X: np.ndarray, k: int) -> np.ndarray:
     """Map a 0/1-style co-membership matrix onto the +-1 cut geometry."""
     if k < 2:
@@ -80,14 +102,8 @@ def hyperplane_round(
     rng = _rng(seed)
     t0 = time.perf_counter()
     V = gram_factor(hyperplane_transform(X, k))
-    L = laplacian(g)
 
-    best: Partition | None = None
-    best_val = np.inf
-    used = 0
-    for _ in range(samples):
-        if time_limit is not None and time.perf_counter() - t0 > time_limit and used:
-            break
+    def draw() -> Partition:
         r = rng.random((n, k)) if distribution == "uniform" else rng.normal(size=(n, k))
         scores = V @ r
         unassigned = np.arange(n)
@@ -96,12 +112,9 @@ def hyperplane_round(
             take = _top_unassigned(scores[:, t], unassigned, m)
             groups.append(tuple(int(v) for v in take))
             unassigned = np.setdiff1d(unassigned, take, assume_unique=True)
-        part = Partition.from_groups(n, groups)
-        val = cut_value(g, part, lap=L)
-        used += 1
-        if val < best_val:
-            best, best_val = part, val
-    return HeuristicResult(best, best_val, used, time.perf_counter() - t0, "Hyp")
+        return Partition.from_groups(n, groups)
+
+    return _best_of_samples(g, draw, samples, time_limit, t0, "Hyp")
 
 
 def vc_round_keq(
@@ -123,14 +136,8 @@ def vc_round_keq(
     rng = _rng(seed)
     t0 = time.perf_counter()
     sim = X @ X
-    L = laplacian(g)
 
-    best: Partition | None = None
-    best_val = np.inf
-    used = 0
-    for _ in range(samples):
-        if time_limit is not None and time.perf_counter() - t0 > time_limit and used:
-            break
+    def draw() -> Partition:
         unassigned = np.arange(n)
         groups = []
         for t in range(k):
@@ -140,12 +147,9 @@ def vc_round_keq(
             group = (i,) + tuple(int(v) for v in take)
             groups.append(group)
             unassigned = np.setdiff1d(unassigned, group, assume_unique=True)
-        part = Partition.from_groups(n, groups)
-        val = cut_value(g, part, lap=L)
-        used += 1
-        if val < best_val:
-            best, best_val = part, val
-    return HeuristicResult(best, best_val, used, time.perf_counter() - t0, "Vc")
+        return Partition.from_groups(n, groups)
+
+    return _best_of_samples(g, draw, samples, time_limit, t0, "Vc")
 
 
 def vc_round_gpkc(
@@ -167,14 +171,8 @@ def vc_round_gpkc(
     rng = _rng(seed)
     t0 = time.perf_counter()
     sim = X @ X
-    L = laplacian(g)
 
-    best: Partition | None = None
-    best_val = np.inf
-    used = 0
-    for _ in range(samples):
-        if time_limit is not None and time.perf_counter() - t0 > time_limit and used:
-            break
+    def draw() -> Partition:
         unassigned = np.arange(n)
         groups = []
         while unassigned.size:
@@ -189,12 +187,9 @@ def vc_round_gpkc(
                     weight += a[j]
             groups.append(tuple(group))
             unassigned = np.setdiff1d(unassigned, group, assume_unique=True)
-        part = Partition.from_groups(n, groups)
-        val = cut_value(g, part, lap=L)
-        used += 1
-        if val < best_val:
-            best, best_val = part, val
-    return HeuristicResult(best, best_val, used, time.perf_counter() - t0, "Vc")
+        return Partition.from_groups(n, groups)
+
+    return _best_of_samples(g, draw, samples, time_limit, t0, "Vc")
 
 
 def two_opt_bisection(

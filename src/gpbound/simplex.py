@@ -96,7 +96,6 @@ def solve_dense_lp(
     c: np.ndarray,
     A: np.ndarray,
     b: np.ndarray,
-    maximize: bool = False,
     max_iter: int | None = None,
 ) -> LpResult:
     """Standard-form solve; see the module docstring for the method."""
@@ -104,11 +103,6 @@ def solve_dense_lp(
     b = np.asarray(b, dtype=float).copy()
     c = np.asarray(c, dtype=float)
     m, n = A.shape
-    if maximize:
-        inner = solve_dense_lp(-c, A, b, maximize=False, max_iter=max_iter)
-        if inner.objective is not None:
-            inner.objective = -inner.objective
-        return inner
     if max_iter is None:
         max_iter = 200 * (m + n + 10)
 

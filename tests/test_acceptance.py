@@ -152,7 +152,7 @@ class TestCriterion4RelaxationNesting:
             (gen_rand_graph(10, 0.2, 13), KEquipartition.for_graph(10, 2)),
             gen_gpkc_instance(8, 0.5, 2, 4),
         ]:
-            trace = certify.cutting_loop(g, spec, certify.CutLoopParams(max_rounds=4))
+            trace = certify.cutting_loop(g, spec, max_rounds=4)
             assert 1 <= len(trace) <= 4
             for earlier, later in zip(trace, trace[1:]):
                 assert later.bound >= earlier.bound - 1e-6 * (1.0 + abs(earlier.bound))

@@ -13,8 +13,9 @@ from gpbound.certify import (
     solve_dense_lp,
     xbar_for,
 )
-from gpbound.graphs import gen_gpkc_instance, gen_rand_graph
-from gpbound.model import ProblemTag, SdpProblem, build_gpkc_dnn, build_keq_dnn, build_keq_sdp
+from gpbound.graphs import Gpkc, gen_gpkc_instance, gen_rand_graph
+from gpbound.model import (ProblemTag, SdpProblem, TriangleCut, add_cuts, build_gpkc_dnn,
+                           build_gpkc_sdp, build_keq_dnn, build_keq_sdp)
 
 
 def diag_problem(c_diag, box_lo=None, tag=None):
@@ -41,7 +42,7 @@ class TestXbar:
     def test_keq_group_size(self):
         g = gen_rand_graph(100, 0.2, 0)
         p = build_keq_dnn(g, 5)
-        assert xbar_for(p, np.eye(100)) == 20.0
+        assert xbar_for(p) == 20.0
 
     def test_keq_sdp_covers_feasible_spectrum(self):
         # X = ee'/3 + 4uu' is SDP-feasible for n=6, k=3 (diag 1, row sums m=2)
@@ -53,17 +54,32 @@ class TestXbar:
         assert np.allclose(np.diag(X), 1.0) and np.allclose(X.sum(axis=1), 2.0)
         top = np.linalg.eigvalsh(X)[-1]
         assert top == pytest.approx(4.0)
-        assert xbar_for(p, X) >= top
-        assert xbar_for(build_keq_dnn(g, 3), X) == 2.0
+        assert xbar_for(p) >= top
+        assert xbar_for(build_keq_dnn(g, 3)) == 2.0
 
-    def test_gpkc_scaled_top_eigenvalue(self):
-        p = diag_problem([1.0, 1.0], tag=ProblemTag("gpkc", "dnn"))
-        assert xbar_for(p, np.eye(2), mu=1.1) == pytest.approx(1.1)
+    def test_gpkc_covers_feasible_spectrum(self):
+        # groups {0, 1, 2} and {3, 4, 5} both weigh W = 4: their 0/1 co-membership
+        # matrix is DNN-feasible with top eigenvalue 3, and W / min(a) = 4 covers it
+        # (W / max(a) = 2 would not); X = uu' with u'a = 0 is SDP-feasible with
+        # top eigenvalue n = 6
+        g = gen_rand_graph(6, 0.5, 0)
+        spec = Gpkc(a=np.array([1.0, 2.0, 1.0, 1.0, 2.0, 1.0]), W=4.0)
+        X_dnn = np.kron(np.eye(2), np.ones((3, 3)))
+        u = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+        X_sdp = np.outer(u, u)
+        for X in (X_dnn, X_sdp):
+            assert np.allclose(np.diag(X), 1.0) and np.all(X @ spec.a <= spec.W)
+        assert np.all(X_dnn >= 0)
+        dnn, sdp = build_gpkc_dnn(g, spec), build_gpkc_sdp(g, spec)
+        assert xbar_for(dnn) == 4.0 >= np.linalg.eigvalsh(X_dnn)[-1]
+        assert xbar_for(sdp) == 6.0 >= np.linalg.eigvalsh(X_sdp)[-1] - 1e-12
+        met = add_cuts(dnn, [TriangleCut(0, 1, 3)])
+        assert xbar_for(met) == 4.0
 
-    def test_mu_must_exceed_one(self):
-        p = diag_problem([1.0, 1.0], tag=ProblemTag("gpkc", "dnn"))
-        with pytest.raises(ValueError):
-            xbar_for(p, np.eye(2), mu=1.0)
+    def test_no_provable_value_raises(self):
+        for tag in (ProblemTag("custom", "sdp"), ProblemTag("gpkc", "dnn")):
+            with pytest.raises(ValueError):
+                xbar_for(diag_problem([1.0, 1.0], tag=tag))
 
 
 class TestEigBound:
@@ -104,7 +120,7 @@ class TestEigBound:
             p = build_keq_dnn(g, 2)
             for tol in (1e-3, 1e-4, 1e-5):
                 res = solve(p, AdmmParams(eps_tol=tol))
-                cert = eig_lower_bound(p, res.state, xbar_for(p, res.state.X))
+                cert = eig_lower_bound(p, res.state, xbar_for(p))
                 assert cert.value <= opt + 1e-9
 
     def test_monotone_in_xbar(self):
@@ -330,7 +346,7 @@ class TestSafetyCrossProduct:
             p = build_keq_dnn(g, 4)
             for tol in self.TOLERANCES:
                 res = solve(p, AdmmParams(eps_tol=tol))
-                eig = eig_lower_bound(p, res.state, xbar_for(p, res.state.X))
+                eig = eig_lower_bound(p, res.state, xbar_for(p))
                 lp = lp_lower_bound(p, res.state.Z, project=False)
                 assert eig.value <= opt + 1e-9, (seed, tol)
                 assert lp.value <= opt + 1e-9, (seed, tol)
@@ -345,12 +361,11 @@ class TestSafetyCrossProduct:
                 lp = lp_lower_bound(p, res.state.Z, project=False)
                 assert lp.value <= opt + 1e-9, (seed, tol)
                 if res.status == "converged" and tol <= 1e-5:
-                    eig = eig_lower_bound(p, res.state,
-                                          xbar_for(p, res.state.X, mu=1.1))
+                    eig = eig_lower_bound(p, res.state, xbar_for(p))
                     assert eig.value <= opt + 1e-9, (seed, tol)
 
 
 def test_lp_oracle_reexport():
-    res = solve_dense_lp(np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0]),
-                         maximize=True)
-    assert res.status == "optimal" and res.objective == pytest.approx(1.0)
+    # max x1 s.t. x1 + x2 = 1, x >= 0, solved as min -x1
+    res = solve_dense_lp(np.array([-1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
+    assert res.status == "optimal" and -res.objective == pytest.approx(1.0)

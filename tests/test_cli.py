@@ -93,6 +93,36 @@ class TestSolve:
         rows = reports.read_rows(trace)
         assert rows and isinstance(rows[0], reports.TraceRow)
 
+    def test_met_honours_certificate_rule_and_trace_flags(self, tmp_path):
+        main(["gen", "--n", "12", "--density", "0.5", "--seed", "1", "--outdir", str(tmp_path)])
+        base = ["solve", "--instance", str(tmp_path / "rand50_n12_s1.gp"), "--problem", "keq",
+                "--k", "3", "--certify", "lp", "--rule", "classic", "--trace-every", "100000"]
+        for relax in ("dnn", "dnn+met"):
+            code = main([*base, "--relaxation", relax, "--max-rounds", "3",
+                         "--out", str(tmp_path / f"{relax}.csv"),
+                         "--trace", str(tmp_path / f"trace_{relax}.csv"),
+                         "--cert-out", str(tmp_path / f"cert_{relax}.csv")])
+            assert code == 0
+        dnn = reports.read_rows(tmp_path / "dnn.csv")
+        met = reports.read_rows(tmp_path / "dnn+met.csv")
+        assert len(dnn) == 1 and len(met) > 1
+        assert (met[0].lb, met[0].iterations) == (dnn[0].lb, dnn[0].iterations)
+        certs = reports.read_rows(tmp_path / "cert_dnn+met.csv")
+        assert [c.method for c in certs] == ["lp"] * len(met)
+        assert [c.bound for c in certs] == [r.lb for r in met]
+        # one trace row per round: the final sweep of each
+        trace = reports.read_rows(tmp_path / "trace_dnn+met.csv")
+        assert [t.iter for t in trace] == [r.iterations for r in met]
+
+    @pytest.mark.parametrize("rounds", ["0", "-2"])
+    def test_met_rejects_fewer_than_one_round(self, k8_file, tmp_path, rounds, capsys):
+        out = tmp_path / "met.csv"
+        code = main(["solve", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
+                     "--relaxation", "dnn+met", "--max-rounds", rounds, "--out", str(out)])
+        assert code == 1
+        assert "max_rounds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_spec_exit_code(self, tmp_path):
         bad = tmp_path / "bad.gp"
         bad.write_text("gp 2 1\ne 1 2 5\nk 3\nv 1 4\nv 2 1\n")

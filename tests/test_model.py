@@ -214,30 +214,72 @@ class TestCuttingLoop:
         assert trace[0].cuts == 0
 
     def test_trace_length_capped_by_max_rounds(self):
-        from gpbound.certify import CutLoopParams, cutting_loop
+        from gpbound.certify import cutting_loop
         from gpbound.graphs import KEquipartition
 
         g = gen_rand_graph(8, 0.8, 0)  # known to violate triangles at the optimum
-        trace = cutting_loop(g, KEquipartition.for_graph(8, 2),
-                             CutLoopParams(max_rounds=2))
+        trace = cutting_loop(g, KEquipartition.for_graph(8, 2), max_rounds=2)
         assert 1 <= len(trace) <= 2
 
     def test_bound_non_decreasing_fixed_seed(self):
-        from gpbound.certify import CutLoopParams, cutting_loop
+        from gpbound.certify import cutting_loop
         from gpbound.graphs import KEquipartition
 
         g = gen_rand_graph(8, 0.5, 8)
-        trace = cutting_loop(g, KEquipartition.for_graph(8, 2),
-                             CutLoopParams(max_rounds=4))
+        trace = cutting_loop(g, KEquipartition.for_graph(8, 2), max_rounds=4)
         for earlier, later in zip(trace, trace[1:]):
             assert later.bound >= earlier.bound - 1e-6 * (1.0 + abs(earlier.bound))
 
 
+    @pytest.mark.parametrize("relaxation", ["sdp", "dnn"])
+    @pytest.mark.parametrize("knapsack", [False, True])
+    def test_single_round_is_solve_then_certify(self, relaxation, knapsack):
+        from gpbound.certify import certify_bound, cutting_loop
+        from gpbound.graphs import KEquipartition, gen_gpkc_instance
+        from gpbound.model import build
+
+        if knapsack:
+            g, spec = gen_gpkc_instance(8, 0.5, 2, 3)
+        else:
+            g = gen_rand_graph(9, 0.5, 4)
+            spec = KEquipartition.for_graph(9, 3)
+        params = admm.AdmmParams(eps_tol=1e-4)
+        rounds = cutting_loop(g, spec, relaxation, params)
+        problem = build(g, spec, relaxation)
+        result = admm.solve(problem, params)
+        cert = certify_bound(problem, result)
+        assert len(rounds) == 1
+        assert rounds[0].certificate == cert
+        assert rounds[0].bound == cert.value
+        assert (rounds[0].iterations, rounds[0].status) == (result.iterations, result.status)
+
+    def test_callback_sees_every_sweep_of_every_round(self):
+        from gpbound.certify import cutting_loop
+        from gpbound.graphs import KEquipartition
+
+        g = gen_rand_graph(8, 0.8, 0)
+        seen = []
+        rounds = cutting_loop(g, KEquipartition.for_graph(8, 2), max_rounds=3,
+                              callback=lambda k, *rest: seen.append(k))
+        assert len(rounds) > 1
+        assert len(seen) == sum(r.iterations for r in rounds)
+        assert seen.count(1) == len(rounds)
+
+    @pytest.mark.parametrize("max_rounds", [0, -1])
+    def test_rejects_fewer_than_one_round(self, max_rounds):
+        from gpbound.certify import cutting_loop
+        from gpbound.graphs import KEquipartition
+
+        g = gen_rand_graph(6, 0.5, 0)
+        with pytest.raises(ValueError, match="max_rounds"):
+            cutting_loop(g, KEquipartition.for_graph(6, 2), max_rounds=max_rounds)
+
+
 def model_cutting_loop_for(g, k):
-    from gpbound.certify import CutLoopParams, cutting_loop
+    from gpbound.certify import cutting_loop
     from gpbound.graphs import KEquipartition
 
-    return cutting_loop(g, KEquipartition.for_graph(g.n, k), CutLoopParams(max_rounds=5))
+    return cutting_loop(g, KEquipartition.for_graph(g.n, k), max_rounds=5)
 
 
 class TestTriangleVectorization:

@@ -32,11 +32,11 @@ def vertex_enumeration_optimum(c, A, b):
 
 class TestBasics:
     def test_max_under_simplex_constraint(self):
-        # max x1 s.t. x1 + x2 = 1, x >= 0 -> 1
-        res = solve_dense_lp(np.array([1.0, 0.0]), np.array([[1.0, 1.0]]),
-                             np.array([1.0]), maximize=True)
+        # max x1 s.t. x1 + x2 = 1, x >= 0 -> 1, solved as min -x1
+        res = solve_dense_lp(np.array([-1.0, 0.0]), np.array([[1.0, 1.0]]),
+                             np.array([1.0]))
         assert res.status == "optimal"
-        assert res.objective == pytest.approx(1.0)
+        assert -res.objective == pytest.approx(1.0)
 
     def test_infeasible_detected(self):
         # x1 = -1 with x1 >= 0
