@@ -10,9 +10,12 @@ valid no matter how early the solver stopped:
 * LP route: freeze the PSD part and re-optimize the remaining multipliers
   exactly with the bundled dense simplex.
 
-Equipartition problems default to the eigenvalue route (xbar = group size m
-for the DNN, n - m for the SDP), knapsack problems to the LP route (their xbar
-is min(n, W / min(a)) for the DNN and n for the SDP). ``cutting_loop`` is the
+Equipartition problems and the knapsack SDP default to the eigenvalue route
+(xbar = group size m for the DNN, n - m for the SDP, n for the knapsack SDP,
+whose free box makes the frozen-Z LP unbounded), the knapsack DNN to the LP
+route (xbar = min(n, W / min(a))). Eigenvalues are charged less the margin
+n * eps * ||Zc||_F, so the bound holds in floating point (Jansson, Chaykin &
+Keil, SIAM J. Numer. Anal. 2007). ``cutting_loop`` is the
 one solve-then-certify loop: one round for the SDP and the DNN, rounds of
 violated triangle cuts for DNN+MET.
 """
@@ -86,7 +89,9 @@ def eig_lower_bound(p: SdpProblem, approx: AdmmState, xbar: float) -> BoundCerti
     infinite bound, the PSD-deficient matrix is rebuilt as C - A*(y) - B*(v) - S
     from the clamped multipliers, and its negative eigenvalues enter the bound
     scaled by ``xbar``. Rebuilding (rather than trusting the solver's projected
-    PSD matrix) is what keeps the bound safe at loose stopping tolerances.
+    PSD matrix) is what keeps the bound safe at loose stopping tolerances. Each
+    computed eigenvalue is lowered by ``n * eps * ||Zc||_F`` before the charge,
+    since the true eigenvalue lies no further below it than that.
     """
     if xbar <= 0:
         raise ValueError("xbar must be positive")
@@ -103,7 +108,8 @@ def eig_lower_bound(p: SdpProblem, approx: AdmmState, xbar: float) -> BoundCerti
     if p.q:
         d0 += box_support_value(v_c, p.l, p.u)
     Zc = p.C - p.adjoint(y, v_c if p.q else None) - S_c
-    evals = np.linalg.eigvalsh(0.5 * (Zc + Zc.T))
+    margin = p.n * np.finfo(float).eps * np.linalg.norm(Zc)
+    evals = np.linalg.eigvalsh(0.5 * (Zc + Zc.T)) - margin
     neg_sum = float(evals[evals < 0].sum())
     perturbation = xbar * neg_sum if neg_sum < 0 else 0.0
     return BoundCertificate(value=d0 + perturbation, method="eig",
@@ -185,13 +191,14 @@ def lp_lower_bound(
 
 def certify_bound(p: SdpProblem, result: AdmmResult, method: str = "auto") -> BoundCertificate:
     """Route a solver result to the default certificate for its problem family."""
+    eig_default = p.tag.problem == "keq" or (p.tag.problem, p.tag.relaxation) == ("gpkc", "sdp")
     if method == "auto":
-        method = "eig" if p.tag.problem == "keq" else "lp"
-    if method == "eig" and p.tag.problem != "keq":
+        method = "eig" if eig_default else "lp"
+    if method == "eig" and not eig_default:
         accurate = result.status == "converged" and result.eps_tol <= GPKC_EIG_ACCURACY
         if not accurate:
             log.warning(
-                "eigenvalue bound for a knapsack problem needs an accurate solve; "
+                "eigenvalue bound for a knapsack DNN needs an accurate solve; "
                 "falling back to the LP bound"
             )
             method = "lp"

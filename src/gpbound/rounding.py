@@ -2,7 +2,9 @@
 
 Rounding is randomized but fully reproducible: every entry point accepts a seed
 or generator, ties break toward the lowest vertex index, and time limits are
-only checked between samples or pairwise passes, never inside one.
+only checked between samples or pairwise passes, never inside one. Samplers
+draw label vectors (``labels[v]`` is the group of v, -1 while unassigned);
+only the best one becomes a validated ``Partition``.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphInstance, Gpkc, KEquipartition, Partition, PartitionSpec, cut_value, laplacian
+from .graphs import GraphInstance, Gpkc, KEquipartition, Partition, PartitionSpec, cut_value
 
 EPS_GAIN = 1e-9
 
@@ -40,24 +42,33 @@ def gram_factor(X: np.ndarray) -> np.ndarray:
 
 def _best_of_samples(g: GraphInstance, draw, samples: int, time_limit: float | None,
                      t0: float, method: str) -> HeuristicResult:
-    """Lowest-cut partition over up to ``samples`` calls of ``draw()``.
+    """Lowest-cut partition over up to ``samples`` label vectors from ``draw()``.
 
-    The time limit counts from ``t0`` and is checked between samples, after the
-    first one, so at least one sample is always drawn.
+    A sample is scored as total weight minus within-group weight, read off
+    ``W @ onehot(labels)``; the first strict minimum wins and is the one sample
+    turned into a ``Partition``, whose ``cut_value`` is the reported ub. The time
+    limit counts from ``t0`` and is checked between samples, after the first
+    one, so at least one sample is always drawn.
     """
-    L = laplacian(g)
-    best: Partition | None = None
-    best_val = np.inf
-    used = 0
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    W = g.W_adj
+    total = W.sum()
+    rows = np.arange(g.n)
+    best, best_val, used = None, np.inf, 0
     for _ in range(samples):
         if time_limit is not None and time.perf_counter() - t0 > time_limit and used:
             break
-        part = draw()
-        val = cut_value(g, part, lap=L)
+        labels = draw()
+        onehot = np.zeros((g.n, labels.max() + 1))
+        onehot[rows, labels] = 1.0
+        val = total - (W @ onehot)[rows, labels].sum()  # twice the cut
         used += 1
         if val < best_val:
-            best, best_val = part, val
-    return HeuristicResult(best, best_val, used, time.perf_counter() - t0, method)
+            best, best_val = labels, val
+    partition = Partition.from_assignment(best)
+    return HeuristicResult(partition, cut_value(g, partition), used,
+                           time.perf_counter() - t0, method)
 
 
 def hyperplane_transform(X: np.ndarray, k: int) -> np.ndarray:
@@ -103,16 +114,13 @@ def hyperplane_round(
     t0 = time.perf_counter()
     V = gram_factor(hyperplane_transform(X, k))
 
-    def draw() -> Partition:
+    def draw() -> np.ndarray:
         r = rng.random((n, k)) if distribution == "uniform" else rng.normal(size=(n, k))
         scores = V @ r
-        unassigned = np.arange(n)
-        groups = []
+        labels = np.full(n, -1)
         for t in range(k):
-            take = _top_unassigned(scores[:, t], unassigned, m)
-            groups.append(tuple(int(v) for v in take))
-            unassigned = np.setdiff1d(unassigned, take, assume_unique=True)
-        return Partition.from_groups(n, groups)
+            labels[_top_unassigned(scores[:, t], np.flatnonzero(labels < 0), m)] = t
+        return labels
 
     return _best_of_samples(g, draw, samples, time_limit, t0, "Hyp")
 
@@ -137,17 +145,14 @@ def vc_round_keq(
     t0 = time.perf_counter()
     sim = X @ X
 
-    def draw() -> Partition:
-        unassigned = np.arange(n)
-        groups = []
+    def draw() -> np.ndarray:
+        labels = np.full(n, -1)
         for t in range(k):
-            i = int(unassigned[rng.integers(unassigned.size)])
-            rest = unassigned[unassigned != i]
-            take = _top_unassigned(sim[i], rest, m - 1)
-            group = (i,) + tuple(int(v) for v in take)
-            groups.append(group)
-            unassigned = np.setdiff1d(unassigned, group, assume_unique=True)
-        return Partition.from_groups(n, groups)
+            unassigned = np.flatnonzero(labels < 0)
+            i = unassigned[rng.integers(unassigned.size)]
+            labels[i] = t
+            labels[_top_unassigned(sim[i], unassigned[unassigned != i], m - 1)] = t
+        return labels
 
     return _best_of_samples(g, draw, samples, time_limit, t0, "Vc")
 
@@ -172,22 +177,22 @@ def vc_round_gpkc(
     t0 = time.perf_counter()
     sim = X @ X
 
-    def draw() -> Partition:
-        unassigned = np.arange(n)
-        groups = []
-        while unassigned.size:
-            i = int(unassigned[rng.integers(unassigned.size)])
+    def draw() -> np.ndarray:
+        labels = np.full(n, -1)
+        t = 0
+        while (unassigned := np.flatnonzero(labels < 0)).size:
+            i = unassigned[rng.integers(unassigned.size)]
             rest = unassigned[unassigned != i]
             group = [i]
-            weight = a[i]
+            weight = float(a[i])
             order = rest[np.argsort(-sim[i][rest], kind="stable")]
-            for j in order:
-                if weight + a[j] <= W_cap:
-                    group.append(int(j))
-                    weight += a[j]
-            groups.append(tuple(group))
-            unassigned = np.setdiff1d(unassigned, group, assume_unique=True)
-        return Partition.from_groups(n, groups)
+            for j, aj in zip(order.tolist(), a[order].tolist()):
+                if weight + aj <= W_cap:
+                    group.append(j)
+                    weight += aj
+            labels[group] = t
+            t += 1
+        return labels
 
     return _best_of_samples(g, draw, samples, time_limit, t0, "Vc")
 

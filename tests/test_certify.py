@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from gpbound import oracle
-from gpbound.admm import AdmmParams, AdmmState, solve
+from gpbound.admm import AdmmParams, AdmmState, clamp_unbounded, solve
 from gpbound.certify import (
     certify_bound,
     eig_lower_bound,
@@ -100,6 +100,31 @@ class TestEigBound:
         cert = eig_lower_bound(p, state_with(p, y=y), xbar=4.0)
         assert cert.perturbation == pytest.approx(-4.0 * delta)
         assert cert.value == pytest.approx(float(y.sum()) - 4.0 * delta)
+
+    def test_eigenvalue_below_rounding_margin_is_charged(self):
+        # Zc = C = Diag(1e6, 1e-10): the second eigenvalue is positive but below
+        # the margin 2 * eps * ||Zc||_F (about 4.4e-10), so it is charged
+        p = diag_problem([1e6, 1e-10])
+        st = state_with(p, y=[0.0, 0.0])
+        cert = eig_lower_bound(p, st, xbar=3.0)
+        margin = 2 * np.finfo(float).eps * np.hypot(1e6, 1e-10)
+        assert 0.0 < 1e-10 < margin
+        assert cert.perturbation == pytest.approx(3.0 * (1e-10 - margin), rel=1e-9)
+        assert cert.value < 0.0  # the unmargined bound is exactly 0
+
+    def test_margin_only_lowers_the_bound(self):
+        g = gen_rand_graph(12, 0.5, 7)
+        p = build_keq_dnn(g, 3)
+        res = solve(p, AdmmParams(eps_tol=1e-4))
+        xbar = xbar_for(p)
+        cert = eig_lower_bound(p, res.state, xbar)
+        Zc = p.C - p.adjoint(res.state.y) - clamp_unbounded(res.state.S, p.box_lo, p.box_hi)[0]
+        evals = np.linalg.eigvalsh(0.5 * (Zc + Zc.T))
+        d0 = cert.value - cert.perturbation
+        unmargined = d0 + xbar * evals[evals < 0].sum()
+        margin = p.n * np.finfo(float).eps * np.linalg.norm(Zc)
+        assert cert.value <= unmargined
+        assert unmargined - cert.value <= xbar * p.n * margin * (1 + 1e-9)
 
     def test_rejects_nonpositive_xbar(self):
         p = diag_problem([1.0, 1.0])
@@ -196,6 +221,23 @@ class TestCertifyRouting:
         res = solve(p)
         cert = certify_bound(p, res)
         assert cert.method == "lp"
+
+    def test_gpkc_sdp_routes_to_eig(self):
+        # its frozen-Z LP is unbounded (free box), so the LP route reads -inf
+        p = build_gpkc_sdp(*gen_gpkc_instance(12, 0.2, 3, 3))
+        res = solve(p)
+        cert = certify_bound(p, res)
+        assert cert.method == "eig" and cert.xbar == 12.0
+        assert cert.value == pytest.approx(9.0189, abs=1e-3)
+        assert not lp_lower_bound(p, res.state.Z, project=False).feasible
+
+    def test_gpkc_sdp_eig_kept_at_loose_tolerance(self):
+        g, spec = gen_gpkc_instance(8, 0.5, 2, 5)
+        p = build_gpkc_sdp(g, spec)
+        res = solve(p, AdmmParams(eps_tol=1e-3))
+        cert = certify_bound(p, res, method="eig")
+        assert cert.method == "eig" and np.isfinite(cert.value)
+        assert cert.value <= oracle.brute_force_gpkc(g, spec.a, spec.W).opt + 1e-9
 
     def test_gpkc_eig_refused_without_accuracy(self, caplog):
         g, spec = gen_gpkc_instance(8, 0.5, 2, 5)

@@ -123,6 +123,20 @@ class TestSolve:
         assert "max_rounds" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_knapsack_sdp_bounds_are_finite(self, tmp_path):
+        # the frozen-Z LP of the knapsack SDP is unbounded; its lbs read -inf
+        main(["gen", "--n", "12", "--seed", "3", "--gpkc", "--k", "3",
+              "--outdir", str(tmp_path)])
+        out = tmp_path / "solve.csv"
+        instances = sorted(tmp_path.glob("GPKC*.gp"))
+        assert len(instances) == 3
+        for inst in instances:
+            assert main(["solve", "--instance", str(inst), "--relaxation", "sdp",
+                         "--out", str(out)]) == 0
+        rows = reports.read_rows(out)
+        assert len(rows) == 3
+        assert all(np.isfinite(r.lb) for r in rows)
+
     def test_infeasible_spec_exit_code(self, tmp_path):
         bad = tmp_path / "bad.gp"
         bad.write_text("gp 2 1\ne 1 2 5\nk 3\nv 1 4\nv 2 1\n")
@@ -224,6 +238,14 @@ class TestHeur:
         expected = 100.0 * (float(ub) - lb["rand20_n20_s1"]) / lb["rand20_n20_s1"]
         assert float(gap) == pytest.approx(expected, abs=1e-4)
         assert float(gap) >= 0.0
+
+    def test_rejects_zero_samples(self, k8_file, tmp_path, capsys):
+        out = tmp_path / "heur.csv"
+        code = main(["heur", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
+                     "--samples", "0", "--out", str(out)])
+        assert code == 1
+        assert "samples" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_detail_rows(self, k8_file, tmp_path):
         detail = tmp_path / "detail.csv"

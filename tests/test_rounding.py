@@ -12,10 +12,13 @@ from gpbound.graphs import (
     gen_rand_graph,
 )
 from gpbound.rounding import (
+    _rng,
+    _top_unassigned,
     gram_factor,
     hyp_plus_two_opt,
     hyperplane_round,
     hyperplane_transform,
+    round_relaxation,
     two_opt_bisection,
     two_opt_multi,
     vc_plus_two_opt,
@@ -262,3 +265,211 @@ class TestDeterminism:
         for seed in range(5):
             res = vc_round_keq(g, np.eye(12), k=4, samples=3, seed=seed)
             res.partition.validate_for(spec)
+
+
+# ---------------------------------------------------------------- reference samplers
+# Reference samplers that build and validate a Partition for every sample and
+# score it by cut_value. The library scores label vectors instead and must match
+# them bit for bit on integer-weight graphs.
+
+def _reference_best(g, draw, samples):
+    best, best_val, used = None, np.inf, 0
+    for _ in range(samples):
+        part = draw()
+        val = cut_value(g, part)
+        used += 1
+        if val < best_val:
+            best, best_val = part, val
+    return best, best_val, used
+
+
+def reference_hyperplane(g, X, k, samples, rng, distribution="uniform"):
+    n, m = g.n, g.n // k
+    V = gram_factor(hyperplane_transform(X, k))
+
+    def draw():
+        r = rng.random((n, k)) if distribution == "uniform" else rng.normal(size=(n, k))
+        scores = V @ r
+        unassigned = np.arange(n)
+        groups = []
+        for t in range(k):
+            take = _top_unassigned(scores[:, t], unassigned, m)
+            groups.append(tuple(int(v) for v in take))
+            unassigned = np.setdiff1d(unassigned, take, assume_unique=True)
+        return Partition.from_groups(n, groups)
+
+    return _reference_best(g, draw, samples)
+
+
+def reference_vc_keq(g, X, k, samples, rng):
+    n, m = g.n, g.n // k
+    sim = X @ X
+
+    def draw():
+        unassigned = np.arange(n)
+        groups = []
+        for _ in range(k):
+            i = int(unassigned[rng.integers(unassigned.size)])
+            take = _top_unassigned(sim[i], unassigned[unassigned != i], m - 1)
+            group = (i,) + tuple(int(v) for v in take)
+            groups.append(group)
+            unassigned = np.setdiff1d(unassigned, group, assume_unique=True)
+        return Partition.from_groups(n, groups)
+
+    return _reference_best(g, draw, samples)
+
+
+def reference_vc_gpkc(g, X, a, W_cap, samples, rng):
+    n = g.n
+    sim = X @ X
+
+    def draw():
+        unassigned = np.arange(n)
+        groups = []
+        while unassigned.size:
+            i = int(unassigned[rng.integers(unassigned.size)])
+            rest = unassigned[unassigned != i]
+            group, weight = [i], a[i]
+            for j in rest[np.argsort(-sim[i][rest], kind="stable")]:
+                if weight + a[j] <= W_cap:
+                    group.append(int(j))
+                    weight += a[j]
+            groups.append(tuple(group))
+            unassigned = np.setdiff1d(unassigned, group, assume_unique=True)
+        return Partition.from_groups(n, groups)
+
+    return _reference_best(g, draw, samples)
+
+
+def reference_plus_two_opt(g, X, spec, base, seed, samples):
+    rng = _rng(seed)
+    if base == "hyp":
+        part, ub, used = reference_hyperplane(g, X, spec.k, samples, rng)
+    elif isinstance(spec, KEquipartition):
+        part, ub, used = reference_vc_keq(g, X, spec.k, samples, rng)
+    else:
+        part, ub, used = reference_vc_gpkc(g, X, spec.a, spec.W, samples, rng)
+    refined = two_opt_multi(g, part, spec, seed=rng)
+    refined_ub = cut_value(g, refined)
+    return (part, ub, used) if refined_ub > ub else (refined, refined_ub, used)
+
+
+def tied_relaxation(n, seed):
+    """Low-rank integer PSD matrix: many exactly tied similarities."""
+    A = np.random.default_rng(seed).integers(-2, 3, size=(n, 3)).astype(float)
+    return A @ A.T
+
+
+def weighted_graph(n, seed):
+    """Non-integer weights, where summation order matters."""
+    rng = np.random.default_rng(seed)
+    W = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.5), 1)
+    return GraphInstance(n=n, W_adj=W + W.T, name=f"w{n}_{seed}")
+
+
+SAMPLES = 40
+
+
+class TestLabelVectorSampling:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_keq_samplers_match_reference(self, seed):
+        g = gen_rand_graph(60, 0.5, seed)
+        X = tied_relaxation(60, seed)
+        spec = KEquipartition.for_graph(60, 3)
+        cases = [
+            (hyperplane_round(g, X, 3, samples=SAMPLES, seed=seed),
+             reference_hyperplane(g, X, 3, SAMPLES, _rng(seed))),
+            (hyperplane_round(g, X, 3, samples=SAMPLES, seed=seed, distribution="gaussian"),
+             reference_hyperplane(g, X, 3, SAMPLES, _rng(seed), "gaussian")),
+            (vc_round_keq(g, X, 3, samples=SAMPLES, seed=seed),
+             reference_vc_keq(g, X, 3, SAMPLES, _rng(seed))),
+            (vc_plus_two_opt(g, X, spec, samples=SAMPLES, seed=seed),
+             reference_plus_two_opt(g, X, spec, "vc", seed, SAMPLES)),
+            (hyp_plus_two_opt(g, X, spec, samples=SAMPLES, seed=seed),
+             reference_plus_two_opt(g, X, spec, "hyp", seed, SAMPLES)),
+        ]
+        for res, (part, ub, used) in cases:
+            assert (res.partition.groups, res.ub, res.samples_used) == (part.groups, ub, used)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gpkc_samplers_match_reference(self, seed):
+        g, spec = gen_gpkc_instance(40, 0.5, 4, seed)
+        X = tied_relaxation(40, seed)
+        # unit weights fill every group exactly to capacity
+        for spec in (spec, Gpkc(a=np.ones(40), W=4.0)):
+            res = vc_round_gpkc(g, X, spec.a, spec.W, samples=SAMPLES, seed=seed)
+            part, ub, used = reference_vc_gpkc(g, X, spec.a, spec.W, SAMPLES, _rng(seed))
+            assert (res.partition.groups, res.ub, res.samples_used) == (part.groups, ub, used)
+            res = vc_plus_two_opt(g, X, spec, samples=SAMPLES, seed=seed)
+            part, ub, used = reference_plus_two_opt(g, X, spec, "vc", seed, SAMPLES)
+            assert (res.partition.groups, res.ub, res.samples_used) == (part.groups, ub, used)
+
+    def test_tied_cuts_keep_the_first_sample(self):
+        # every equipartition of a complete graph has the same cut
+        g = complete_graph(12)
+        X = tied_relaxation(12, 0)
+        for seed in range(3):
+            first, _, _ = reference_vc_keq(g, X, 3, 1, _rng(seed))
+            assert vc_round_keq(g, X, 3, samples=SAMPLES, seed=seed).partition == first
+            first, _, _ = reference_hyperplane(g, X, 3, 1, _rng(seed))
+            assert hyperplane_round(g, X, 3, samples=SAMPLES, seed=seed).partition == first
+
+    def test_one_partition_per_call(self, monkeypatch):
+        g = gen_rand_graph(30, 0.5, 1)
+        X = tied_relaxation(30, 1)
+        built = []
+        post_init = Partition.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Partition, "__post_init__", counting)
+        res = vc_round_keq(g, X, 3, samples=200, seed=2)
+        assert res.samples_used == 200
+        assert len(built) == 1
+
+    def test_ub_is_cut_of_partition_exactly(self):
+        for seed in range(4):
+            g = weighted_graph(24, seed)
+            X = tied_relaxation(24, seed) + np.eye(24)
+            a = np.random.default_rng(seed).integers(1, 5, size=24).astype(float)
+            for res in (hyperplane_round(g, X, 4, samples=30, seed=seed),
+                        vc_round_keq(g, X, 4, samples=30, seed=seed),
+                        vc_round_gpkc(g, X, a, 12.0, samples=30, seed=seed),
+                        vc_plus_two_opt(g, X, KEquipartition.for_graph(24, 4), samples=30,
+                                        seed=seed)):
+                assert res.ub == cut_value(g, res.partition)
+
+    def test_non_integer_weights_match_reference_ub(self):
+        # scores sum in another order than cut_value, so only near-ties may differ
+        for seed in range(4):
+            g = weighted_graph(30, seed)
+            X = tied_relaxation(30, seed) + np.eye(30)
+            res = vc_round_keq(g, X, 3, samples=SAMPLES, seed=seed)
+            _, ub, _ = reference_vc_keq(g, X, 3, SAMPLES, _rng(seed))
+            assert res.ub == pytest.approx(ub, rel=1e-12)
+
+    def test_zero_time_limit_draws_one_sample(self):
+        g, spec = gen_gpkc_instance(12, 0.5, 3, 4)
+        X = tied_relaxation(12, 4)
+        for res in (hyperplane_round(g, X, 3, samples=50, time_limit=0.0, seed=1),
+                    vc_round_keq(g, X, 3, samples=50, time_limit=0.0, seed=1),
+                    vc_round_gpkc(g, X, spec.a, spec.W, samples=50, time_limit=0.0, seed=1)):
+            assert res.samples_used == 1
+            assert res.ub == cut_value(g, res.partition)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_fewer_than_one_sample(self, samples):
+        g, spec = gen_gpkc_instance(9, 0.5, 3, 2)
+        X = np.eye(9)
+        keq = KEquipartition.for_graph(9, 3)
+        calls = [
+            lambda: hyperplane_round(g, X, 3, samples=samples, seed=0),
+            lambda: vc_round_keq(g, X, 3, samples=samples, seed=0),
+            lambda: vc_round_gpkc(g, X, spec.a, spec.W, samples=samples, seed=0),
+            lambda: round_relaxation(g, X, keq, "vc+2opt", samples=samples, seed=0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="samples must be at least 1"):
+                call()
