@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .model import SdpProblem
 from .symm import psd_split
@@ -128,12 +129,8 @@ def update_y(state: AdmmState, factor: NormalFactor, problem: SdpProblem):
     sigma = state.sigma
     W0 = state.S + state.Z - problem.C + state.X / sigma
     rhs_top = problem.b / sigma - problem.eq_apply(W0)
-    if problem.q:
-        rhs_bot = -problem.ineq_apply(W0) + state.v + state.s / sigma
-        rhs = np.concatenate([rhs_top, rhs_bot])
-    else:
-        rhs = rhs_top
-    yy = factor.solve(rhs)
+    rhs_bot = -problem.ineq_apply(W0) + state.v + state.s / sigma
+    yy = factor.solve(np.concatenate([rhs_top, rhs_bot]))
     return yy[: factor.m], yy[factor.m :]
 
 
@@ -152,10 +149,9 @@ def sweep(state: AdmmState, factor: NormalFactor, problem: SdpProblem) -> None:
     pos, neg = psd_split(M - state.Z + state.S)
     state.Z = -neg
     state.X = sigma * pos
-    if problem.q:
-        t = state.s - sigma * state.ybar
-        state.s = problem.clip_slack(t)
-        state.v = (state.s - t) / sigma
+    t = state.s - sigma * state.ybar
+    state.s = problem.clip_slack(t)
+    state.v = (state.s - t) / sigma
 
 
 def residuals(state: AdmmState, problem: SdpProblem) -> ResidualRecord:
@@ -163,23 +159,19 @@ def residuals(state: AdmmState, problem: SdpProblem) -> ResidualRecord:
     C, b = problem.C, problem.b
     Rd = problem.adjoint(state.y, state.ybar) + state.Z + state.S - C
     eps_dc = np.linalg.norm(Rd) / (1.0 + np.linalg.norm(C))
+    eps_dc += np.linalg.norm(state.v - state.ybar) / (1.0 + np.linalg.norm(state.y))
     eps_pc = np.linalg.norm(problem.eq_apply(state.X) - b) / (1.0 + np.linalg.norm(b))
-    if problem.q:
-        eps_dc += np.linalg.norm(state.v - state.ybar) / (1.0 + np.linalg.norm(state.y))
-        eps_pc += np.linalg.norm(problem.ineq_apply(state.X) - state.s) / (
-            1.0 + np.linalg.norm(state.s)
-        )
+    eps_pc += np.linalg.norm(problem.ineq_apply(state.X) - state.s) / (
+        1.0 + np.linalg.norm(state.s)
+    )
     nX = np.linalg.norm(state.X)
     eps_pb = np.linalg.norm(state.X - problem.clip_box(state.X)) / (1.0 + nX)
     eps_opt_m = np.linalg.norm(state.X - problem.clip_box(state.X - state.S)) / (
         1.0 + nX + np.linalg.norm(state.S)
     )
-    if problem.q:
-        eps_opt_v = np.linalg.norm(state.s - problem.clip_slack(state.s - state.v)) / (
-            1.0 + np.linalg.norm(state.v) + np.linalg.norm(state.s)
-        )
-    else:
-        eps_opt_v = 0.0
+    eps_opt_v = np.linalg.norm(state.s - problem.clip_slack(state.s - state.v)) / (
+        1.0 + np.linalg.norm(state.v) + np.linalg.norm(state.s)
+    )
     return ResidualRecord(float(eps_dc), float(eps_pc), float(eps_pb),
                           float(eps_opt_m), float(eps_opt_v))
 
@@ -241,22 +233,16 @@ def clamp_unbounded(M: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return out, float(np.linalg.norm(M[bad]))
 
 
-def dual_objective(problem: SdpProblem, y, v, S, clamp: bool = True):
-    """b'y + F1(S) + F2(v); with ``clamp`` the unbounded-paired entries are zeroed.
+def dual_objective(problem: SdpProblem, y, v, S):
+    """b'y + F1(S) + F2(v) with the unbounded-paired entries of S and v zeroed.
 
-    Returns (value, clamp magnitude). Without clamping the value may be -inf.
+    Returns (value, clamp magnitude).
     """
-    mag = 0.0
-    if clamp:
-        S, m1 = clamp_unbounded(S, problem.box_lo, problem.box_hi)
-        mag += m1
-        if problem.q:
-            v, m2 = clamp_unbounded(v, problem.l, problem.u)
-            mag += m2
+    S, m1 = clamp_unbounded(S, problem.box_lo, problem.box_hi)
+    v, m2 = clamp_unbounded(v, problem.l, problem.u)
     val = float(problem.b @ y) + box_support_value(S, problem.box_lo, problem.box_hi)
-    if problem.q:
-        val += box_support_value(v, problem.l, problem.u)
-    return val, mag
+    val += box_support_value(v, problem.l, problem.u)
+    return val, m1 + m2
 
 
 @dataclass
@@ -311,14 +297,10 @@ def _equilibrated(problem: SdpProblem):
     magnitudes leave the slack block orders of magnitude off the matrix block.
     """
     d_eq, d_in = _row_scales(problem)
-    eq = tuple(mat.multiply(1.0 / d) for mat, d in zip(problem.eq_mats, d_eq))
-    ineq = tuple(mat.multiply(1.0 / d) for mat, d in zip(problem.ineq_mats, d_in))
     scaled = replace(
         problem,
-        eq_mats=eq, b=problem.b / d_eq,
-        ineq_mats=ineq,
-        l=problem.l / d_in if problem.q else problem.l,
-        u=problem.u / d_in if problem.q else problem.u,
+        A=sp.diags(1.0 / d_eq) @ problem.A, b=problem.b / d_eq,
+        B=sp.diags(1.0 / d_in) @ problem.B, l=problem.l / d_in, u=problem.u / d_in,
     )
     return scaled, d_eq, d_in
 
@@ -349,16 +331,14 @@ def solve(
         state.y = state.y * d_eq
         state.ybar = state.ybar * d_in
         state.v = state.v * d_in
-        state.s = state.s / d_in if problem.q else state.s
+        state.s = state.s / d_in
     else:
         state = AdmmState.zeros(work, prm.sigma0)
 
     def unscaled_view() -> AdmmState:
         return AdmmState(
-            X=state.X, s=state.s * d_in if problem.q else state.s,
-            y=state.y / d_eq, ybar=state.ybar / d_in if problem.q else state.ybar,
-            Z=state.Z, S=state.S, v=state.v / d_in if problem.q else state.v,
-            sigma=state.sigma, iter=state.iter,
+            X=state.X, s=state.s * d_in, y=state.y / d_eq, ybar=state.ybar / d_in,
+            Z=state.Z, S=state.S, v=state.v / d_in, sigma=state.sigma, iter=state.iter,
         )
 
     C = problem.C

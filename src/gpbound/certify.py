@@ -32,7 +32,7 @@ from .admm import (AdmmParams, AdmmResult, AdmmState, box_support_value, clamp_u
 from .graphs import GraphInstance, PartitionSpec
 from .model import SdpProblem, add_cuts, build, separate_met
 from .simplex import LpResult, solve_dense_lp  # re-exported: the LP oracle lives here
-from .symm import psd_project, tri_indices, tri_scale, tri_weights
+from .symm import psd_project, tri_indices, tri_weights
 
 log = logging.getLogger(__name__)
 
@@ -97,17 +97,13 @@ def eig_lower_bound(p: SdpProblem, approx: AdmmState, xbar: float) -> BoundCerti
         raise ValueError("xbar must be positive")
     y = approx.y
     S_c, mag = clamp_unbounded(approx.S, p.box_lo, p.box_hi)
-    if p.q:
-        v_c, mag_v = clamp_unbounded(approx.v, p.l, p.u)
-        mag += mag_v
-    else:
-        v_c = approx.v
+    v_c, mag_v = clamp_unbounded(approx.v, p.l, p.u)
+    mag += mag_v
     if mag:
         log.debug("eig bound clamped multiplier mass %.3e", mag)
     d0 = float(p.b @ y) + box_support_value(S_c, p.box_lo, p.box_hi)
-    if p.q:
-        d0 += box_support_value(v_c, p.l, p.u)
-    Zc = p.C - p.adjoint(y, v_c if p.q else None) - S_c
+    d0 += box_support_value(v_c, p.l, p.u)
+    Zc = p.C - p.adjoint(y, v_c) - S_c
     margin = p.n * np.finfo(float).eps * np.linalg.norm(Zc)
     evals = np.linalg.eigvalsh(0.5 * (Zc + Zc.T)) - margin
     neg_sum = float(evals[evals < 0].sum())
@@ -128,12 +124,9 @@ def _standard_form_box_lp(p: SdpProblem, Cz: np.ndarray):
     nut = rows_.size
     w2 = tri_weights(n)
 
-    G = p.stacked_rows()
-    dense = np.asarray(G.multiply(tri_scale(n)).todense())  # rows now w2-weighted
     M = np.zeros((m + q, nut + q))
-    M[:, :nut] = dense
-    if q:
-        M[m:, nut:] = -np.eye(q)
+    M[:, :nut] = p.stacked_rows()[:, rows_ * n + cols_].toarray() * w2
+    M[m:, nut:] = -np.eye(q)
 
     rhs = np.concatenate([p.b, np.zeros(q)])
     cost = np.concatenate([w2 * Cz[rows_, cols_], np.zeros(q)])

@@ -64,10 +64,6 @@ class RunConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
-    def to_file(self, path) -> None:
-        payload = {k: v for k, v in asdict(self).items() if v is not None}
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
     def apply_to(self, args: argparse.Namespace) -> None:
         # config values win over flags; documented contract
         for key, val in asdict(self).items():
@@ -192,6 +188,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_heur(args) -> int:
+    if args.samples < 1:
+        raise ValueError("samples must be at least 1")
     g, spec = _load_problem(args)
     problem = model.build(g, spec, args.relaxation)
     result = admm.solve(problem, admm.AdmmParams(eps_tol=args.eps_tol,

@@ -2,9 +2,12 @@
 
 All relaxations share one container: minimize <C, X> subject to equality rows
 <A_i, X> = b_i, inequality rows l_j <= <B_j, X> <= u_j (through a slack vector),
-an elementwise box on X, and X PSD. Infinite bounds are stored as IEEE infinities;
-they are only ever consumed by clip operations and support-function evaluations,
-never by norms.
+an elementwise box on X, and X PSD. The rows are stored as two sparse matrices
+over vec(X), the row-major flattening of X: row i of ``A`` (m x n^2) is the
+symmetric matrix A_i flattened the same way, so A(X) = A @ X.ravel() and
+A*(y) = (A' y).reshape(n, n); ``B`` (q x n^2) holds the B_j. Infinite bounds are
+stored as IEEE infinities; they are only ever consumed by clip operations and
+support-function evaluations, never by norms.
 
 This module only builds problems and separates cuts; the loop that solves,
 certifies and tightens them with cuts, ``cutting_loop``, lives in
@@ -13,13 +16,11 @@ certifies and tightens them with cuts, ``cutting_loop``, lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .graphs import Gpkc, GraphInstance, KEquipartition, PartitionSpec, laplacian
-from .symm import smat, svec, tri_position, tri_scale
 
 MET_VIOLATION_TOL = 1e-4
 
@@ -61,13 +62,18 @@ class TriangleCut:
 
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
-    """Conic program data; immutable after construction."""
+    """Conic program data; immutable after construction.
+
+    ``A`` and ``B`` are scipy sparse matrices with n^2 columns whose rows are
+    symmetric n x n matrices flattened row-major (see the module docstring); a
+    problem without inequality rows has a 0 x n^2 ``B``, which is the default.
+    """
 
     n: int
     C: np.ndarray
-    eq_mats: tuple
+    A: sp.spmatrix
     b: np.ndarray
-    ineq_mats: tuple = ()
+    B: sp.spmatrix | None = None
     l: np.ndarray = field(default_factory=lambda: np.zeros(0))
     u: np.ndarray = field(default_factory=lambda: np.zeros(0))
     box_lo: np.ndarray | None = None
@@ -81,6 +87,9 @@ class SdpProblem:
         if C.shape != (n, n) or not np.allclose(C, C.T):
             raise ValueError("objective matrix must be symmetric of order n")
         object.__setattr__(self, "C", 0.5 * (C + C.T))
+        B = sp.csr_matrix((0, n * n)) if self.B is None else self.B
+        object.__setattr__(self, "A", _checked_rows(self.A, n, "equality"))
+        object.__setattr__(self, "B", _checked_rows(B, n, "inequality"))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         object.__setattr__(self, "l", np.asarray(self.l, dtype=float))
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
@@ -88,9 +97,9 @@ class SdpProblem:
         hi = np.full((n, n), np.inf) if self.box_hi is None else np.asarray(self.box_hi, float)
         object.__setattr__(self, "box_lo", lo)
         object.__setattr__(self, "box_hi", hi)
-        if self.b.size != len(self.eq_mats):
+        if self.b.size != self.m:
             raise ValueError("equality right-hand side does not match row count")
-        if self.l.size != len(self.ineq_mats) or self.u.size != len(self.ineq_mats):
+        if self.l.size != self.q or self.u.size != self.q:
             raise ValueError("inequality bounds do not match row count")
         if np.any(self.l > self.u):
             raise ValueError("inequality bounds must satisfy l <= u")
@@ -99,148 +108,119 @@ class SdpProblem:
 
     @property
     def m(self) -> int:
-        return len(self.eq_mats)
+        return self.A.shape[0]
 
     @property
     def q(self) -> int:
-        return len(self.ineq_mats)
-
-    @cached_property
-    def _eq_op(self) -> sp.csr_matrix:
-        return _stack_svec_rows(self.eq_mats, self.n)
-
-    @cached_property
-    def _ineq_op(self) -> sp.csr_matrix:
-        return _stack_svec_rows(self.ineq_mats, self.n)
+        return self.B.shape[0]
 
     def eq_apply(self, X: np.ndarray) -> np.ndarray:
-        return self._eq_op @ svec(X)
+        return self.A @ X.ravel()
 
     def ineq_apply(self, X: np.ndarray) -> np.ndarray:
-        if self.q == 0:
-            return np.zeros(0)
-        return self._ineq_op @ svec(X)
+        return self.B @ X.ravel()
 
     def adjoint(self, y: np.ndarray, ybar: np.ndarray | None = None) -> np.ndarray:
-        """A*(y) + B*(ybar) as a dense symmetric matrix."""
-        vec = self._eq_op.T @ y
-        if ybar is not None and ybar.size:
-            vec = vec + self._ineq_op.T @ ybar
-        return smat(vec, self.n)
+        """A*(y) + B*(ybar) as a dense symmetric matrix; an omitted ybar counts as zero."""
+        vec = self.A.T @ y
+        if ybar is not None:
+            vec += self.B.T @ ybar
+        return vec.reshape(self.n, self.n)
 
     def clip_box(self, X: np.ndarray) -> np.ndarray:
         return np.clip(X, self.box_lo, self.box_hi)
 
     def clip_slack(self, t: np.ndarray) -> np.ndarray:
-        if self.q == 0:
-            return np.zeros(0)
         return np.clip(t, self.l, self.u)
 
     def stacked_rows(self) -> sp.csr_matrix:
-        """All constraint rows over the isometric triangle vectorization."""
-        if self.q == 0:
-            return self._eq_op
-        return sp.vstack([self._eq_op, self._ineq_op], format="csr")
+        """All constraint rows, equalities first, over vec(X)."""
+        return sp.vstack([self.A, self.B], format="csr")
 
 
-def _stack_svec_rows(mats, n: int) -> sp.csr_matrix:
-    cols_of = tri_position(n)
-    scale = tri_scale(n)
-    data, cols, indptr = [], [], [0]
-    for mat in mats:
-        coo = mat.tocoo()
-        keep = coo.row <= coo.col
-        r, c, v = coo.row[keep], coo.col[keep], coo.data[keep]
-        pos = cols_of[r, c]
-        data.append(v * scale[pos])
-        cols.append(pos)
-        indptr.append(indptr[-1] + pos.size)
-    if not mats:
-        return sp.csr_matrix((0, n * (n + 1) // 2))
-    data = np.concatenate(data)
-    cols = np.concatenate(cols)
-    return sp.csr_matrix((data, cols, np.array(indptr)), shape=(len(mats), n * (n + 1) // 2))
+def _checked_rows(M, n: int, kind: str) -> sp.csr_matrix:
+    """``M`` as CSR after checking it has n^2 columns and every row is symmetric."""
+    M = sp.csr_matrix(M, dtype=float)
+    if M.shape[1] != n * n:
+        raise ValueError(f"{kind} constraint matrix must have n^2 = {n * n} columns")
+    transpose = np.arange(n * n).reshape(n, n).T.ravel()
+    if (M[:, transpose] != M).nnz:
+        raise ValueError(f"every {kind} constraint row must be a symmetric matrix")
+    return M
 
 
-def _diag_row(n: int, i: int) -> sp.csr_matrix:
-    return sp.csr_matrix(([1.0], ([i], [i])), shape=(n, n))
-
-
-def _rowsum_row(n: int, i: int) -> sp.csr_matrix:
-    # symmetrized row-sum constraint (e_i e^T + e e_i^T) / 2, so <A, X> = (X e)_i
-    cols = np.arange(n)
-    rows = np.full(n, i)
-    vals = np.full(n, 0.5)
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    m = m + m.T
-    return m.tocsr()
-
-
-def _weighted_rowsum_row(a: np.ndarray, i: int) -> sp.csr_matrix:
-    # (e_i a^T + a e_i^T) / 2, so <B, X> = (X a)_i
-    n = a.size
-    cols = np.arange(n)
-    rows = np.full(n, i)
-    m = sp.coo_matrix((0.5 * a, (rows, cols)), shape=(n, n))
-    m = m + m.T
-    return m.tocsr()
+def _sym_rows(n_rows: int, n: int, row, i, j, val) -> sp.csr_matrix:
+    """n_rows x n^2 matrix to whose row ``row[t]`` entry t adds the flattened
+    (val[t]/2)(e_i e_j' + e_j e_i') with i = ``i[t]``, j = ``j[t]``; ``val`` may be a scalar."""
+    row, i, j = np.asarray(row), np.asarray(i), np.asarray(j)
+    half = np.broadcast_to(0.5 * np.asarray(val, dtype=float), row.shape)
+    return sp.csr_matrix(
+        (np.concatenate([half, half]),
+         (np.concatenate([row, row]), np.concatenate([i * n + j, j * n + i]))),
+        shape=(n_rows, n * n),
+    )
 
 
 def _keq_base(g: GraphInstance, k: int):
+    # rows e_i e_i' (diag(X) = e), then (e_i e' + e e_i')/2 ((X e)_i = m)
     spec = KEquipartition.for_graph(g.n, k)
     n = g.n
-    eq = tuple(_diag_row(n, i) for i in range(n)) + tuple(_rowsum_row(n, i) for i in range(n))
+    v = np.arange(n)
+    i, j = np.divmod(np.arange(n * n), n)
+    A = _sym_rows(2 * n, n, np.concatenate([v, n + i]), np.concatenate([v, i]),
+                  np.concatenate([v, j]), 1.0)
     b = np.concatenate([np.ones(n), np.full(n, float(spec.m))])
-    return spec, eq, b
+    return spec, A, b
 
 
 def build_keq_sdp(g: GraphInstance, k: int) -> SdpProblem:
     """Equipartition relaxation: diag(X) = e, X e = m e, X PSD, free box."""
-    spec, eq, b = _keq_base(g, k)
+    spec, A, b = _keq_base(g, k)
     tag = ProblemTag("keq", "sdp", k=k, m=spec.m, instance=g.name)
-    return SdpProblem(n=g.n, C=0.5 * laplacian(g), eq_mats=eq, b=b, tag=tag)
+    return SdpProblem(n=g.n, C=0.5 * laplacian(g), A=A, b=b, tag=tag)
 
 
 def build_keq_dnn(g: GraphInstance, k: int) -> SdpProblem:
     """As :func:`build_keq_sdp` with the elementwise lower bound X >= 0."""
-    spec, eq, b = _keq_base(g, k)
+    spec, A, b = _keq_base(g, k)
     tag = ProblemTag("keq", "dnn", k=k, m=spec.m, instance=g.name)
     return SdpProblem(
-        n=g.n, C=0.5 * laplacian(g), eq_mats=eq, b=b,
+        n=g.n, C=0.5 * laplacian(g), A=A, b=b,
         box_lo=np.zeros((g.n, g.n)), tag=tag,
     )
 
 
 def _gpkc_base(g: GraphInstance, spec: Gpkc):
+    # rows e_i e_i' (diag(X) = e) and (e_i a' + a e_i')/2 ((X a)_i <= W)
     if spec.n != g.n:
         raise ValueError("vertex weight vector length does not match the graph")
     n = g.n
-    eq = tuple(_diag_row(n, i) for i in range(n))
-    b = np.ones(n)
-    ineq = tuple(_weighted_rowsum_row(spec.a, i) for i in range(n))
-    u = np.full(n, spec.W)
-    return eq, b, ineq, u
+    v = np.arange(n)
+    i, j = np.divmod(np.arange(n * n), n)
+    A = _sym_rows(n, n, v, v, v, 1.0)
+    B = _sym_rows(n, n, i, i, j, spec.a[j])
+    return A, np.ones(n), B, np.full(n, spec.W)
 
 
 def build_gpkc_sdp(g: GraphInstance, spec: Gpkc) -> SdpProblem:
     """Knapsack relaxation: diag(X) = e, X a <= W e, X PSD, free box."""
-    eq, b, ineq, u = _gpkc_base(g, spec)
+    A, b, B, u = _gpkc_base(g, spec)
     tag = ProblemTag("gpkc", "sdp", capacity=spec.W, min_weight=float(spec.a.min()),
                      instance=g.name)
     return SdpProblem(
-        n=g.n, C=0.5 * laplacian(g), eq_mats=eq, b=b,
-        ineq_mats=ineq, l=np.full(g.n, -np.inf), u=u, tag=tag,
+        n=g.n, C=0.5 * laplacian(g), A=A, b=b,
+        B=B, l=np.full(g.n, -np.inf), u=u, tag=tag,
     )
 
 
 def build_gpkc_dnn(g: GraphInstance, spec: Gpkc) -> SdpProblem:
     """Knapsack relaxation with X >= 0; then (X a)_i >= a_i is valid and sharpens l."""
-    eq, b, ineq, u = _gpkc_base(g, spec)
+    A, b, B, u = _gpkc_base(g, spec)
     tag = ProblemTag("gpkc", "dnn", capacity=spec.W, min_weight=float(spec.a.min()),
                      instance=g.name)
     return SdpProblem(
-        n=g.n, C=0.5 * laplacian(g), eq_mats=eq, b=b,
-        ineq_mats=ineq, l=spec.a.copy(), u=u,
+        n=g.n, C=0.5 * laplacian(g), A=A, b=b,
+        B=B, l=spec.a.copy(), u=u,
         box_lo=np.zeros((g.n, g.n)), tag=tag,
     )
 
@@ -288,14 +268,6 @@ def separate_met(X: np.ndarray, max_cuts: int, tol: float = MET_VIOLATION_TOL) -
     ]
 
 
-def _cut_matrix(n: int, cut: TriangleCut) -> sp.csr_matrix:
-    i, j, r = cut.triple
-    rows = [i, j, i, r, j, r]
-    cols = [j, i, r, i, r, j]
-    vals = [0.5, 0.5, 0.5, 0.5, -0.5, -0.5]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
 def add_cuts(p: SdpProblem, cuts) -> SdpProblem:
     """Append triangle cuts as inequality rows with u = 1; duplicate triples rejected."""
     cuts = list(cuts)
@@ -308,11 +280,15 @@ def add_cuts(p: SdpProblem, cuts) -> SdpProblem:
             raise ValueError(f"cut {cut.triple} already present")
         existing.add(cut.triple)
         fresh.append(cut)
-    new_mats = p.ineq_mats + tuple(_cut_matrix(p.n, c) for c in fresh)
+    # row t is X_ij + X_ir - X_jr for the t-th fresh cut (i, j, r)
+    t = np.arange(len(fresh))
+    i, j, r = np.array([c.triple for c in fresh]).T
+    rows = _sym_rows(t.size, p.n, np.tile(t, 3), np.concatenate([i, i, j]),
+                     np.concatenate([j, r, r]), np.repeat([1.0, 1.0, -1.0], t.size))
     new_l = np.concatenate([p.l, np.full(len(fresh), -np.inf)])
     new_u = np.concatenate([p.u, np.ones(len(fresh))])
     tag = replace(p.tag, relaxation="dnn+met") if p.tag.relaxation.startswith("dnn") else p.tag
     return replace(
-        p, ineq_mats=new_mats, l=new_l, u=new_u, tag=tag,
+        p, B=sp.vstack([p.B, rows], format="csr"), l=new_l, u=new_u, tag=tag,
         met_cuts=p.met_cuts + tuple(fresh),
     )

@@ -274,13 +274,13 @@ def _rhs_of(st, p):
 def _independent_residuals(st, p):
     # dense re-evaluation of the five stopping measures, sharing no operator code
     n = p.n
-    A_dense = np.stack([m_.toarray() for m_ in p.eq_mats])
+    A_dense = np.stack([p.A[i].toarray().reshape(n, n) for i in range(p.m)])
     dual_mat = p.C - st.Z - st.S
     for i in range(p.m):
         dual_mat = dual_mat - st.y[i] * A_dense[i]
     AX = np.array([(A_dense[i] * st.X).sum() for i in range(p.m)])
     if p.q:
-        B_dense = np.stack([m_.toarray() for m_ in p.ineq_mats])
+        B_dense = np.stack([p.B[j].toarray().reshape(n, n) for j in range(p.q)])
         for j in range(p.q):
             dual_mat = dual_mat - st.ybar[j] * B_dense[j]
         BX = np.array([(B_dense[j] * st.X).sum() for j in range(p.q)])

@@ -23,8 +23,8 @@ from gpbound.symm import psd_split
 
 def diag_problem(c_diag, box_lo=None):
     n = len(c_diag)
-    eq = tuple(sp.csr_matrix(([1.0], ([i], [i])), shape=(n, n)) for i in range(n))
-    return SdpProblem(n=n, C=np.diag(np.asarray(c_diag, float)), eq_mats=eq,
+    A = sp.csr_matrix((np.ones(n), (np.arange(n), np.arange(n) * (n + 1))), shape=(n, n * n))
+    return SdpProblem(n=n, C=np.diag(np.asarray(c_diag, float)), A=A,
                       b=np.ones(n), box_lo=box_lo)
 
 
@@ -35,11 +35,11 @@ def ineq_toy_problem():
     The optimum sits at X_12 = -1 with objective 0.4.
     """
     n = 2
-    eq = tuple(sp.csr_matrix(([1.0], ([i], [i])), shape=(n, n)) for i in range(n))
-    ineq = (sp.csr_matrix(([0.5, 0.5], ([0, 1], [1, 0])), shape=(n, n)),)
+    A = sp.csr_matrix((np.ones(n), (np.arange(n), np.arange(n) * (n + 1))), shape=(n, n * n))
+    B = sp.csr_matrix(([0.5, 0.5], ([0, 0], [1, 2])), shape=(1, n * n))
     C = np.array([[1.0, 0.8], [0.8, 1.0]])
-    return SdpProblem(n=n, C=C, eq_mats=eq, b=np.ones(n),
-                      ineq_mats=ineq, l=np.array([-1.0]), u=np.array([0.3]))
+    return SdpProblem(n=n, C=C, A=A, b=np.ones(n),
+                      B=B, l=np.array([-1.0]), u=np.array([0.3]))
 
 
 def ineq_toy_kkt_state(sigma=1.0):
@@ -86,8 +86,8 @@ class TestNormalFactor:
 
     def test_duplicated_row_reported(self):
         n = 3
-        row = sp.csr_matrix(([1.0], ([0], [0])), shape=(n, n))
-        p = SdpProblem(n=n, C=np.eye(n), eq_mats=(row, row), b=np.ones(2))
+        A = sp.csr_matrix(([1.0, 1.0], ([0, 1], [0, 0])), shape=(2, n * n))
+        p = SdpProblem(n=n, C=np.eye(n), A=A, b=np.ones(2))
         with pytest.raises(DependentRowsError):
             factor_normal_matrix(p)
 
@@ -163,8 +163,8 @@ class TestUpdateS:
         lo = np.minimum(lo, lo.T)
         hi = np.where(rng.random((n, n)) < 0.5, 1.5, np.inf)
         hi = np.maximum(hi, hi.T)
-        eq = (sp.csr_matrix(([1.0], ([0], [0])), shape=(n, n)),)
-        p = SdpProblem(n=n, C=np.zeros((n, n)), eq_mats=eq, b=np.ones(1),
+        A = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, n * n))
+        p = SdpProblem(n=n, C=np.zeros((n, n)), A=A, b=np.ones(1),
                        box_lo=lo, box_hi=hi)
         for _ in range(50):
             st = random_state(p, rng, sigma=float(rng.uniform(0.2, 4.0)))
@@ -204,8 +204,8 @@ class TestUpdateZV:
 
     def test_free_slack_interval_gives_zero_v(self):
         p = ineq_toy_problem()
-        free = SdpProblem(n=p.n, C=p.C, eq_mats=p.eq_mats, b=p.b,
-                          ineq_mats=p.ineq_mats,
+        free = SdpProblem(n=p.n, C=p.C, A=p.A, b=p.b,
+                          B=p.B,
                           l=np.array([-np.inf]), u=np.array([np.inf]))
         rng = np.random.default_rng(5)
         st = swept(random_state(free, rng, sigma=2.0), free)
@@ -291,7 +291,7 @@ class TestResiduals:
         st = random_state(p, rng)
         rec = residuals(st, p)
         perm = rng.permutation(p.m)
-        p2 = SdpProblem(n=p.n, C=p.C, eq_mats=tuple(p.eq_mats[i] for i in perm),
+        p2 = SdpProblem(n=p.n, C=p.C, A=p.A[perm],
                         b=p.b[perm], box_lo=p.box_lo, box_hi=p.box_hi)
         st2 = st.copy()
         st2.y = st.y[perm]

@@ -20,9 +20,9 @@ from gpbound.model import (ProblemTag, SdpProblem, TriangleCut, add_cuts, build_
 
 def diag_problem(c_diag, box_lo=None, tag=None):
     n = len(c_diag)
-    eq = tuple(sp.csr_matrix(([1.0], ([i], [i])), shape=(n, n)) for i in range(n))
+    A = sp.csr_matrix((np.ones(n), (np.arange(n), np.arange(n) * (n + 1))), shape=(n, n * n))
     kwargs = {} if tag is None else {"tag": tag}
-    return SdpProblem(n=n, C=np.diag(np.asarray(c_diag, float)), eq_mats=eq,
+    return SdpProblem(n=n, C=np.diag(np.asarray(c_diag, float)), A=A,
                       b=np.ones(n), box_lo=box_lo, **kwargs)
 
 
@@ -95,8 +95,8 @@ class TestEigBound:
         y = np.array([1.0, 2.0, 3.0])
         Z_target = np.diag([0.5, 0.2, -delta])
         n = 3
-        eq = tuple(sp.csr_matrix(([1.0], ([i], [i])), shape=(n, n)) for i in range(n))
-        p = SdpProblem(n=n, C=np.diag(y) + Z_target, eq_mats=eq, b=np.ones(n))
+        A = sp.csr_matrix((np.ones(n), (np.arange(n), np.arange(n) * (n + 1))), shape=(n, n * n))
+        p = SdpProblem(n=n, C=np.diag(y) + Z_target, A=A, b=np.ones(n))
         cert = eig_lower_bound(p, state_with(p, y=y), xbar=4.0)
         assert cert.perturbation == pytest.approx(-4.0 * delta)
         assert cert.value == pytest.approx(float(y.sum()) - 4.0 * delta)
@@ -166,17 +166,17 @@ class TestLpBound:
 
     def test_hand_lp_with_nonnegative_offdiag(self):
         n = 2
-        eq = tuple(sp.csr_matrix(([1.0], ([i], [i])), shape=(n, n)) for i in range(n))
+        A = sp.csr_matrix((np.ones(n), (np.arange(n), np.arange(n) * (n + 1))), shape=(n, n * n))
         C = np.array([[3.0, 0.5], [0.5, -1.0]])
-        p = SdpProblem(n=n, C=C, eq_mats=eq, b=np.ones(n), box_lo=np.zeros((n, n)))
+        p = SdpProblem(n=n, C=C, A=A, b=np.ones(n), box_lo=np.zeros((n, n)))
         cert = lp_lower_bound(p, np.zeros((n, n)), project=False)
         assert cert.value == pytest.approx(2.0)
 
     def test_negative_offdiag_makes_adjustment_infeasible(self):
         n = 2
-        eq = tuple(sp.csr_matrix(([1.0], ([i], [i])), shape=(n, n)) for i in range(n))
+        A = sp.csr_matrix((np.ones(n), (np.arange(n), np.arange(n) * (n + 1))), shape=(n, n * n))
         C = np.array([[3.0, -0.5], [-0.5, -1.0]])
-        p = SdpProblem(n=n, C=C, eq_mats=eq, b=np.ones(n), box_lo=np.zeros((n, n)))
+        p = SdpProblem(n=n, C=C, A=A, b=np.ones(n), box_lo=np.zeros((n, n)))
         cert = lp_lower_bound(p, np.zeros((n, n)), project=False)
         assert not cert.feasible
         assert cert.value == -np.inf
@@ -291,8 +291,8 @@ class TestLpBoundAgainstIndependentFormulation:
         n, m, q = p.n, p.m, p.q
         rows, cols = np.triu_indices(n)
         nut = rows.size
-        A_dense = [mat.toarray() for mat in p.eq_mats]
-        B_dense = [mat.toarray() for mat in p.ineq_mats]
+        A_dense = [p.A[r].toarray().reshape(n, n) for r in range(m)]
+        B_dense = [p.B[s].toarray().reshape(n, n) for s in range(q)]
         Cz = p.C - Z
 
         # variables: y (m, free), v_l, v_u (q each), S_L, S_U (nut each)
@@ -367,9 +367,10 @@ class TestLpBoundAgainstIndependentFormulation:
         n = 2
         import scipy.sparse as _sp
 
-        eq = tuple(_sp.csr_matrix(([1.0], ([i], [i])), shape=(n, n)) for i in range(n))
+        A = _sp.csr_matrix((np.ones(n), (np.arange(n), np.arange(n) * (n + 1))),
+                           shape=(n, n * n))
         C = np.array([[3.0, -0.5], [-0.5, -1.0]])
-        p = SdpProblem(n=n, C=C, eq_mats=eq, b=np.ones(n), box_lo=np.zeros((n, n)))
+        p = SdpProblem(n=n, C=C, A=A, b=np.ones(n), box_lo=np.zeros((n, n)))
         mine = lp_lower_bound(p, np.zeros((n, n)), project=False)
         ref = self.reference_lp_value(p, np.zeros((n, n)))
         assert mine.value == -np.inf and ref == -np.inf

@@ -157,7 +157,8 @@ class TestSolve:
 
         cfg = RunConfig(problem="keq", eps_tol=1e-4, max_iter=500, samples=10)
         path = tmp_path / "cfg.json"
-        cfg.to_file(path)
+        path.write_text(json.dumps({"problem": "keq", "eps_tol": 1e-4, "max_iter": 500,
+                                    "samples": 10}))
         assert RunConfig.from_file(path) == cfg
 
     def test_unknown_config_key_rejected(self, k8_file, tmp_path):
@@ -246,6 +247,18 @@ class TestHeur:
         assert code == 1
         assert "samples" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_zero_samples_rejected_before_solving(self, k8_file, monkeypatch, capsys):
+        from gpbound import admm
+
+        calls = []
+        real_solve = admm.solve
+        monkeypatch.setattr(admm, "solve", lambda *a, **kw: calls.append(1) or real_solve(*a, **kw))
+        code = main(["heur", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
+                     "--samples", "0"])
+        assert code == 1
+        assert "samples must be at least 1" in capsys.readouterr().err
+        assert calls == []
 
     def test_detail_rows(self, k8_file, tmp_path):
         detail = tmp_path / "detail.csv"

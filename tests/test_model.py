@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gpbound import admm
 from gpbound.graphs import Gpkc, GraphInstance, Partition, gen_rand_graph
@@ -320,3 +321,102 @@ class TestFeasiblePointsSatisfyBuilders:
         assert np.allclose(p.eq_apply(X), p.b)
         vals = p.ineq_apply(X)
         assert np.all(vals >= p.l - 1e-9) and np.all(vals <= p.u + 1e-9)
+
+
+def unit(n, i):
+    e = np.zeros(n)
+    e[i] = 1.0
+    return e
+
+
+# the paper's constraint matrices, one n x n matrix per row
+def diag_ref(n, i):
+    return np.outer(unit(n, i), unit(n, i))
+
+
+def rowsum_ref(n, i):
+    e = np.ones(n)
+    return (np.outer(unit(n, i), e) + np.outer(e, unit(n, i))) / 2
+
+
+def weighted_rowsum_ref(a, i):
+    n = a.size
+    return (np.outer(unit(n, i), a) + np.outer(a, unit(n, i))) / 2
+
+
+def triangle_ref(n, i, j, r):
+    M = np.zeros((n, n))
+    M[i, j] = M[j, i] = M[i, r] = M[r, i] = 0.5
+    M[j, r] = M[r, j] = -0.5
+    return M
+
+
+def rows_as_matrices(M, n):
+    return [M[t].toarray().reshape(n, n) for t in range(M.shape[0])]
+
+
+def assert_rows_equal(M, n, expected):
+    got = rows_as_matrices(M, n)
+    assert M.shape == (len(expected), n * n)
+    for t, (g_t, e_t) in enumerate(zip(got, expected)):
+        assert np.array_equal(g_t, e_t), f"row {t}"
+
+
+def weighted_instance(n):
+    g = gen_rand_graph(n, 0.5, n)
+    a = np.random.default_rng(n).integers(1, 1000, size=n).astype(float)
+    return g, Gpkc(a=a, W=float(a.sum()) / 2)
+
+
+class TestConstraintRows:
+    """Every built row equals the paper's matrix, flattened row-major, exactly."""
+
+    @pytest.mark.parametrize("n,k", [(5, 5), (8, 4)])
+    def test_keq_rows(self, n, k):
+        g = gen_rand_graph(n, 0.5, n)
+        for build_fn in (build_keq_sdp, build_keq_dnn):
+            p = build_fn(g, k)
+            assert_rows_equal(p.A, n, [diag_ref(n, i) for i in range(n)]
+                              + [rowsum_ref(n, i) for i in range(n)])
+            assert p.B.shape == (0, n * n) and p.q == 0
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_gpkc_rows(self, n):
+        g, spec = weighted_instance(n)
+        for build_fn in (build_gpkc_sdp, build_gpkc_dnn):
+            p = build_fn(g, spec)
+            assert_rows_equal(p.A, n, [diag_ref(n, i) for i in range(n)])
+            assert_rows_equal(p.B, n, [weighted_rowsum_ref(spec.a, i) for i in range(n)])
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_cut_rows_appended(self, n):
+        g, spec = weighted_instance(n)
+        first = [TriangleCut(0, 1, 2), TriangleCut(3, 4, 1)]
+        second = [TriangleCut(4, 0, 2), TriangleCut(2, 3, 0)]
+        keq = add_cuts(add_cuts(build_keq_dnn(g, n), first), second)
+        assert_rows_equal(keq.B, n, [triangle_ref(n, *c.triple) for c in first + second])
+        gpkc = add_cuts(build_gpkc_dnn(g, spec), first)
+        assert_rows_equal(gpkc.B, n, [weighted_rowsum_ref(spec.a, i) for i in range(n)]
+                          + [triangle_ref(n, *c.triple) for c in first])
+
+    def test_rejects_non_symmetric_row(self):
+        n = 3
+        diag = sp.csr_matrix((np.ones(n), (np.arange(n), np.arange(n) * (n + 1))),
+                             shape=(n, n * n))
+        upper_only = sp.csr_matrix(([1.0], ([0], [1])), shape=(1, n * n))  # X_01 alone
+        with pytest.raises(ValueError, match="symmetric"):
+            SdpProblem(n=n, C=np.eye(n), A=sp.vstack([diag, upper_only]), b=np.ones(n + 1))
+        with pytest.raises(ValueError, match="symmetric"):
+            SdpProblem(n=n, C=np.eye(n), A=diag, b=np.ones(n), B=upper_only,
+                       l=np.zeros(1), u=np.ones(1))
+
+    def test_rejects_wrong_width(self):
+        n = 3
+        tri = sp.csr_matrix((np.ones(n), (np.arange(n), [0, 3, 5])), shape=(n, n * (n + 1) // 2))
+        with pytest.raises(ValueError, match="columns"):
+            SdpProblem(n=n, C=np.eye(n), A=tri, b=np.ones(n))
+        diag = sp.csr_matrix((np.ones(n), (np.arange(n), np.arange(n) * (n + 1))),
+                             shape=(n, n * n))
+        with pytest.raises(ValueError, match="columns"):
+            SdpProblem(n=n, C=np.eye(n), A=diag, b=np.ones(n),
+                       B=sp.csr_matrix((1, n * n + 1)), l=np.zeros(1), u=np.ones(1))
