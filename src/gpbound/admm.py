@@ -108,17 +108,15 @@ def factor_normal_matrix(problem: SdpProblem) -> NormalFactor:
     try:
         R = np.linalg.cholesky(Q)
     except np.linalg.LinAlgError:
-        raise _diagnose_dependent_rows(G) from None
+        raise _diagnose_dependent_rows(Q) from None
     return NormalFactor(R=R, m=m, q=problem.q)
 
 
-def _diagnose_dependent_rows(G) -> DependentRowsError:
-    dense = G.toarray()
-    _, Rq, piv = scipy.linalg.qr(dense.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(Rq))
-    tol = max(dense.shape) * np.finfo(float).eps * (diag.max() if diag.size else 1.0)
-    rank = int((diag > tol).sum())
-    return DependentRowsError(sorted(piv[rank:]))
+def _diagnose_dependent_rows(Q: np.ndarray) -> DependentRowsError:
+    """Name the rows that the pivoted Cholesky factorization of the Gram ``Q`` leaves
+    out: each is, to working accuracy, a combination of the rows pivoted before it."""
+    _, piv, rank, _ = scipy.linalg.lapack.dpstrf(Q, lower=1)
+    return DependentRowsError(sorted(piv[rank:] - 1))
 
 
 def update_y(state: AdmmState, factor: NormalFactor, problem: SdpProblem):

@@ -5,23 +5,28 @@ valid no matter how early the solver stopped:
 
 * eigenvalue route: evaluate the dual objective at sign-feasible multipliers and
   pay for the dual-equality violation through the negative spectrum of the
-  rebuilt slack matrix, scaled by a provable upper bound ``xbar`` on the largest
-  eigenvalue of any feasible primal matrix;
+  rebuilt slack matrix Zc. Every feasible X has trace n (each relaxation has the
+  rows diag(X) = e) and top eigenvalue at most a provable ``xbar``, so
+  <Zc, X> >= min{sum mu_i lambda_i : 0 <= mu_i <= xbar, sum mu_i <= n}: xbar on
+  the floor(n / xbar) most negative eigenvalues and the remainder on the next;
 * LP route: freeze the PSD part and re-optimize the remaining multipliers
   exactly with the bundled dense simplex.
 
-Equipartition problems and the knapsack SDP default to the eigenvalue route
-(xbar = group size m for the DNN, n - m for the SDP, n for the knapsack SDP,
-whose free box makes the frozen-Z LP unbounded), the knapsack DNN to the LP
-route (xbar = min(n, W / min(a))). Eigenvalues are charged less the margin
-n * eps * ||Zc||_F, so the bound holds in floating point (Jansson, Chaykin &
-Keil, SIAM J. Numer. Anal. 2007). ``cutting_loop`` is the
-one solve-then-certify loop: one round for the SDP and the DNN, rounds of
-violated triangle cuts for DNN+MET.
+``certify_bound``'s ``auto`` route is the eigenvalue route for every relaxation
+(xbar = group size m for the equipartition DNN, n - m for its SDP,
+min(n, W / min(a)) for the knapsack DNN and n for the knapsack SDP). A knapsack
+DNN solve that did not converge to ``GPKC_EIG_ACCURACY`` falls back to the LP
+route, which is much stronger at loose caps. Eigenvalues are charged less a
+margin for rounding, in ``eigvalsh`` (n * eps * ||Zc||_F) and in forming Zc,
+and the dual value less a bound on its summation error, so the bound holds in
+floating point (Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 2007).
+``cutting_loop`` is the one solve-then-certify loop: one round for the SDP and
+the DNN, rounds of violated triangle cuts for DNN+MET.
 """
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -82,16 +87,71 @@ def xbar_for(p: SdpProblem) -> float:
     raise ValueError(f"no provable xbar for a {tag.problem!r} {tag.relaxation!r} problem")
 
 
-def eig_lower_bound(p: SdpProblem, approx: AdmmState, xbar: float) -> BoundCertificate:
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), the relative error of k roundings."""
+    ku = k * np.finfo(float).eps / 2
+    return ku / (1.0 - ku)
+
+
+def _support_abs(M: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Sum of the absolute products that ``box_support_value(M, lo, hi)`` adds up."""
+    pos, neg = M > 0, M < 0
+    return float(np.abs(M[pos] * lo[pos]).sum() + np.abs(M[neg] * hi[neg]).sum())
+
+
+def _rounding_margins(p: SdpProblem, y, v, S) -> tuple[float, float]:
+    """Error bounds for forming Zc = C - A*(y) - B*(v) - S and d0 = b'y + F1(S) + F2(v).
+
+    An entry of Zc sums at most c + 2 terms, c the largest column count of the
+    stacked rows, so |fl(Zc) - Zc| <= gamma_{c+2} (|C| + |A|'|y| + |B|'|v| + |S|)
+    elementwise (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    section 3.1), and gamma_{c+3} covers the symmetrized copy too; by Weyl, the
+    Frobenius norm of that bound shifts no eigenvalue further. d0 sums at most
+    m + q + n^2 products. Both bounds are doubled, which covers the rounding in
+    evaluating them (relative size below (n^2 + m + q + c) u).
+    """
+    n = p.n
+    G = p.stacked_rows()
+    c = int(G.getnnz(axis=0).max())
+    w = np.abs(np.concatenate([y, v]))
+    T = np.abs(p.C) + (abs(G).T @ w).reshape(n, n) + np.abs(S)
+    zc = 2.0 * _gamma(c + 3) * float(np.linalg.norm(T))
+    terms = float(np.abs(p.b) @ np.abs(y)) + _support_abs(S, p.box_lo, p.box_hi)
+    terms += _support_abs(v, p.l, p.u)
+    return zc, 2.0 * _gamma(p.m + p.q + n * n) * terms
+
+
+def _spectral_charge(evals: np.ndarray, xbar: float, trace: float) -> float:
+    """min sum mu_i evals_i over 0 <= mu_i <= xbar, sum mu_i <= trace (evals ascending).
+
+    xbar goes on the floor(trace / xbar) most negative eigenvalues and the
+    remainder on the next one if it is negative; an infinite trace charges xbar
+    on every negative eigenvalue.
+    """
+    neg = evals[evals < 0]
+    full = neg.size if trace >= xbar * neg.size else int(trace // xbar)
+    neg_sum = float(neg[:full].sum())
+    charge = xbar * neg_sum if neg_sum < 0 else 0.0
+    rest = trace - xbar * full
+    if full < neg.size and rest > 0:
+        charge += rest * float(neg[full])
+    return charge
+
+
+def eig_lower_bound(p: SdpProblem, approx: AdmmState, xbar: float,
+                    trace: float = math.inf) -> BoundCertificate:
     """Spectral-perturbation bound from approximate multipliers.
 
     The multipliers are sign-clamped wherever their support pairing would hit an
-    infinite bound, the PSD-deficient matrix is rebuilt as C - A*(y) - B*(v) - S
-    from the clamped multipliers, and its negative eigenvalues enter the bound
-    scaled by ``xbar``. Rebuilding (rather than trusting the solver's projected
-    PSD matrix) is what keeps the bound safe at loose stopping tolerances. Each
-    computed eigenvalue is lowered by ``n * eps * ||Zc||_F`` before the charge,
-    since the true eigenvalue lies no further below it than that.
+    infinite bound, the PSD-deficient matrix is rebuilt as Zc = C - A*(y) - B*(v) - S
+    from the clamped multipliers, and its negative eigenvalues are charged by
+    ``_spectral_charge`` with ``xbar`` and ``trace``, which must bound the top
+    eigenvalue and the trace of every feasible X (the bound is valid for any
+    multipliers). Rebuilding (rather than trusting the solver's projected PSD
+    matrix) is what keeps the bound safe at loose stopping tolerances. Each
+    computed eigenvalue is lowered by ``n * eps * ||Zc||_F`` (for ``eigvalsh``)
+    plus the Zc margin of ``_rounding_margins``, and the dual value by its d0
+    margin, since the exact values lie no further away than that.
     """
     if xbar <= 0:
         raise ValueError("xbar must be positive")
@@ -104,11 +164,11 @@ def eig_lower_bound(p: SdpProblem, approx: AdmmState, xbar: float) -> BoundCerti
     d0 = float(p.b @ y) + box_support_value(S_c, p.box_lo, p.box_hi)
     d0 += box_support_value(v_c, p.l, p.u)
     Zc = p.C - p.adjoint(y, v_c) - S_c
-    margin = p.n * np.finfo(float).eps * np.linalg.norm(Zc)
+    zc_err, d0_err = _rounding_margins(p, y, v_c, S_c)
+    margin = p.n * np.finfo(float).eps * np.linalg.norm(Zc) + zc_err
     evals = np.linalg.eigvalsh(0.5 * (Zc + Zc.T)) - margin
-    neg_sum = float(evals[evals < 0].sum())
-    perturbation = xbar * neg_sum if neg_sum < 0 else 0.0
-    return BoundCertificate(value=d0 + perturbation, method="eig",
+    perturbation = _spectral_charge(evals, xbar, trace)
+    return BoundCertificate(value=d0 - d0_err + perturbation, method="eig",
                             perturbation=perturbation, xbar=xbar, clamp=mag)
 
 
@@ -170,7 +230,11 @@ def lp_lower_bound(
     a linear program; its optimum is a valid bound whenever finite. The program
     solved here is the box-constrained image of that LP (same optimum by duality,
     far fewer rows); an unbounded image certifies the adjustment is infeasible and
-    -inf is returned, matching the declared failure mode.
+    -inf is returned, matching the declared failure mode. The value returned is
+    the simplex's primal objective at its final point, not a bound evaluated at
+    dual multipliers: the simplex accepts reduced costs down to a small negative
+    tolerance, so the value can exceed the LP optimum by about that tolerance
+    times the 1-norm of the point, and it carries no rounding margin.
     """
     Z = psd_project(Z_tilde) if project else Z_tilde
     c, A, rhs, const = _standard_form_box_lp(p, p.C - Z)
@@ -183,11 +247,16 @@ def lp_lower_bound(
 
 
 def certify_bound(p: SdpProblem, result: AdmmResult, method: str = "auto") -> BoundCertificate:
-    """Route a solver result to the default certificate for its problem family."""
-    eig_default = p.tag.problem == "keq" or (p.tag.problem, p.tag.relaxation) == ("gpkc", "sdp")
+    """Certify a solver result: ``"auto"`` and ``"eig"`` take the eigenvalue route.
+
+    Every builder emits the rows diag(X) = e, so the eigenvalue bound is charged
+    with trace n and ``xbar_for(p)``. A knapsack DNN (or DNN+MET) solve that did
+    not converge to ``GPKC_EIG_ACCURACY`` goes to the LP route instead, which is
+    much stronger at loose caps. ``"lp"`` always takes the LP route.
+    """
     if method == "auto":
-        method = "eig" if eig_default else "lp"
-    if method == "eig" and not eig_default:
+        method = "eig"
+    if method == "eig" and p.tag.problem == "gpkc" and p.tag.relaxation != "sdp":
         accurate = result.status == "converged" and result.eps_tol <= GPKC_EIG_ACCURACY
         if not accurate:
             log.warning(
@@ -196,7 +265,7 @@ def certify_bound(p: SdpProblem, result: AdmmResult, method: str = "auto") -> Bo
             )
             method = "lp"
     if method == "eig":
-        return eig_lower_bound(p, result.state, xbar_for(p))
+        return eig_lower_bound(p, result.state, xbar_for(p), trace=p.n)
     if method == "lp":
         return lp_lower_bound(p, result.state.Z, project=False)
     raise ValueError(f"unknown certificate method {method!r}")
@@ -230,10 +299,10 @@ def cutting_loop(
 
     ``"sdp"`` and ``"dnn"`` run one round. ``"dnn+met"`` starts from the plain
     DNN; each later round appends at most ``m_met`` (default 2n) most violated
-    triangle inequalities and re-solves warm-started. It stops after
-    ``max_rounds`` rounds or as soon as separation comes back empty. Every round
-    is certified by ``certify_bound(..., method)``, and ``callback`` goes to
-    every ``solve``.
+    triangle inequalities not yet present and re-solves warm-started. It stops
+    after ``max_rounds`` rounds or as soon as separation comes back empty. Every
+    round is certified by ``certify_bound(..., method)``, and ``callback`` goes
+    to every ``solve``.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
@@ -252,7 +321,10 @@ def cutting_loop(
                                result.status, time.process_time() - t0))
         if rnd == max_rounds - 1:
             break
-        cuts = separate_met(result.state.X, m_met)
+        # a loosely solved round can still violate its own cuts; skip those
+        present = {c.triple for c in problem.met_cuts}
+        cuts = [c for c in separate_met(result.state.X, m_met + len(present))
+                if c.triple not in present][:m_met]
         if not cuts:
             break
         problem = add_cuts(problem, cuts)

@@ -91,6 +91,29 @@ class TestNormalFactor:
         with pytest.raises(DependentRowsError):
             factor_normal_matrix(p)
 
+    def test_duplicated_keq_row_named_from_the_gram_matrix(self):
+        # a keq DNN at n=40 with its diagonal row 3 appended again as row 80:
+        # exactly that row is named, by the factorization and by solve (which
+        # factors the row-equilibrated copy), and the diagnosis stays near the
+        # size of the 81 x 81 Gram matrix instead of densifying 81 x 1600 rows
+        import tracemalloc
+
+        p = build_keq_dnn(gen_rand_graph(40, 0.5, 1), 4)
+        dup = SdpProblem(n=p.n, C=p.C, A=sp.vstack([p.A, p.A[3]]), b=np.append(p.b, 1.0),
+                         box_lo=p.box_lo, tag=p.tag)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DependentRowsError) as info:
+                factor_normal_matrix(dup)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.rows == (80,)
+        assert peak < 500_000
+        with pytest.raises(DependentRowsError) as info:
+            solve(dup)
+        assert info.value.rows == (80,)
+
 
 class TestUpdateY:
     def test_kkt_point_is_fixed(self):

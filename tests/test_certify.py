@@ -1,12 +1,15 @@
 import logging
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gpbound import oracle
+from gpbound import certify, oracle
 from gpbound.admm import AdmmParams, AdmmState, clamp_unbounded, solve
 from gpbound.certify import (
+    _spectral_charge,
     certify_bound,
     eig_lower_bound,
     lp_lower_bound,
@@ -87,7 +90,8 @@ class TestEigBound:
         p = diag_problem([1.0, 2.0, 3.0])
         st = state_with(p, y=[1.0, 2.0, 3.0])  # C - Diag(y) = 0 is PSD
         cert = eig_lower_bound(p, st, xbar=4.0)
-        assert cert.perturbation == 0.0
+        # only the rounding margins are charged
+        assert -1e-12 < cert.perturbation <= 0.0
         assert cert.value == pytest.approx(6.0)
 
     def test_single_negative_eigenvalue_formula(self):
@@ -103,11 +107,14 @@ class TestEigBound:
 
     def test_eigenvalue_below_rounding_margin_is_charged(self):
         # Zc = C = Diag(1e6, 1e-10): the second eigenvalue is positive but below
-        # the margin 2 * eps * ||Zc||_F (about 4.4e-10), so it is charged
+        # the margin 2 * eps * ||Zc||_F + 2 * gamma_4 * ||Zc||_F (about 1.3e-9;
+        # the second term bounds the rounding in forming Zc, whose entries sum
+        # one row term and C), so it is charged
         p = diag_problem([1e6, 1e-10])
         st = state_with(p, y=[0.0, 0.0])
         cert = eig_lower_bound(p, st, xbar=3.0)
-        margin = 2 * np.finfo(float).eps * np.hypot(1e6, 1e-10)
+        u = np.finfo(float).eps / 2
+        margin = (2 * np.finfo(float).eps + 2 * 4 * u / (1 - 4 * u)) * np.hypot(1e6, 1e-10)
         assert 0.0 < 1e-10 < margin
         assert cert.perturbation == pytest.approx(3.0 * (1e-10 - margin), rel=1e-9)
         assert cert.value < 0.0  # the unmargined bound is exactly 0
@@ -155,6 +162,122 @@ class TestEigBound:
         b1 = eig_lower_bound(p, res.state, xbar=4.0).value
         b2 = eig_lower_bound(p, res.state, xbar=8.0).value
         assert b2 <= b1 + 1e-12
+
+
+class TestTraceCharge:
+    """The eigenvalue charge min sum mu_i lambda_i over 0 <= mu_i <= xbar, sum mu_i <= trace."""
+
+    def test_infinite_trace_is_the_old_charge(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            evals = np.sort(rng.normal(size=12))
+            xbar = float(rng.uniform(0.5, 5.0))
+            neg_sum = float(evals[evals < 0].sum())
+            old = xbar * neg_sum if neg_sum < 0 else 0.0
+            assert _spectral_charge(evals, xbar, math.inf) == old
+            assert _spectral_charge(evals, xbar, trace=xbar * evals.size) == old
+
+    def test_infinite_trace_leaves_the_bound_unchanged(self):
+        g = gen_rand_graph(10, 0.5, 2)
+        p = build_keq_dnn(g, 2)
+        res = solve(p, AdmmParams(eps_tol=1e-2))
+        default = eig_lower_bound(p, res.state, xbar_for(p))
+        assert default == eig_lower_bound(p, res.state, xbar_for(p), trace=math.inf)
+        assert default == eig_lower_bound(p, res.state, xbar_for(p), trace=p.n * xbar_for(p))
+
+    def test_trace_aware_charge_is_never_lower(self):
+        rng = np.random.default_rng(1)
+        for trial in range(40):
+            n = int(rng.integers(2, 9))
+            M = rng.normal(size=(n, n))
+            p = SdpProblem(n=n, C=M + M.T, A=diag_problem(np.zeros(n)).A, b=np.ones(n))
+            st = state_with(p, y=rng.normal(size=n))
+            xbar = float(rng.uniform(0.5, n))
+            old = eig_lower_bound(p, st, xbar)
+            new = eig_lower_bound(p, st, xbar, trace=n)
+            assert new.value >= old.value, trial
+            assert new.perturbation <= 0.0
+
+    def test_feasible_spectrum_attains_the_charge(self):
+        # Zc = Diag(-3, -2, -1, 0.5, 2), xbar = 2, trace n = 5: xbar on the two
+        # most negative eigenvalues, the remainder 1 on the third, so the charge
+        # is -11, and X = Diag(2, 2, 1, 0, 0) (PSD, trace 5, top eigenvalue 2)
+        # has <Zc, X> = -11
+        z = np.array([-3.0, -2.0, -1.0, 0.5, 2.0])
+        p = diag_problem(z)
+        cert = eig_lower_bound(p, state_with(p, y=np.zeros(5)), xbar=2.0, trace=5.0)
+        X = np.diag([2.0, 2.0, 1.0, 0.0, 0.0])
+        assert np.trace(X) == 5.0 and np.linalg.eigvalsh(X)[-1] <= 2.0
+        attained = float((p.C * X).sum())
+        assert attained == -11.0
+        assert cert.perturbation <= attained
+        assert cert.perturbation == pytest.approx(attained, abs=1e-12)
+        assert eig_lower_bound(p, state_with(p, y=np.zeros(5)), xbar=2.0).perturbation \
+            == pytest.approx(-12.0, abs=1e-12)
+
+    def test_certify_bound_passes_trace_n_for_every_family(self, monkeypatch):
+        seen = []
+        real = certify.eig_lower_bound
+
+        def spy(p, approx, xbar, trace=math.inf):
+            seen.append((p.tag.problem, p.tag.relaxation, trace, p.n))
+            return real(p, approx, xbar, trace)
+
+        monkeypatch.setattr(certify, "eig_lower_bound", spy)
+        g = gen_rand_graph(9, 0.5, 4)
+        gk, spec = gen_gpkc_instance(8, 0.5, 2, 2)
+        problems = [build_keq_sdp(g, 3), build_keq_dnn(g, 3),
+                    build_gpkc_sdp(gk, spec), build_gpkc_dnn(gk, spec)]
+        for p in problems:
+            res = solve(p, AdmmParams(eps_tol=1e-5))
+            assert certify_bound(p, res).method == "eig"
+        assert [(prob, relax) for prob, relax, _, _ in seen] == [
+            ("keq", "sdp"), ("keq", "dnn"), ("gpkc", "sdp"), ("gpkc", "dnn")]
+        assert all(trace == n for _, _, trace, n in seen)
+
+
+class TestRoundingMargins:
+    """Hand-built cases whose Zc or dual value rounds upward in floating point."""
+
+    BIG = 1e16 + 2.0      # the float spacing here is 2, and BIG + 1 rounds up
+
+    @staticmethod
+    def exact_value(p, st, xbar, trace):
+        # Zc is diagonal, so its eigenvalues are exact rationals of the inputs
+        z = sorted(Fraction(p.C[i, i]) - Fraction(st.y[i]) - Fraction(st.S[i, i])
+                   for i in range(p.n))
+        charge, left = Fraction(0), Fraction(trace)
+        for lam in z:
+            mu = min(Fraction(xbar), left)
+            if lam >= 0 or mu <= 0:
+                break
+            charge += mu * lam
+            left -= mu
+        d0 = sum(Fraction(bi) * Fraction(yi) for bi, yi in zip(p.b, st.y))
+        return d0 + charge
+
+    def naive_value(self, p, st, xbar, trace):
+        Zc = p.C - p.adjoint(st.y) - st.S
+        return float(p.b @ st.y) + _spectral_charge(np.linalg.eigvalsh(Zc), xbar, trace)
+
+    def test_forming_zc(self):
+        # Zc_11 = BIG + 1 - (BIG + 2) is -1, but fl(BIG + 1) = BIG + 2 makes it 0;
+        # the dual value b'y = -1 is exact
+        p = diag_problem([self.BIG, 1.0], box_lo=np.zeros((2, 2)))
+        st = state_with(p, y=[-1.0, 0.0], S=np.diag([self.BIG + 2.0, 0.0]))
+        exact = self.exact_value(p, st, 2.0, 2.0)
+        assert self.naive_value(p, st, 2.0, 2.0) > exact
+        assert Fraction(eig_lower_bound(p, st, xbar=2.0, trace=2.0).value) <= exact
+
+    def test_forming_the_dual_value(self):
+        # b'y = -BIG + 1 rounds up to -BIG + 2; Zc = Diag(4, 4) is formed exactly
+        A = diag_problem([0.0, 0.0]).A
+        p = SdpProblem(n=2, C=np.diag([3.0, 5.0]), A=A, b=np.array([self.BIG, 1.0]))
+        st = state_with(p, y=[-1.0, 1.0])
+        trace = self.BIG + 1.0
+        exact = self.exact_value(p, st, trace, trace)
+        assert self.naive_value(p, st, trace, trace) > exact
+        assert Fraction(eig_lower_bound(p, st, xbar=trace, trace=trace).value) <= exact
 
 
 class TestLpBound:
@@ -215,12 +338,17 @@ class TestCertifyRouting:
         assert cert.method == "eig"
         assert cert.xbar == 3.0
 
-    def test_gpkc_routes_to_lp(self):
+    def test_gpkc_dnn_routes_by_accuracy(self):
+        # an accurate solve takes the eigenvalue route, a capped one the LP route
         g, spec = gen_gpkc_instance(8, 0.5, 2, 2)
         p = build_gpkc_dnn(g, spec)
         res = solve(p)
+        assert res.status == "converged"
         cert = certify_bound(p, res)
-        assert cert.method == "lp"
+        assert cert.method == "eig" and cert.xbar == xbar_for(p)
+        capped = solve(p, AdmmParams(max_iter=5))
+        assert capped.status == "iter_limit"
+        assert certify_bound(p, capped).method == "lp"
 
     def test_gpkc_sdp_routes_to_eig(self):
         # its frozen-Z LP is unbounded (free box), so the LP route reads -inf
