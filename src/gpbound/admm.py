@@ -7,6 +7,14 @@ pair (y, ybar) through one cached Cholesky solve, the box-dual S and the
 interval-dual v by closed-form interval projections, Z and the primal X from a
 single eigendecomposition, and the primal slack s; the complementarity
 <X, Z> = 0 holds by construction in every iteration.
+
+Apart from that eigendecomposition, a sweep is kept to a few passes over n x n
+arrays. It forms X / sigma once for both the multiplier right-hand side and
+the matrix that is split, and it forms the adjoint A*(y) + B*(ybar) once and
+returns it, so :func:`residuals` does not form it again. The triangular solves
+read the cached factor in place. The PSD/NSD product is formed from the smaller
+side of the spectrum (see :func:`gpbound.symm.psd_split`). Box clips use
+scalar bounds when the box is uniform, as every builder's box is.
 """
 from __future__ import annotations
 
@@ -93,8 +101,11 @@ class NormalFactor:
     q: int
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        # forward substitution with R, then backward with R'
-        return scipy.linalg.cho_solve((self.R, True), rhs)
+        # R' is the upper factor and, as the transpose of a C-ordered R, already in
+        # Fortran order, so LAPACK reads the factor in place; cho_solve((R, True), .)
+        # would copy and scan all of it. A non-finite rhs gives a non-finite solution,
+        # which the sweep catches before its eigendecomposition.
+        return scipy.linalg.cho_solve((self.R.T, False), rhs, check_finite=False)
 
 
 def factor_normal_matrix(problem: SdpProblem) -> NormalFactor:
@@ -119,43 +130,73 @@ def _diagnose_dependent_rows(Q: np.ndarray) -> DependentRowsError:
     return DependentRowsError(sorted(piv[rank:] - 1))
 
 
-def update_y(state: AdmmState, factor: NormalFactor, problem: SdpProblem):
+def update_y(state: AdmmState, factor: NormalFactor, problem: SdpProblem,
+             x_sigma: np.ndarray | None = None):
     """Multiplier update: solve the cached normal system at the current iterate.
 
-    Expects the state as left by the previous sweep (S, Z, X, v, s current).
+    Expects the state as left by the previous sweep (S, Z, X, v, s current);
+    ``x_sigma`` is X / sigma when the caller has it already.
     """
     sigma = state.sigma
-    W0 = state.S + state.Z - problem.C + state.X / sigma
+    W0 = state.S + state.Z
+    W0 -= problem.C
+    W0 += state.X / sigma if x_sigma is None else x_sigma
     rhs_top = problem.b / sigma - problem.eq_apply(W0)
     rhs_bot = -problem.ineq_apply(W0) + state.v + state.s / sigma
     yy = factor.solve(np.concatenate([rhs_top, rhs_bot]))
     return yy[: factor.m], yy[factor.m :]
 
 
-def sweep(state: AdmmState, factor: NormalFactor, problem: SdpProblem) -> None:
+def sweep(state: AdmmState, factor: NormalFactor, problem: SdpProblem) -> np.ndarray:
     """One three-block sweep, in place: (y, ybar), then S, then Z, v, X and s.
 
     S is the box-dual interval projection, Z and X come from one eigenvalue
     split of N = A*(y) + B*(ybar) + S + X/sigma - C (X = sigma * P_psd(N),
     Z = -P_nsd(N)), and the slack s and its dual v from clipping
-    t = s - sigma * ybar to the slack interval.
+    t = s - sigma * ybar to the slack interval. Returns the adjoint
+    A*(y) + B*(ybar) it formed, which :func:`residuals` takes as ``adj``.
+    Raises :class:`SolverDivergedError` before the eigendecomposition if N is
+    not finite.
     """
     sigma = state.sigma
-    state.y, state.ybar = update_y(state, factor, problem)
-    M = problem.adjoint(state.y, state.ybar) + state.Z + state.X / sigma - problem.C
-    state.S = problem.clip_box(sigma * M) / sigma - M
-    pos, neg = psd_split(M - state.Z + state.S)
-    state.Z = -neg
-    state.X = sigma * pos
+    x_sigma = state.X / sigma
+    state.y, state.ybar = update_y(state, factor, problem, x_sigma)
+    adj = problem.adjoint(state.y, state.ybar)
+    # M = A*(y) + B*(ybar) + Z + X/sigma - C, summed into X/sigma's buffer; addition
+    # commutes exactly, so the bits are those of the left-to-right sum
+    M = x_sigma
+    M += adj + state.Z
+    M -= problem.C
+    S = problem.clip_box(sigma * M)
+    S /= sigma
+    S -= M
+    state.S = S
+    N = M
+    N -= state.Z
+    N += S
+    if not np.isfinite(N).all():
+        raise SolverDivergedError(state.iter + 1, f"sigma={sigma:.3e}")
+    pos, neg = psd_split(N)
+    state.Z = np.negative(neg, out=neg)
+    pos *= sigma
+    state.X = pos
     t = state.s - sigma * state.ybar
     state.s = problem.clip_slack(t)
     state.v = (state.s - t) / sigma
+    return adj
 
 
-def residuals(state: AdmmState, problem: SdpProblem) -> ResidualRecord:
-    """The five normalized infeasibility / optimality measures of the iterate."""
+def residuals(state: AdmmState, problem: SdpProblem,
+              adj: np.ndarray | None = None) -> ResidualRecord:
+    """The five normalized infeasibility / optimality measures of the iterate.
+
+    ``adj`` is A*(y) + B*(ybar) at the state's multipliers, as :func:`sweep`
+    returns it; it is formed here when omitted.
+    """
     C, b = problem.C, problem.b
-    Rd = problem.adjoint(state.y, state.ybar) + state.Z + state.S - C
+    Rd = (problem.adjoint(state.y, state.ybar) if adj is None else adj) + state.Z
+    Rd += state.S
+    Rd -= C
     eps_dc = np.linalg.norm(Rd) / (1.0 + np.linalg.norm(C))
     eps_dc += np.linalg.norm(state.v - state.ybar) / (1.0 + np.linalg.norm(state.y))
     eps_pc = np.linalg.norm(problem.eq_apply(state.X) - b) / (1.0 + np.linalg.norm(b))
@@ -163,8 +204,10 @@ def residuals(state: AdmmState, problem: SdpProblem) -> ResidualRecord:
         1.0 + np.linalg.norm(state.s)
     )
     nX = np.linalg.norm(state.X)
-    eps_pb = np.linalg.norm(state.X - problem.clip_box(state.X)) / (1.0 + nX)
-    eps_opt_m = np.linalg.norm(state.X - problem.clip_box(state.X - state.S)) / (
+    gap = problem.clip_box(state.X)
+    eps_pb = np.linalg.norm(np.subtract(state.X, gap, out=gap)) / (1.0 + nX)
+    gap = problem.clip_box(np.subtract(state.X, state.S, out=gap), out=gap)
+    eps_opt_m = np.linalg.norm(np.subtract(state.X, gap, out=gap)) / (
         1.0 + nX + np.linalg.norm(state.S)
     )
     eps_opt_v = np.linalg.norm(state.s - problem.clip_slack(state.s - state.v)) / (
@@ -253,6 +296,12 @@ class AdmmParams:
     classic_ratio: float = 5.0
     classic_scale: float = 1.1
 
+    def __post_init__(self):
+        if not (np.isfinite(self.sigma0) and self.sigma0 > 0):
+            raise ValueError(f"sigma0 must be finite and positive, got {self.sigma0!r}")
+        if self.classic_every < 1:
+            raise ValueError(f"classic_every must be at least 1, got {self.classic_every!r}")
+
 
 @dataclass
 class AdmmResult:
@@ -303,6 +352,14 @@ def _equilibrated(problem: SdpProblem):
     return scaled, d_eq, d_in
 
 
+def _check_start(start: AdmmState) -> None:
+    if not (np.isfinite(start.sigma) and start.sigma > 0):
+        raise ValueError(f"start state sigma must be finite and positive, got {start.sigma!r}")
+    for name in ("X", "s", "y", "ybar", "Z", "S", "v"):
+        if not np.isfinite(getattr(start, name)).all():
+            raise ValueError(f"start state {name} has non-finite entries")
+
+
 def solve(
     problem: SdpProblem,
     params: AdmmParams | None = None,
@@ -315,6 +372,8 @@ def solve(
     test, the returned state, and the residual record all live in the caller's
     coordinates. ``callback(iteration, state, record, primal, dual)`` fires after
     each sweep when provided. Identical inputs produce an identical iterate stream.
+    A start state with a non-finite entry raises ``ValueError``, and a sweep that
+    produces one raises :class:`SolverDivergedError`.
     """
     prm = params or AdmmParams()
     t0 = time.perf_counter()
@@ -325,7 +384,9 @@ def solve(
         rule = "classic" if problem.q else "adaptive"
 
     if start is not None:
+        _check_start(start)
         state = start.copy()
+        state.iter = 0
         state.y = state.y * d_eq
         state.ybar = state.ybar * d_in
         state.v = state.v * d_in
@@ -345,14 +406,15 @@ def solve(
     rec = residuals(view, problem)
 
     for k in range(prm.max_iter):
-        sweep(state, factor, work)
+        adj = sweep(state, factor, work)
         state.iter = k + 1
 
-        if not (np.isfinite(state.X).all() and np.isfinite(state.y).all()):
-            raise SolverDivergedError(k + 1, f"sigma={state.sigma:.3e}")
-
         view = unscaled_view()
-        rec = residuals(view, problem)
+        rec = residuals(view, problem, adj)
+        del adj   # one n x n array less held through the next sweep's eigendecomposition
+        # every part of the state enters the numerator of some residual
+        if not np.isfinite(rec.as_tuple()).all():
+            raise SolverDivergedError(k + 1, f"sigma={state.sigma:.3e}")
         if callback is not None:
             primal = float((C * view.X).sum())
             dual, _ = dual_objective(problem, view.y, view.v, view.S)

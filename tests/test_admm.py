@@ -7,6 +7,7 @@ from gpbound.admm import (
     AdmmParams,
     AdmmState,
     DependentRowsError,
+    SolverDivergedError,
     adapt_sigma,
     box_support_value,
     dual_objective,
@@ -17,7 +18,8 @@ from gpbound.admm import (
     update_y,
 )
 from gpbound.graphs import GraphInstance, gen_gpkc_instance, gen_rand_graph
-from gpbound.model import SdpProblem, build_gpkc_dnn, build_keq_dnn, build_keq_sdp
+from gpbound.model import (SdpProblem, add_cuts, build_gpkc_dnn, build_keq_dnn, build_keq_sdp,
+                           separate_met)
 from gpbound.symm import psd_split
 
 
@@ -113,6 +115,26 @@ class TestNormalFactor:
         with pytest.raises(DependentRowsError) as info:
             solve(dup)
         assert info.value.rows == (80,)
+
+
+    def test_solve_reads_the_factor_in_place(self):
+        # the triangular solves run on R itself: no copy of the (m+q)^2 factor,
+        # and the solution still satisfies the normal equations
+        import tracemalloc
+
+        p = build_keq_dnn(gen_rand_graph(100, 0.5, 0), 4)
+        fac = factor_normal_matrix(p)
+        rhs = np.random.default_rng(0).normal(size=fac.m + fac.q)
+        fac.solve(rhs)
+        tracemalloc.start()
+        try:
+            x = fac.solve(rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < fac.R.nbytes / 10
+        G = p.stacked_rows()
+        assert np.linalg.norm((G @ G.T) @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 class TestUpdateY:
@@ -425,11 +447,64 @@ class TestSolve:
             assert np.array_equal(getattr(res.state, name), getattr(manual, name)), name
         assert res.iterations == 1
 
+    def test_callback_records_match_residuals(self):
+        # the solver hands residuals the adjoint its sweep formed on the row-scaled
+        # copy; the records must match the public definition recomputed from scratch
+        def check(p, start=None):
+            seen = []
+
+            def cb(k, state, rec, primal, dual):
+                ref = residuals(state, p).as_tuple()
+                assert rec.as_tuple() == pytest.approx(ref, rel=1e-12, abs=0.0), k
+                seen.append(k)
+
+            res = solve(p, start=start, callback=cb)
+            assert res.status == "converged" and seen == list(range(1, res.iterations + 1))
+            return res
+
+        keq = build_keq_dnn(gen_rand_graph(30, 0.5, 1), 3)
+        res = check(keq)
+        g, spec = gen_gpkc_instance(30, 0.5, 3, 2)
+        check(build_gpkc_dnn(g, spec))
+        met = add_cuts(keq, separate_met(res.state.X, 60))
+        assert met.q == 60
+        check(met, admm.pad_state(res.state, met))
+
     def test_iter_limit_status(self):
         g = gen_rand_graph(16, 0.5, 3)
         res = solve(build_keq_dnn(g, 4), AdmmParams(max_iter=3))
         assert res.status == "iter_limit"
         assert res.iterations == 3
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("sigma0", [0.0, -1.0, np.inf, -np.inf, np.nan])
+    def test_params_reject_bad_sigma0(self, sigma0):
+        with pytest.raises(ValueError, match="sigma0"):
+            AdmmParams(sigma0=sigma0)
+
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_params_reject_classic_every_below_one(self, every):
+        with pytest.raises(ValueError, match="classic_every"):
+            AdmmParams(classic_every=every)
+
+    @pytest.mark.parametrize("name", ["X", "S", "Z"])
+    def test_non_finite_start_rejected(self, name):
+        p = diag_problem([1.0, 2.0], box_lo=np.zeros((2, 2)))
+        st = AdmmState.zeros(p, sigma=1.0)
+        getattr(st, name)[0, 1] = np.nan
+        with pytest.raises(ValueError, match=f"start state {name}"):
+            solve(p, start=st)
+
+    def test_overflowing_objective_diverges(self):
+        n = 3
+        A = sp.csr_matrix((np.ones(n), (np.arange(n), np.arange(n) * (n + 1))),
+                          shape=(n, n * n))
+        with np.errstate(all="ignore"):
+            p = SdpProblem(n=n, C=np.full((n, n), 1e308), A=A, b=np.ones(n))
+            with pytest.raises(SolverDivergedError) as info:
+                solve(p)
+        assert info.value.iteration == 1
 
 
 class TestWarmStart:
@@ -479,6 +554,35 @@ class TestPsdSplit:
             assert abs((pos * neg).sum()) <= 1e-8 * max(1.0, nrm ** 2)
             assert np.linalg.eigvalsh(pos)[0] >= -1e-9 * max(1.0, nrm)
             assert np.linalg.eigvalsh(neg)[-1] <= 1e-9 * max(1.0, nrm)
+
+    def test_matches_full_product_on_either_side(self):
+        # the product is formed from the smaller side of the spectrum; compare with
+        # V max(vals, 0) V' over all of it, for spectra of every sign pattern
+        rng = np.random.default_rng(14)
+        n = 40
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        spectra = {
+            "more positive": np.concatenate([rng.uniform(0.1, 5, 30), -rng.uniform(0.1, 5, 10)]),
+            "more negative": np.concatenate([rng.uniform(0.1, 5, 10), -rng.uniform(0.1, 5, 30)]),
+            "zero": np.zeros(n),
+            "positive definite": rng.uniform(0.1, 5, n),
+            "negative definite": -rng.uniform(0.1, 5, n),
+        }
+        for name, lam in spectra.items():
+            M = (Q * lam) @ Q.T
+            M = 0.5 * (M + M.T)
+            vals, vecs = np.linalg.eigh(M)
+            ref = (vecs * np.maximum(vals, 0.0)) @ vecs.T
+            ref = 0.5 * (ref + ref.T)
+            pos, neg = psd_split(M)
+            tol = 1e-12 * max(np.linalg.norm(M), 1e-300)
+            assert np.linalg.norm(pos - ref) <= tol, name
+            assert np.linalg.norm(neg - (M - ref)) <= tol, name
+            assert np.linalg.norm(pos + neg - M) <= tol, name
+            assert np.array_equal(pos, pos.T) and np.array_equal(neg, neg.T), name
+            nrm = max(1.0, np.linalg.norm(M))
+            assert np.linalg.eigvalsh(pos)[0] >= -1e-12 * nrm, name
+            assert np.linalg.eigvalsh(neg)[-1] <= 1e-12 * nrm, name
 
 
 class TestDualObjective:

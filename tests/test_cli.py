@@ -123,6 +123,26 @@ class TestSolve:
         assert "max_rounds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma0", ["0", "-1", "inf", "nan"])
+    def test_rejects_bad_sigma0(self, k8_file, tmp_path, sigma0, capsys):
+        out = tmp_path / "solve.csv"
+        code = main(["solve", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
+                     "--sigma0", sigma0, "--out", str(out)])
+        assert code == 1
+        assert "sigma0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_instance_exits_diverged(self, tmp_path, capsys):
+        big = tmp_path / "big.gp"
+        big.write_text("gp 3 2\ne 1 2 1e308\ne 2 3 1e308\n")
+        out = tmp_path / "solve.csv"
+        with np.errstate(all="ignore"):
+            code = main(["solve", "--instance", str(big), "--problem", "keq", "--k", "3",
+                         "--out", str(out)])
+        assert code == 4
+        assert "diverged" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_knapsack_sdp_bounds_are_finite(self, tmp_path):
         # the frozen-Z LP of the knapsack SDP is unbounded; its lbs read -inf
         main(["gen", "--n", "12", "--seed", "3", "--gpkc", "--k", "3",
