@@ -30,6 +30,12 @@ from .symm import psd_split
 
 SIGMA_LO = 1e-6
 SIGMA_HI = 1e6
+# the residual-balancing ("classic") rule: every CLASSIC_EVERY sweeps, divide sigma by
+# CLASSIC_SCALE when the primal residual exceeds CLASSIC_RATIO times the dual one, and
+# multiply it when the dual residual exceeds CLASSIC_RATIO times the primal one
+CLASSIC_EVERY = 10
+CLASSIC_RATIO = 5.0
+CLASSIC_SCALE = 1.1
 
 
 class SolverDivergedError(RuntimeError):
@@ -217,24 +223,17 @@ def residuals(state: AdmmState, problem: SdpProblem,
                           float(eps_opt_m), float(eps_opt_v))
 
 
-def adapt_sigma(
-    state: AdmmState,
-    rule: str,
-    rec: ResidualRecord | None = None,
-    ratio: float = 5.0,
-    scale: float = 1.1,
-    lo: float = SIGMA_LO,
-    hi: float = SIGMA_HI,
-) -> float:
-    """Next stepsize under the norm-ratio rule or the residual-balancing rule."""
+def adapt_sigma(state: AdmmState, rule: str, rec: ResidualRecord | None = None) -> float:
+    """Next stepsize under the norm-ratio rule or the residual-balancing rule,
+    kept within [SIGMA_LO, SIGMA_HI]."""
     if rule == "adaptive":
         nX = np.linalg.norm(state.X)
         nZ = np.linalg.norm(state.Z)
         if nZ == 0.0:
-            return hi
+            return SIGMA_HI
         if nX == 0.0:
-            return lo
-        return float(min(max(nX / nZ, lo), hi))
+            return SIGMA_LO
+        return float(min(max(nX / nZ, SIGMA_LO), SIGMA_HI))
     if rule == "classic":
         if rec is None:
             raise ValueError("the residual-balancing rule needs a residual record")
@@ -242,11 +241,11 @@ def adapt_sigma(
         # large sigma enforces dual feasibility and freezes the primal multiplier.
         sigma = state.sigma
         pd = rec.eps_pc / rec.eps_dc if rec.eps_dc > 0 else np.inf
-        if pd > ratio:
-            sigma /= scale
-        elif pd < 1.0 / ratio:
-            sigma *= scale
-        return float(min(max(sigma, lo), hi))
+        if pd > CLASSIC_RATIO:
+            sigma /= CLASSIC_SCALE
+        elif pd < 1.0 / CLASSIC_RATIO:
+            sigma *= CLASSIC_SCALE
+        return float(min(max(sigma, SIGMA_LO), SIGMA_HI))
     raise ValueError(f"unknown stepsize rule {rule!r}")
 
 
@@ -292,15 +291,10 @@ class AdmmParams:
     max_iter: int = 20000
     sigma0: float = 1.0
     rule: str = "auto"             # auto | adaptive | classic
-    classic_every: int = 10
-    classic_ratio: float = 5.0
-    classic_scale: float = 1.1
 
     def __post_init__(self):
         if not (np.isfinite(self.sigma0) and self.sigma0 > 0):
             raise ValueError(f"sigma0 must be finite and positive, got {self.sigma0!r}")
-        if self.classic_every < 1:
-            raise ValueError(f"classic_every must be at least 1, got {self.classic_every!r}")
 
 
 @dataclass
@@ -310,7 +304,6 @@ class AdmmResult:
     status: str                    # "converged" | "iter_limit"
     primal_obj: float
     dual_obj: float
-    dual_clamp: float
     iterations: int
     elapsed: float
     eps_tol: float
@@ -425,16 +418,15 @@ def solve(
 
         if rule == "adaptive":
             state.sigma = adapt_sigma(state, "adaptive")
-        elif (k + 1) % prm.classic_every == 0:
-            state.sigma = adapt_sigma(state, "classic", rec,
-                                      ratio=prm.classic_ratio, scale=prm.classic_scale)
+        elif (k + 1) % CLASSIC_EVERY == 0:
+            state.sigma = adapt_sigma(state, "classic", rec)
 
     final = unscaled_view()
     primal = float((C * final.X).sum())
-    dual, clamp = dual_objective(problem, final.y, final.v, final.S)
+    dual, _ = dual_objective(problem, final.y, final.v, final.S)
     return AdmmResult(
         state=final, residuals=rec, status=status,
-        primal_obj=primal, dual_obj=dual, dual_clamp=clamp,
+        primal_obj=primal, dual_obj=dual,
         iterations=final.iter, elapsed=time.perf_counter() - t0,
         eps_tol=prm.eps_tol,
     )

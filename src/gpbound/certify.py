@@ -3,14 +3,15 @@
 Two post-processing routes turn a near-optimal iterate into a bound that is
 valid no matter how early the solver stopped:
 
-* eigenvalue route: evaluate the dual objective at sign-feasible multipliers and
-  pay for the dual-equality violation through the negative spectrum of the
-  rebuilt slack matrix Zc. Every feasible X has trace n (each relaxation has the
+* eigenvalue route: evaluate the dual objective (``admm.dual_objective``, the
+  value the solver reports) at sign-feasible multipliers and pay for the
+  dual-equality violation through the negative spectrum of the rebuilt slack
+  matrix Zc. Every feasible X has trace n (each relaxation has the
   rows diag(X) = e) and top eigenvalue at most a provable ``xbar``, so
   <Zc, X> >= min{sum mu_i lambda_i : 0 <= mu_i <= xbar, sum mu_i <= n}: xbar on
   the floor(n / xbar) most negative eigenvalues and the remainder on the next;
-* LP route: freeze the PSD part and re-optimize the remaining multipliers
-  exactly with the bundled dense simplex.
+* LP route: freeze the solver's PSD dual block Z as it is and re-optimize the
+  remaining multipliers exactly with the bundled dense simplex.
 
 ``certify_bound``'s ``auto`` route is the eigenvalue route for every relaxation
 (xbar = group size m for the equipartition DNN, n - m for its SDP,
@@ -32,12 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import (AdmmParams, AdmmResult, AdmmState, box_support_value, clamp_unbounded,
+from .admm import (AdmmParams, AdmmResult, AdmmState, clamp_unbounded, dual_objective,
                    pad_state, solve)
 from .graphs import GraphInstance, PartitionSpec
 from .model import SdpProblem, add_cuts, build, separate_met
 from .simplex import LpResult, solve_dense_lp  # re-exported: the LP oracle lives here
-from .symm import psd_project, tri_indices, tri_weights
 
 log = logging.getLogger(__name__)
 
@@ -156,13 +156,11 @@ def eig_lower_bound(p: SdpProblem, approx: AdmmState, xbar: float,
     if xbar <= 0:
         raise ValueError("xbar must be positive")
     y = approx.y
-    S_c, mag = clamp_unbounded(approx.S, p.box_lo, p.box_hi)
-    v_c, mag_v = clamp_unbounded(approx.v, p.l, p.u)
-    mag += mag_v
+    d0, mag = dual_objective(p, y, approx.v, approx.S)
     if mag:
         log.debug("eig bound clamped multiplier mass %.3e", mag)
-    d0 = float(p.b @ y) + box_support_value(S_c, p.box_lo, p.box_hi)
-    d0 += box_support_value(v_c, p.l, p.u)
+    S_c, _ = clamp_unbounded(approx.S, p.box_lo, p.box_hi)
+    v_c, _ = clamp_unbounded(approx.v, p.l, p.u)
     Zc = p.C - p.adjoint(y, v_c) - S_c
     zc_err, d0_err = _rounding_margins(p, y, v_c, S_c)
     margin = p.n * np.finfo(float).eps * np.linalg.norm(Zc) + zc_err
@@ -180,9 +178,9 @@ def _standard_form_box_lp(p: SdpProblem, Cz: np.ndarray):
     shifts, reflections, sign splits, or extra bound rows as needed.
     """
     n, m, q = p.n, p.m, p.q
-    rows_, cols_ = tri_indices(n)
+    rows_, cols_ = np.triu_indices(n)
     nut = rows_.size
-    w2 = tri_weights(n)
+    w2 = np.where(rows_ == cols_, 1.0, 2.0)   # off-diagonal inner products count twice
 
     M = np.zeros((m + q, nut + q))
     M[:, :nut] = p.stacked_rows()[:, rows_ * n + cols_].toarray() * w2
@@ -219,24 +217,20 @@ def _standard_form_box_lp(p: SdpProblem, Cz: np.ndarray):
     return c, A, rhs, const
 
 
-def lp_lower_bound(
-    p: SdpProblem,
-    Z_tilde: np.ndarray,
-    project: bool = True,
-) -> BoundCertificate:
+def lp_lower_bound(p: SdpProblem, Z: np.ndarray) -> BoundCertificate:
     """Dual-adjustment bound: freeze the PSD block and re-optimize the rest exactly.
 
-    With Z frozen at the (projected) input, the best achievable dual objective is
-    a linear program; its optimum is a valid bound whenever finite. The program
-    solved here is the box-constrained image of that LP (same optimum by duality,
-    far fewer rows); an unbounded image certifies the adjustment is infeasible and
-    -inf is returned, matching the declared failure mode. The value returned is
+    With Z frozen at the input (the solver's PSD dual block, used as it is), the
+    best achievable dual objective is a linear program; its optimum is a valid
+    bound whenever finite. The program solved here is the box-constrained image
+    of that LP (same optimum by duality, far fewer rows); an unbounded image
+    certifies the adjustment is infeasible and -inf is returned, matching the
+    declared failure mode. The value returned is
     the simplex's primal objective at its final point, not a bound evaluated at
     dual multipliers: the simplex accepts reduced costs down to a small negative
     tolerance, so the value can exceed the LP optimum by about that tolerance
     times the 1-norm of the point, and it carries no rounding margin.
     """
-    Z = psd_project(Z_tilde) if project else Z_tilde
     c, A, rhs, const = _standard_form_box_lp(p, p.C - Z)
     res = solve_dense_lp(c, A, rhs)
     if res.status == "optimal":
@@ -267,7 +261,7 @@ def certify_bound(p: SdpProblem, result: AdmmResult, method: str = "auto") -> Bo
     if method == "eig":
         return eig_lower_bound(p, result.state, xbar_for(p), trace=p.n)
     if method == "lp":
-        return lp_lower_bound(p, result.state.Z, project=False)
+        return lp_lower_bound(p, result.state.Z)
     raise ValueError(f"unknown certificate method {method!r}")
 
 

@@ -2,8 +2,11 @@
 oracle checks, and CSV report assembly.
 
 Output paths given as relative names resolve against the ``GPBOUND_OUTDIR``
-environment variable when it is set. A JSON file passed through ``--config``
-takes precedence over individual flags for the keys it defines.
+environment variable when it is set. A JSON object passed through ``--config``
+sets tunable flags by their destination names (``eps_tol`` for ``--eps-tol``)
+and takes precedence over them. Every command accepts the same file and ignores
+the tunables it has no flag for; a key that is no command's tunable exits 1.
+Paths and instances are not tunables.
 
 Exit codes: 0 success, 1 generic failure, 2 usage, 3 infeasible or malformed
 problem data, 4 solver divergence, 5 certificate (sandwich) violation.
@@ -14,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import admm, certify, model, oracle, reports, rounding
@@ -22,6 +24,7 @@ from .graphs import (
     InstanceFormatError,
     KEquipartition,
     SpecValidationError,
+    format_number,
     gen_gpkc_instance,
     gen_rand_graph,
     read_instance,
@@ -37,38 +40,22 @@ EXIT_CERT_VIOLATION = 5
 OUTDIR_ENV = "GPBOUND_OUTDIR"
 
 
-@dataclass
-class RunConfig:
-    """Bundle of tunables accepted everywhere a config file is allowed."""
+def _apply_config(args: argparse.Namespace) -> None:
+    """Set the tunables that the JSON object in ``args.config`` names, over the flags.
 
-    problem: str | None = None
-    relaxation: str | None = None
-    eps_tol: float | None = None
-    max_iter: int | None = None
-    sigma0: float | None = None
-    rule: str | None = None
-    method: str | None = None
-    samples: int | None = None
-    time_limit: float | None = None
-    seed: int | None = None
-    m_met: int | None = None
-    max_rounds: int | None = None
-    distribution: str | None = None
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        data = json.loads(Path(path).read_text())
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
-
-    def apply_to(self, args: argparse.Namespace) -> None:
-        # config values win over flags; documented contract
-        for key, val in asdict(self).items():
-            if val is not None and hasattr(args, key):
-                setattr(args, key, val)
+    The keys are the tunable flags of every command (``args.config_keys``); a key
+    that no command declares raises ``ValueError``, and a key this command has no
+    flag for, or a null value, is ignored.
+    """
+    data = json.loads(Path(args.config).read_text())
+    if not isinstance(data, dict):
+        raise ValueError("the config file must hold a JSON object")
+    unknown = set(data) - args.config_keys
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, val in data.items():
+        if val is not None and hasattr(args, key):
+            setattr(args, key, val)
 
 
 def _out_path(name) -> Path:
@@ -94,9 +81,7 @@ def _load_problem(args):
 
 
 def _k_or_w(spec) -> str:
-    if isinstance(spec, KEquipartition):
-        return str(spec.k)
-    return str(int(spec.W)) if float(spec.W).is_integer() else repr(float(spec.W))
+    return str(spec.k) if isinstance(spec, KEquipartition) else format_number(spec.W)
 
 
 def _read_lb(args, g, spec) -> float | None:
@@ -304,6 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config_keys: set[str] = set()
+
+    def tunable(p, *flags, **kwargs):
+        """A flag that a ``--config`` file may also set, under the flag's dest."""
+        config_keys.add(p.add_argument(*flags, **kwargs).dest)
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file; its values override flags")
@@ -312,25 +302,25 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--density", type=float, nargs="+", default=[0.2, 0.5, 0.8])
-    p.add_argument("--seed", type=int, default=0)
+    tunable(p, "--seed", type=int, default=0)
     p.add_argument("--gpkc", action="store_true", help="attach vertex weights and a capacity")
-    p.add_argument("--k", type=int, help="group count used to calibrate the capacity")
+    tunable(p, "--k", type=int, help="group count used to calibrate the capacity")
     p.add_argument("--outdir", default=".")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="solve a relaxation and certify a lower bound")
     add_common(p)
     p.add_argument("--instance", nargs="+", required=True)
-    p.add_argument("--problem", choices=["keq", "gpkc"])
-    p.add_argument("--k", type=int, help="group count (equipartition)")
-    p.add_argument("--relaxation", choices=["sdp", "dnn", "dnn+met"], default="dnn")
-    p.add_argument("--eps-tol", dest="eps_tol", type=float, default=1e-5)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=20000)
-    p.add_argument("--sigma0", type=float, default=1.0)
-    p.add_argument("--rule", choices=["auto", "adaptive", "classic"], default="auto")
-    p.add_argument("--certify", choices=["auto", "eig", "lp"], default="auto")
-    p.add_argument("--m-met", dest="m_met", type=int, default=None)
-    p.add_argument("--max-rounds", dest="max_rounds", type=int, default=10)
+    tunable(p, "--problem", choices=["keq", "gpkc"])
+    tunable(p, "--k", type=int, help="group count (equipartition)")
+    tunable(p, "--relaxation", choices=["sdp", "dnn", "dnn+met"], default="dnn")
+    tunable(p, "--eps-tol", dest="eps_tol", type=float, default=1e-5)
+    tunable(p, "--max-iter", dest="max_iter", type=int, default=20000)
+    tunable(p, "--sigma0", type=float, default=1.0)
+    tunable(p, "--rule", choices=["auto", "adaptive", "classic"], default="auto")
+    tunable(p, "--certify", choices=["auto", "eig", "lp"], default="auto")
+    tunable(p, "--m-met", dest="m_met", type=int, default=None)
+    tunable(p, "--max-rounds", dest="max_rounds", type=int, default=10)
     p.add_argument("--out", help="append the result row to this CSV")
     p.add_argument("--cert-out", dest="cert_out", help="append the certificate row here")
     p.add_argument("--cuts-out", dest="cuts_out", help="write per-round cut trace here")
@@ -341,17 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("heur", help="round a relaxation solution to a feasible partition")
     add_common(p)
     p.add_argument("--instance", required=True)
-    p.add_argument("--problem", choices=["keq", "gpkc"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--method", choices=rounding.ROUNDING_METHODS, default="vc+2opt")
-    p.add_argument("--distribution", choices=["uniform", "gaussian"], default="uniform",
-                   help="direction sampling for hyperplane rounding")
-    p.add_argument("--relaxation", choices=["sdp", "dnn"], default="dnn")
-    p.add_argument("--eps-tol", dest="eps_tol", type=float, default=1e-5)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=20000)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--time-limit", dest="time_limit", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=0)
+    tunable(p, "--problem", choices=["keq", "gpkc"])
+    tunable(p, "--k", type=int)
+    tunable(p, "--method", choices=rounding.ROUNDING_METHODS, default="vc+2opt")
+    tunable(p, "--distribution", choices=["uniform", "gaussian"], default="uniform",
+            help="direction sampling for hyperplane rounding")
+    tunable(p, "--relaxation", choices=["sdp", "dnn"], default="dnn")
+    tunable(p, "--eps-tol", dest="eps_tol", type=float, default=1e-5)
+    tunable(p, "--max-iter", dest="max_iter", type=int, default=20000)
+    tunable(p, "--samples", type=int, default=1000)
+    tunable(p, "--time-limit", dest="time_limit", type=float, default=5.0)
+    tunable(p, "--seed", type=int, default=0)
     p.add_argument("--lb", type=float, help="lower bound for the gap column")
     p.add_argument("--lb-csv", dest="lb_csv", help="read the lower bound from a solve CSV")
     p.add_argument("--out", help="append the result row to this CSV")
@@ -362,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force an instance; check a bound sandwich")
     add_common(p)
     p.add_argument("--instance", required=True)
-    p.add_argument("--problem", choices=["keq", "gpkc"])
-    p.add_argument("--k", type=int)
+    tunable(p, "--problem", choices=["keq", "gpkc"])
+    tunable(p, "--k", type=int)
     p.add_argument("--lb", type=float)
     p.add_argument("--lb-csv", dest="lb_csv")
     p.add_argument("--ub", type=float)
@@ -379,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
 
+    parser.set_defaults(config_keys=frozenset(config_keys))
     return parser
 
 
@@ -387,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         try:
-            RunConfig.from_file(args.config).apply_to(args)
+            _apply_config(args)
         except (OSError, ValueError) as exc:
             print(f"bad config: {exc}", file=sys.stderr)
             return EXIT_ERROR

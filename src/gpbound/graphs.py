@@ -5,6 +5,7 @@ the draw order documented on each generator is part of the reproducibility contr
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +48,8 @@ class GraphInstance:
             raise ValueError("need at least 2 vertices")
         if W.shape != (self.n, self.n):
             raise ValueError(f"weight matrix shape {W.shape} does not match n={self.n}")
+        if not np.isfinite(W).all():
+            raise ValueError("edge weights must be finite")
         if not np.array_equal(W, W.T):
             raise ValueError("weight matrix must be symmetric")
         if np.any(W < 0):
@@ -107,6 +110,8 @@ class Gpkc:
         a = np.asarray(self.a, dtype=float)
         if a.ndim != 1 or a.size == 0:
             raise SpecValidationError("vertex weights must form a nonempty vector")
+        if not (np.isfinite(a).all() and np.isfinite(self.W)):
+            raise SpecValidationError("vertex weights and the capacity must be finite")
         if np.any(a <= 0):
             raise SpecValidationError("vertex weights must be positive")
         if np.any(a > self.W + _WEIGHT_TOL):
@@ -200,7 +205,7 @@ def laplacian(g: GraphInstance) -> np.ndarray:
     return np.diag(W.sum(axis=1)) - W
 
 
-def cut_value(g: GraphInstance, p: Partition, lap: np.ndarray | None = None) -> float:
+def cut_value(g: GraphInstance, p: Partition) -> float:
     """Total weight of edges whose endpoints land in different groups.
 
     Evaluated as half the trace inner product of the Laplacian with the group
@@ -208,7 +213,7 @@ def cut_value(g: GraphInstance, p: Partition, lap: np.ndarray | None = None) -> 
     """
     if p.n != g.n:
         raise ValueError(f"partition covers {p.n} vertices, graph has {g.n}")
-    L = laplacian(g) if lap is None else lap
+    L = laplacian(g)
     assign = p.assignment()
     same = assign[:, None] == assign[None, :]
     return 0.5 * float(L[same].sum())
@@ -260,7 +265,9 @@ def gen_gpkc_instance(n: int, density: float, k: int, seed: int) -> tuple[GraphI
     return g, Gpkc(a=a, W=W)
 
 
-def _fmt_num(x: float) -> str:
+def format_number(x: float) -> str:
+    """A weight as written to instance files and CSV key columns: integral values
+    without a decimal point, others by ``repr``."""
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
@@ -272,13 +279,13 @@ def write_instance(path, g: GraphInstance, spec: Gpkc | None = None) -> None:
     rows, cols = rows[mask], cols[mask]
     lines = [f"# name: {g.name}", f"gp {g.n} {rows.size}"]
     for i, j in zip(rows, cols):
-        lines.append(f"e {i + 1} {j + 1} {_fmt_num(g.W_adj[i, j])}")
+        lines.append(f"e {i + 1} {j + 1} {format_number(g.W_adj[i, j])}")
     if spec is not None:
         if spec.n != g.n:
             raise ValueError("vertex weight vector length does not match the graph")
-        lines.append(f"k {_fmt_num(spec.W)}")
+        lines.append(f"k {format_number(spec.W)}")
         for i in range(g.n):
-            lines.append(f"v {i + 1} {_fmt_num(spec.a[i])}")
+            lines.append(f"v {i + 1} {format_number(spec.a[i])}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -296,9 +303,12 @@ def read_instance(path) -> tuple[GraphInstance, Gpkc | None]:
 
     def _num(tok: str, lineno: int, what: str) -> float:
         try:
-            return float(tok)
+            val = float(tok)
         except ValueError:
             raise InstanceFormatError(f"bad {what} {tok!r}", lineno) from None
+        if not math.isfinite(val):
+            raise InstanceFormatError(f"{what} must be finite, got {tok!r}", lineno)
+        return val
 
     def _int(tok: str, lineno: int, what: str) -> int:
         val = _num(tok, lineno, what)

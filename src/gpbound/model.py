@@ -32,11 +32,9 @@ class ProblemTag:
 
     problem: str              # "keq" | "gpkc"
     relaxation: str           # "sdp" | "dnn" | "dnn+met"
-    k: int | None = None
-    m: int | None = None
+    m: int | None = None      # equipartition group size
     capacity: float | None = None
     min_weight: float | None = None   # smallest knapsack vertex weight
-    instance: str = ""
 
 
 @dataclass(frozen=True)
@@ -194,14 +192,14 @@ def _keq_base(g: GraphInstance, k: int):
 def build_keq_sdp(g: GraphInstance, k: int) -> SdpProblem:
     """Equipartition relaxation: diag(X) = e, X e = m e, X PSD, free box."""
     spec, A, b = _keq_base(g, k)
-    tag = ProblemTag("keq", "sdp", k=k, m=spec.m, instance=g.name)
+    tag = ProblemTag("keq", "sdp", m=spec.m)
     return SdpProblem(n=g.n, C=0.5 * laplacian(g), A=A, b=b, tag=tag)
 
 
 def build_keq_dnn(g: GraphInstance, k: int) -> SdpProblem:
     """As :func:`build_keq_sdp` with the elementwise lower bound X >= 0."""
     spec, A, b = _keq_base(g, k)
-    tag = ProblemTag("keq", "dnn", k=k, m=spec.m, instance=g.name)
+    tag = ProblemTag("keq", "dnn", m=spec.m)
     return SdpProblem(
         n=g.n, C=0.5 * laplacian(g), A=A, b=b,
         box_lo=np.zeros((g.n, g.n)), tag=tag,
@@ -223,8 +221,7 @@ def _gpkc_base(g: GraphInstance, spec: Gpkc):
 def build_gpkc_sdp(g: GraphInstance, spec: Gpkc) -> SdpProblem:
     """Knapsack relaxation: diag(X) = e, X a <= W e, X PSD, free box."""
     A, b, B, u = _gpkc_base(g, spec)
-    tag = ProblemTag("gpkc", "sdp", capacity=spec.W, min_weight=float(spec.a.min()),
-                     instance=g.name)
+    tag = ProblemTag("gpkc", "sdp", capacity=spec.W, min_weight=float(spec.a.min()))
     return SdpProblem(
         n=g.n, C=0.5 * laplacian(g), A=A, b=b,
         B=B, l=np.full(g.n, -np.inf), u=u, tag=tag,
@@ -234,8 +231,7 @@ def build_gpkc_sdp(g: GraphInstance, spec: Gpkc) -> SdpProblem:
 def build_gpkc_dnn(g: GraphInstance, spec: Gpkc) -> SdpProblem:
     """Knapsack relaxation with X >= 0; then (X a)_i >= a_i is valid and sharpens l."""
     A, b, B, u = _gpkc_base(g, spec)
-    tag = ProblemTag("gpkc", "dnn", capacity=spec.W, min_weight=float(spec.a.min()),
-                     instance=g.name)
+    tag = ProblemTag("gpkc", "dnn", capacity=spec.W, min_weight=float(spec.a.min()))
     return SdpProblem(
         n=g.n, C=0.5 * laplacian(g), A=A, b=b,
         B=B, l=spec.a.copy(), u=u,
@@ -252,11 +248,11 @@ def build(g: GraphInstance, spec: PartitionSpec, relaxation: str) -> SdpProblem:
     return build_gpkc_dnn(g, spec) if relaxation == "dnn" else build_gpkc_sdp(g, spec)
 
 
-def separate_met(X: np.ndarray, max_cuts: int, tol: float = MET_VIOLATION_TOL) -> list[TriangleCut]:
+def separate_met(X: np.ndarray, max_cuts: int) -> list[TriangleCut]:
     """Most violated transitivity inequalities, sorted by decreasing violation.
 
     Scans all 3 * C(n, 3) inequalities X_ij + X_ir - X_jr <= 1 (apex i, pair j < r)
-    and keeps up to ``max_cuts`` with violation above ``tol``.
+    and keeps up to ``max_cuts`` with violation above ``MET_VIOLATION_TOL``.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -265,7 +261,7 @@ def separate_met(X: np.ndarray, max_cuts: int, tol: float = MET_VIOLATION_TOL) -
     apex, left, right, viol = [], [], [], []
     for i in range(n):
         V = X[i][:, None] + X[i][None, :] - X - 1.0
-        jj, rr = np.nonzero(np.triu(V > tol, k=1))
+        jj, rr = np.nonzero(np.triu(V > MET_VIOLATION_TOL, k=1))
         keep = (jj != i) & (rr != i)
         jj, rr = jj[keep], rr[keep]
         if jj.size:

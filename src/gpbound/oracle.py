@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphInstance, Partition, cut_value, laplacian
+from .graphs import GraphInstance, Partition, cut_value
 
 ENUM_CAP = 10 ** 6
 
@@ -63,7 +63,6 @@ def brute_force_keq(g: GraphInstance, k: int) -> OracleResult:
         raise OracleSizeError(f"{total} equipartitions exceed the cap of {ENUM_CAP}")
 
     W = g.W_adj
-    L = laplacian(g)
     best_val = math.inf
     best_groups: list[tuple[int, ...]] | None = None
     count = 0
@@ -89,7 +88,7 @@ def brute_force_keq(g: GraphInstance, k: int) -> OracleResult:
 
     recurse(tuple(range(n)), 0.0)
     part = Partition.from_groups(n, best_groups)
-    return OracleResult(opt=cut_value(g, part, lap=L), argmin=part, enumerated=count)
+    return OracleResult(opt=cut_value(g, part), argmin=part, enumerated=count)
 
 
 def brute_force_gpkc(g: GraphInstance, a: np.ndarray, W_cap: float) -> OracleResult:
@@ -106,7 +105,6 @@ def brute_force_gpkc(g: GraphInstance, a: np.ndarray, W_cap: float) -> OracleRes
         raise OracleSizeError(f"Bell({n}) exceeds the cap of {ENUM_CAP}")
 
     W = g.W_adj
-    L = laplacian(g)
     assign = np.zeros(n, dtype=np.int64)
     weights = [0.0] * n
     best_val = math.inf
@@ -137,4 +135,4 @@ def brute_force_gpkc(g: GraphInstance, a: np.ndarray, W_cap: float) -> OracleRes
     if best_assign is None:
         raise NoFeasiblePartitionError("no capacity-feasible partition exists")
     part = Partition.from_assignment(best_assign)
-    return OracleResult(opt=cut_value(g, part, lap=L), argmin=part, enumerated=feasible)
+    return OracleResult(opt=cut_value(g, part), argmin=part, enumerated=feasible)

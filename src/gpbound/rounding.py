@@ -201,7 +201,6 @@ def two_opt_bisection(
     g: GraphInstance,
     p1,
     p2,
-    eps_gain: float = EPS_GAIN,
     weights: np.ndarray | None = None,
     capacity: float | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -209,7 +208,7 @@ def two_opt_bisection(
 
     The gain of exchanging s in the first group with t in the second is
     (ext1(t) - int2(t)) + (ext2(s) - int1(s)) - 2 w_st, the cut decrease of the
-    swap; swaps apply while the best gain exceeds ``eps_gain``. With ``weights``
+    swap; swaps apply while the best gain exceeds ``EPS_GAIN``. With ``weights``
     and ``capacity`` given, only weight-feasible swaps are candidates.
     """
     W = g.W_adj
@@ -232,7 +231,7 @@ def two_opt_bisection(
             gains = np.where(fits, gains, -np.inf)
         flat = int(np.argmax(gains))
         si, ti = divmod(flat, g2.size)
-        if gains[si, ti] <= eps_gain:
+        if gains[si, ti] <= EPS_GAIN:
             break
         s, t = int(g1[si]), int(g2[ti])
         g1[si], g2[ti] = t, s
@@ -250,7 +249,6 @@ def two_opt_multi(
     spec: PartitionSpec,
     time_limit: float | None = None,
     seed=None,
-    eps_gain: float = EPS_GAIN,
 ) -> Partition:
     """Pairwise swap refinement over randomly chosen group pairs until clean.
 
@@ -273,8 +271,8 @@ def two_opt_multi(
         pairs = sorted(dirty)
         i, j = pairs[rng.integers(len(pairs))]
         dirty.discard((i, j))
-        new_i, new_j = two_opt_bisection(g, groups[i], groups[j], eps_gain=eps_gain,
-                                         weights=weights, capacity=capacity)
+        new_i, new_j = two_opt_bisection(g, groups[i], groups[j], weights=weights,
+                                         capacity=capacity)
         if new_i != groups[i] or new_j != groups[j]:
             groups[i], groups[j] = new_i, new_j
             for t in range(len(groups)):

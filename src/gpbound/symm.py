@@ -1,27 +1,8 @@
-"""Dense symmetric-matrix helpers: upper-triangle indexing and spectral splits."""
+"""The spectral split of a dense symmetric matrix into its PSD and NSD parts, the
+one eigendecomposition of every solver sweep."""
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
-
-
-@lru_cache(maxsize=128)
-def tri_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column index arrays of the upper triangle (diagonal included), row-major."""
-    rows, cols = np.triu_indices(n)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
-@lru_cache(maxsize=128)
-def tri_weights(n: int) -> np.ndarray:
-    """2 on off-diagonal triangle positions, 1 on the diagonal (doubled inner products)."""
-    rows, cols = tri_indices(n)
-    w = np.where(rows == cols, 1.0, 2.0)
-    w.setflags(write=False)
-    return w
 
 
 def psd_split(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -41,7 +22,3 @@ def psd_split(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     part = 0.5 * (part + part.T)
     return (part, sym - part) if few_positive else (sym - part, part)
 
-
-def psd_project(mat: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) positive semidefinite matrix."""
-    return psd_split(mat)[0]

@@ -311,7 +311,7 @@ class TestCriterion7BoundMethodComparison:
             p = model.build_keq_dnn(g, k)
             res = solve(p, AdmmParams(eps_tol=1e-12, max_iter=40))
             eig = certify.certify_bound(p, res, method="eig").value
-            lp = certify.lp_lower_bound(p, res.state.Z, project=False).value
+            lp = certify.lp_lower_bound(p, res.state.Z).value
             observed[k] = (eig, lp)
             print(f"ACCEPTANCE C7 detail: k={k} iterations={res.iterations} "
                   f"eig={eig:.2f} lp={lp:.2f}")

@@ -483,11 +483,6 @@ class TestBadInput:
         with pytest.raises(ValueError, match="sigma0"):
             AdmmParams(sigma0=sigma0)
 
-    @pytest.mark.parametrize("every", [0, -3])
-    def test_params_reject_classic_every_below_one(self, every):
-        with pytest.raises(ValueError, match="classic_every"):
-            AdmmParams(classic_every=every)
-
     @pytest.mark.parametrize("name", ["X", "S", "Z"])
     def test_non_finite_start_rejected(self, name):
         p = diag_problem([1.0, 2.0], box_lo=np.zeros((2, 2)))

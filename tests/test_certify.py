@@ -283,7 +283,7 @@ class TestRoundingMargins:
 class TestLpBound:
     def test_hand_lp_diagonal(self):
         p = diag_problem([3.0, -1.0], box_lo=np.zeros((2, 2)))
-        cert = lp_lower_bound(p, np.zeros((2, 2)), project=False)
+        cert = lp_lower_bound(p, np.zeros((2, 2)))
         assert cert.feasible
         assert cert.value == pytest.approx(2.0)
 
@@ -292,7 +292,7 @@ class TestLpBound:
         A = sp.csr_matrix((np.ones(n), (np.arange(n), np.arange(n) * (n + 1))), shape=(n, n * n))
         C = np.array([[3.0, 0.5], [0.5, -1.0]])
         p = SdpProblem(n=n, C=C, A=A, b=np.ones(n), box_lo=np.zeros((n, n)))
-        cert = lp_lower_bound(p, np.zeros((n, n)), project=False)
+        cert = lp_lower_bound(p, np.zeros((n, n)))
         assert cert.value == pytest.approx(2.0)
 
     def test_negative_offdiag_makes_adjustment_infeasible(self):
@@ -300,14 +300,14 @@ class TestLpBound:
         A = sp.csr_matrix((np.ones(n), (np.arange(n), np.arange(n) * (n + 1))), shape=(n, n * n))
         C = np.array([[3.0, -0.5], [-0.5, -1.0]])
         p = SdpProblem(n=n, C=C, A=A, b=np.ones(n), box_lo=np.zeros((n, n)))
-        cert = lp_lower_bound(p, np.zeros((n, n)), project=False)
+        cert = lp_lower_bound(p, np.zeros((n, n)))
         assert not cert.feasible
         assert cert.value == -np.inf
 
     def test_z_equal_to_objective_gives_zero(self):
         g = gen_rand_graph(6, 0.8, 4)
         p = build_keq_dnn(g, 2)
-        cert = lp_lower_bound(p, p.C.copy(), project=False)
+        cert = lp_lower_bound(p, p.C.copy())
         assert cert.feasible
         assert cert.value == pytest.approx(0.0, abs=1e-9)
 
@@ -317,15 +317,15 @@ class TestLpBound:
         p = build_keq_dnn(g, 2)
         for tol in (1e-3, 1e-5):
             res = solve(p, AdmmParams(eps_tol=tol))
-            cert = lp_lower_bound(p, res.state.Z, project=False)
+            cert = lp_lower_bound(p, res.state.Z)
             assert cert.value <= opt + 1e-9
 
-    def test_projection_step_is_default(self):
+    def test_perturbed_z_gives_finite_or_infeasible(self):
         g = gen_rand_graph(6, 0.5, 8)
         p = build_keq_dnn(g, 3)
         res = solve(p)
-        sym = res.state.Z + np.random.default_rng(0).normal(scale=1e-3, size=(6, 6))
-        cert = lp_lower_bound(p, sym)  # indefinite input allowed when projecting
+        Z = res.state.Z + np.random.default_rng(0).normal(scale=1e-3, size=(6, 6))
+        cert = lp_lower_bound(p, Z)  # Z is taken as it is, not projected
         assert np.isfinite(cert.value) or not cert.feasible
 
 
@@ -357,7 +357,7 @@ class TestCertifyRouting:
         cert = certify_bound(p, res)
         assert cert.method == "eig" and cert.xbar == 12.0
         assert cert.value == pytest.approx(9.0189, abs=1e-3)
-        assert not lp_lower_bound(p, res.state.Z, project=False).feasible
+        assert not lp_lower_bound(p, res.state.Z).feasible
 
     def test_gpkc_sdp_eig_kept_at_loose_tolerance(self):
         g, spec = gen_gpkc_instance(8, 0.5, 2, 5)
@@ -392,7 +392,7 @@ class TestCertifyRouting:
         res = solve(p)
         assert res.status == "converged"
         eig = certify_bound(p, res, method="eig")
-        lp = lp_lower_bound(p, res.state.Z, project=False)
+        lp = lp_lower_bound(p, res.state.Z)
         assert np.isfinite(eig.value) and np.isfinite(lp.value)
 
     def test_relaxation_nesting_sdp_below_dnn(self):
@@ -469,7 +469,7 @@ class TestLpBoundAgainstIndependentFormulation:
         g = gen_rand_graph(5, 0.8, 1)
         p = build_keq_dnn(g, 5)
         res = solve(p, AdmmParams(eps_tol=1e-4))
-        mine = lp_lower_bound(p, res.state.Z, project=False)
+        mine = lp_lower_bound(p, res.state.Z)
         ref = self.reference_lp_value(p, res.state.Z)
         assert mine.value == pytest.approx(ref, rel=1e-7, abs=1e-7)
 
@@ -477,7 +477,7 @@ class TestLpBoundAgainstIndependentFormulation:
         g, spec = gen_gpkc_instance(6, 0.8, 2, 3)
         p = build_gpkc_dnn(g, spec)
         res = solve(p, AdmmParams(eps_tol=1e-4))
-        mine = lp_lower_bound(p, res.state.Z, project=False)
+        mine = lp_lower_bound(p, res.state.Z)
         ref = self.reference_lp_value(p, res.state.Z)
         assert mine.value == pytest.approx(ref, rel=1e-7, abs=1e-7)
 
@@ -487,7 +487,7 @@ class TestLpBoundAgainstIndependentFormulation:
         g = gen_rand_graph(6, 0.8, 4)
         p = add_cuts(build_keq_dnn(g, 3), [TriangleCut(0, 1, 2), TriangleCut(2, 3, 4)])
         res = solve(p, AdmmParams(eps_tol=1e-4))
-        mine = lp_lower_bound(p, res.state.Z, project=False)
+        mine = lp_lower_bound(p, res.state.Z)
         ref = self.reference_lp_value(p, res.state.Z)
         assert mine.value == pytest.approx(ref, rel=1e-7, abs=1e-7)
 
@@ -499,7 +499,7 @@ class TestLpBoundAgainstIndependentFormulation:
                            shape=(n, n * n))
         C = np.array([[3.0, -0.5], [-0.5, -1.0]])
         p = SdpProblem(n=n, C=C, A=A, b=np.ones(n), box_lo=np.zeros((n, n)))
-        mine = lp_lower_bound(p, np.zeros((n, n)), project=False)
+        mine = lp_lower_bound(p, np.zeros((n, n)))
         ref = self.reference_lp_value(p, np.zeros((n, n)))
         assert mine.value == -np.inf and ref == -np.inf
 
@@ -518,7 +518,7 @@ class TestSafetyCrossProduct:
             for tol in self.TOLERANCES:
                 res = solve(p, AdmmParams(eps_tol=tol))
                 eig = eig_lower_bound(p, res.state, xbar_for(p))
-                lp = lp_lower_bound(p, res.state.Z, project=False)
+                lp = lp_lower_bound(p, res.state.Z)
                 assert eig.value <= opt + 1e-9, (seed, tol)
                 assert lp.value <= opt + 1e-9, (seed, tol)
 
@@ -529,7 +529,7 @@ class TestSafetyCrossProduct:
             p = build_gpkc_dnn(g, spec)
             for tol in self.TOLERANCES:
                 res = solve(p, AdmmParams(eps_tol=tol))
-                lp = lp_lower_bound(p, res.state.Z, project=False)
+                lp = lp_lower_bound(p, res.state.Z)
                 assert lp.value <= opt + 1e-9, (seed, tol)
                 if res.status == "converged" and tol <= 1e-5:
                     eig = eig_lower_bound(p, res.state, xbar_for(p))

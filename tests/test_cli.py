@@ -143,6 +143,21 @@ class TestSolve:
         assert "diverged" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("body", [
+        "gp 3 1\ne 2 3 inf\n",
+        "gp 3 1\ne 1 2 nan\n",
+        "gp 2 1\ne 1 2 5\nk nan\nv 1 1\nv 2 1\n",
+        "gp 2 1\ne 1 2 5\nk 3\nv 1 inf\nv 2 1\n",
+    ], ids=["e-inf", "e-nan", "k-nan", "v-inf"])
+    def test_non_finite_instance_number_exits_malformed(self, tmp_path, body, capsys):
+        bad = tmp_path / "bad.gp"
+        bad.write_text(body)
+        out = tmp_path / "solve.csv"
+        code = main(["solve", "--instance", str(bad), "--k", "2", "--out", str(out)])
+        assert code == 3
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_knapsack_sdp_bounds_are_finite(self, tmp_path):
         # the frozen-Z LP of the knapsack SDP is unbounded; its lbs read -inf
         main(["gen", "--n", "12", "--seed", "3", "--gpkc", "--k", "3",
@@ -172,14 +187,35 @@ class TestSolve:
         assert row.iterations == 1
         assert row.status == "iter_limit"
 
-    def test_run_config_serialization_round_trip(self, tmp_path):
-        from gpbound.cli import RunConfig
+    def test_config_sets_certificate_method(self, k8_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"certify": "lp"}))
+        cert = tmp_path / "cert.csv"
+        assert main(["solve", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
+                     "--config", str(cfg), "--cert-out", str(cert)]) == 0
+        assert [c.method for c in reports.read_rows(cert)] == ["lp"]
 
-        cfg = RunConfig(problem="keq", eps_tol=1e-4, max_iter=500, samples=10)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"problem": "keq", "eps_tol": 1e-4, "max_iter": 500,
-                                    "samples": 10}))
-        assert RunConfig.from_file(path) == cfg
+    def test_config_sets_group_count(self, k8_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 2}))
+        out = tmp_path / "solve.csv"
+        assert main(["solve", "--instance", str(k8_file), "--problem", "keq",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        assert reports.read_rows(out)[0].k_or_w == "2"
+
+    @pytest.mark.parametrize("key, value", [
+        ("problem", "keq"), ("relaxation", "dnn"), ("eps_tol", 1e-4), ("max_iter", 500),
+        ("sigma0", 1.0), ("rule", "auto"), ("method", "vc"), ("samples", 10),
+        ("time_limit", 1.0), ("seed", 0), ("m_met", 4), ("max_rounds", 2),
+        ("distribution", "uniform"),
+    ])
+    def test_config_keys_accepted_by_every_command(self, k8_file, tmp_path, key, value, capsys):
+        # the oracle has none of these flags but problem, so it ignores the others
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["oracle", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
+                     "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_unknown_config_key_rejected(self, k8_file, tmp_path):
         cfg = tmp_path / "cfg.json"

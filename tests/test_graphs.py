@@ -239,6 +239,22 @@ class TestInstanceIO:
             read_instance(f)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("body, line", [
+        ("gp 3 1\ne 2 3 inf\n", 2),
+        ("gp 3 1\ne 1 2 nan\n", 2),
+        ("gp 3 1\ne 1 2 -inf\n", 2),
+        ("gp 2 1\ne 1 2 5\nk nan\nv 1 1\nv 2 1\n", 3),
+        ("gp 2 1\ne 1 2 5\nk inf\nv 1 1\nv 2 1\n", 3),
+        ("gp 2 1\ne 1 2 5\nk 3\nv 1 inf\nv 2 1\n", 4),
+        ("gp 2 1\ne 1 2 5\nk 3\nv 1 1\nv 2 nan\n", 5),
+    ], ids=["e-inf", "e-nan", "e-minus-inf", "k-nan", "k-inf", "v-inf", "v-nan"])
+    def test_non_finite_number_rejected_with_line(self, tmp_path, body, line):
+        f = tmp_path / "nonfinite.gp"
+        f.write_text(body)
+        with pytest.raises(InstanceFormatError, match="finite") as err:
+            read_instance(f)
+        assert err.value.line == line
+
 
 class TestSpecTypes:
     def test_keq_divisibility(self):
@@ -252,3 +268,17 @@ class TestSpecTypes:
             Gpkc(a=np.array([1.0, -2.0]), W=5.0)
         with pytest.raises(SpecValidationError):
             Gpkc(a=np.array([1.0, 6.0]), W=5.0)
+
+    @pytest.mark.parametrize("a, W", [
+        ([1.0, np.inf], 5.0), ([1.0, np.nan], 5.0), ([1.0, 2.0], np.nan), ([1.0, 2.0], np.inf),
+    ], ids=["a-inf", "a-nan", "W-nan", "W-inf"])
+    def test_gpkc_rejects_non_finite(self, a, W):
+        with pytest.raises(SpecValidationError, match="finite"):
+            Gpkc(a=np.array(a), W=W)
+
+    @pytest.mark.parametrize("w", [np.inf, np.nan])
+    def test_graph_rejects_non_finite_weights(self, w):
+        W = np.zeros((3, 3))
+        W[0, 1] = W[1, 0] = w
+        with pytest.raises(ValueError, match="finite"):
+            GraphInstance(n=3, W_adj=W)

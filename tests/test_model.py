@@ -135,7 +135,7 @@ class TestSeparation:
             n = 7
             A = rng.random((n, n))
             X = 0.5 * (A + A.T)
-            cuts = separate_met(X, max_cuts=10 ** 6, tol=1e-4)
+            cuts = separate_met(X, max_cuts=10 ** 6)
             naive = []
             for i, j, r in itertools.permutations(range(n), 3):
                 if j < r:
@@ -287,8 +287,6 @@ class TestTriangleVectorization:
     def test_weighted_upper_triangle_matches_full_inner_product(self):
         # the LP route evaluates <A, X> on doubled upper-triangle entries; the
         # two evaluations must agree to 1e-12 relative
-        from gpbound.symm import tri_indices, tri_weights
-
         rng = np.random.default_rng(17)
         for _ in range(50):
             n = int(rng.integers(2, 12))
@@ -297,8 +295,8 @@ class TestTriangleVectorization:
             A = A + A.T
             B = B + B.T
             full = float((A * B).sum())
-            r, c = tri_indices(n)
-            ut = float((tri_weights(n) * A[r, c] * B[r, c]).sum())
+            r, c = np.triu_indices(n)
+            ut = float((np.where(r == c, 1.0, 2.0) * A[r, c] * B[r, c]).sum())
             assert abs(ut - full) <= 1e-12 * max(1.0, abs(full))
 
 
