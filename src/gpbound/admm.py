@@ -14,7 +14,13 @@ the matrix that is split, and it forms the adjoint A*(y) + B*(ybar) once and
 returns it, so :func:`residuals` does not form it again. The triangular solves
 read the cached factor in place. The PSD/NSD product is formed from the smaller
 side of the spectrum (see :func:`gpbound.symm.psd_split`). Box clips use
-scalar bounds when the box is uniform, as every builder's box is.
+scalar bounds when the box is uniform, as every builder's box is except a
+knapsack DNN with conflict pairs.
+
+The five residuals cost about as much as the multiplier solve, and neither
+stepsize rule needs them after every sweep, so :func:`solve` evaluates them only
+on every ``CHECK_EVERY``-th sweep (and the last); a non-finite iterate in between
+is caught by the sweep itself before its eigendecomposition.
 """
 from __future__ import annotations
 
@@ -30,10 +36,11 @@ from .symm import psd_split
 
 SIGMA_LO = 1e-6
 SIGMA_HI = 1e6
-# the residual-balancing ("classic") rule: every CLASSIC_EVERY sweeps, divide sigma by
+# ``solve`` runs its stopping test on every CHECK_EVERY-th sweep and the last one. On
+# the same sweeps the residual-balancing ("classic") rule divides sigma by
 # CLASSIC_SCALE when the primal residual exceeds CLASSIC_RATIO times the dual one, and
-# multiply it when the dual residual exceeds CLASSIC_RATIO times the primal one
-CLASSIC_EVERY = 10
+# multiplies it when the dual residual exceeds CLASSIC_RATIO times the primal one
+CHECK_EVERY = 10
 CLASSIC_RATIO = 5.0
 CLASSIC_SCALE = 1.1
 
@@ -293,6 +300,8 @@ class AdmmParams:
     rule: str = "auto"             # auto | adaptive | classic
 
     def __post_init__(self):
+        if self.rule not in ("auto", "adaptive", "classic"):
+            raise ValueError(f"rule must be auto, adaptive or classic, got {self.rule!r}")
         if not (np.isfinite(self.sigma0) and self.sigma0 > 0):
             raise ValueError(f"sigma0 must be finite and positive, got {self.sigma0!r}")
 
@@ -363,8 +372,12 @@ def solve(
 
     The loop itself runs on a row-equilibrated copy of the constraints; the stopping
     test, the returned state, and the residual record all live in the caller's
-    coordinates. ``callback(iteration, state, record, primal, dual)`` fires after
-    each sweep when provided. Identical inputs produce an identical iterate stream.
+    coordinates. The stopping test runs only on check sweeps: every ``CHECK_EVERY``-th
+    sweep and the sweep at ``max_iter``. So the returned state always comes from a
+    check sweep, and ``residuals`` describes it; ``max_iter=0`` returns the start
+    state with its record. ``callback(iteration, state, record, primal, dual)`` fires
+    after every sweep when provided, with a record formed for it; it does not change
+    where the loop stops. Identical inputs produce an identical iterate stream.
     A start state with a non-finite entry raises ``ValueError``, and a sweep that
     produces one raises :class:`SolverDivergedError`.
     """
@@ -395,30 +408,30 @@ def solve(
 
     C = problem.C
     status = "iter_limit"
-    view = unscaled_view()
-    rec = residuals(view, problem)
+    rec = residuals(unscaled_view(), problem)
 
-    for k in range(prm.max_iter):
+    for k in range(1, prm.max_iter + 1):
         adj = sweep(state, factor, work)
-        state.iter = k + 1
-
-        view = unscaled_view()
-        rec = residuals(view, problem, adj)
+        state.iter = k
+        check = k % CHECK_EVERY == 0 or k == prm.max_iter
+        if check or callback is not None:
+            view = unscaled_view()
+            rec = residuals(view, problem, adj)
         del adj   # one n x n array less held through the next sweep's eigendecomposition
         # every part of the state enters the numerator of some residual
-        if not np.isfinite(rec.as_tuple()).all():
-            raise SolverDivergedError(k + 1, f"sigma={state.sigma:.3e}")
+        if check and not np.isfinite(rec.as_tuple()).all():
+            raise SolverDivergedError(k, f"sigma={state.sigma:.3e}")
         if callback is not None:
             primal = float((C * view.X).sum())
             dual, _ = dual_objective(problem, view.y, view.v, view.S)
-            callback(k + 1, view, rec, primal, dual)
-        if rec.max_residual <= prm.eps_tol:
+            callback(k, view, rec, primal, dual)
+        if check and rec.max_residual <= prm.eps_tol:
             status = "converged"
             break
 
         if rule == "adaptive":
             state.sigma = adapt_sigma(state, "adaptive")
-        elif (k + 1) % CLASSIC_EVERY == 0:
+        elif k % CHECK_EVERY == 0:
             state.sigma = adapt_sigma(state, "classic", rec)
 
     final = unscaled_view()

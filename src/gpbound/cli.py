@@ -45,7 +45,8 @@ def _apply_config(args: argparse.Namespace) -> None:
 
     The keys are the tunable flags of every command (``args.config_keys``); a key
     that no command declares raises ``ValueError``, and a key this command has no
-    flag for, or a null value, is ignored.
+    flag for, or a null value, is ignored. Each value is read as if it followed
+    its flag on the command line (``_config_value``).
     """
     data = json.loads(Path(args.config).read_text())
     if not isinstance(data, dict):
@@ -54,8 +55,23 @@ def _apply_config(args: argparse.Namespace) -> None:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, val in data.items():
-        if val is not None and hasattr(args, key):
-            setattr(args, key, val)
+        action = args.tunables.get(key)
+        if val is not None and action is not None:
+            setattr(args, key, _config_value(action, val))
+
+
+def _config_value(action: argparse.Action, val):
+    """``val`` passed through the flag's ``type`` as the text ``str(val)`` and checked
+    against its ``choices``, as argparse treats a command-line value; a value the
+    flag would refuse raises ``ValueError``."""
+    text = str(val)
+    try:
+        out = action.type(text) if action.type else text
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"{action.dest}: invalid value {val!r}") from None
+    if action.choices is not None and out not in action.choices:
+        raise ValueError(f"{action.dest}: {val!r} is not one of {list(action.choices)}")
+    return out
 
 
 def _out_path(name) -> Path:
@@ -293,10 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def tunable(p, *flags, **kwargs):
         """A flag that a ``--config`` file may also set, under the flag's dest."""
-        config_keys.add(p.add_argument(*flags, **kwargs).dest)
+        action = p.add_argument(*flags, **kwargs)
+        config_keys.add(action.dest)
+        p.get_default("tunables")[action.dest] = action
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file; its values override flags")
+        p.set_defaults(tunables={})
 
     p = sub.add_parser("gen", help="generate random instances")
     add_common(p)

@@ -126,8 +126,9 @@ class SdpProblem:
 
     @cached_property
     def _box_bounds(self):
-        # the box as two scalars when it is uniform (every builder's box is): clipping
-        # against scalars is about 3x faster than against two n x n arrays at n=300
+        # the box as two scalars when it is uniform (every builder's box is, but a knapsack
+        # DNN's with conflict pairs): clipping against scalars is about 3x faster than
+        # against two n x n arrays at n=300
         lo, hi = self.box_lo, self.box_hi
         if lo.size and (lo == lo.flat[0]).all() and (hi == hi.flat[0]).all():
             return lo.flat[0], hi.flat[0]
@@ -229,13 +230,21 @@ def build_gpkc_sdp(g: GraphInstance, spec: Gpkc) -> SdpProblem:
 
 
 def build_gpkc_dnn(g: GraphInstance, spec: Gpkc) -> SdpProblem:
-    """Knapsack relaxation with X >= 0; then (X a)_i >= a_i is valid and sharpens l."""
+    """Knapsack relaxation with X >= 0; then (X a)_i >= a_i is valid and sharpens l.
+
+    Two vertices with a_i + a_j > W share no group of a feasible partition, so
+    X_ij = 0 is valid on such a conflict pair, and the box's upper bound is 0
+    there. Without conflict pairs the box stays uniform (``box_hi`` is free).
+    """
     A, b, B, u = _gpkc_base(g, spec)
+    conflict = spec.a[:, None] + spec.a[None, :] > spec.W
+    np.fill_diagonal(conflict, False)
     tag = ProblemTag("gpkc", "dnn", capacity=spec.W, min_weight=float(spec.a.min()))
     return SdpProblem(
         n=g.n, C=0.5 * laplacian(g), A=A, b=b,
         B=B, l=spec.a.copy(), u=u,
-        box_lo=np.zeros((g.n, g.n)), tag=tag,
+        box_lo=np.zeros((g.n, g.n)),
+        box_hi=np.where(conflict, 0.0, np.inf) if conflict.any() else None, tag=tag,
     )
 
 

@@ -477,11 +477,91 @@ class TestSolve:
         assert res.iterations == 3
 
 
+def cadence_problems():
+    """A keq DNN (adaptive rule) and a gpkc DNN (classic rule) that converge."""
+    g, spec = gen_gpkc_instance(30, 0.5, 3, 2)
+    return {"keq": build_keq_dnn(gen_rand_graph(30, 0.5, 1), 3),
+            "gpkc": build_gpkc_dnn(g, spec)}
+
+
+def warm_round():
+    """A DNN+MET round with 60 cuts and the start state cutting_loop would give it."""
+    keq = build_keq_dnn(gen_rand_graph(30, 0.5, 1), 3)
+    res = solve(keq)
+    met = add_cuts(keq, separate_met(res.state.X, 60))
+    assert met.q == 60
+    return met, admm.pad_state(res.state, met)
+
+
+class TestCheckCadence:
+    """The stopping test runs on every CHECK_EVERY-th sweep and at max_iter only."""
+
+    @pytest.mark.parametrize("name", ["keq", "gpkc"])
+    def test_residuals_run_on_check_sweeps_only(self, name, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return residuals(*args, **kwargs)
+
+        monkeypatch.setattr(admm, "residuals", counted)
+        res = solve(cadence_problems()[name])
+        assert res.status == "converged"
+        # one record for the start state, one per check sweep
+        assert len(calls) == -(-res.iterations // admm.CHECK_EVERY) + 1
+
+    def test_stop_on_a_check_sweep(self):
+        for p in cadence_problems().values():
+            res = solve(p)
+            assert res.status == "converged"
+            assert res.iterations % admm.CHECK_EVERY == 0
+            assert res.residuals.max_residual <= res.eps_tol
+            ref = residuals(res.state, p).as_tuple()
+            assert res.residuals.as_tuple() == pytest.approx(ref, rel=1e-12, abs=0.0)
+        capped = solve(cadence_problems()["keq"], AdmmParams(max_iter=23))
+        assert capped.status == "iter_limit" and capped.iterations == 23
+        assert np.isfinite(capped.residuals.as_tuple()).all()
+
+    @pytest.mark.parametrize("name", ["keq", "gpkc", "warm"])
+    def test_callback_does_not_move_the_stop(self, name):
+        p, start = warm_round() if name == "warm" else (cadence_problems()[name], None)
+        plain = solve(p, start=start)
+        traced = solve(p, start=start, callback=lambda *a: None)
+        assert (traced.iterations, traced.status) == (plain.iterations, plain.status)
+        for field in ("X", "y", "ybar", "S", "Z", "v", "s"):
+            assert np.array_equal(getattr(traced.state, field), getattr(plain.state, field))
+        assert traced.state.sigma == plain.state.sigma
+        assert traced.residuals == plain.residuals
+
+    @pytest.mark.parametrize("name", ["keq", "gpkc", "warm"])
+    def test_stop_is_first_check_sweep_within_tolerance(self, name):
+        p, start = warm_round() if name == "warm" else (cadence_problems()[name], None)
+        prm = AdmmParams()
+        worst = []
+        res = solve(p, prm, start=start,
+                    callback=lambda k, st, rec, pr, du: worst.append(rec.max_residual))
+        assert res.status == "converged" and len(worst) == res.iterations
+        first = next(k for k in range(1, len(worst) + 1) if worst[k - 1] <= prm.eps_tol)
+        stop = next(k for k in range(first, prm.max_iter + 1)
+                    if k % admm.CHECK_EVERY == 0 and worst[k - 1] <= prm.eps_tol)
+        assert res.iterations == stop
+
+    def test_zero_sweeps_return_the_start_record(self):
+        p = cadence_problems()["keq"]
+        res = solve(p, AdmmParams(max_iter=0))
+        assert (res.iterations, res.status) == (0, "iter_limit")
+        assert res.residuals == residuals(AdmmState.zeros(p, 1.0), p)
+
+
 class TestBadInput:
     @pytest.mark.parametrize("sigma0", [0.0, -1.0, np.inf, -np.inf, np.nan])
     def test_params_reject_bad_sigma0(self, sigma0):
         with pytest.raises(ValueError, match="sigma0"):
             AdmmParams(sigma0=sigma0)
+
+    def test_params_reject_unknown_rule(self):
+        with pytest.raises(ValueError, match="rule"):
+            AdmmParams(rule="bogus")
 
     @pytest.mark.parametrize("name", ["X", "S", "Z"])
     def test_non_finite_start_rejected(self, name):

@@ -356,7 +356,7 @@ class TestCertifyRouting:
         res = solve(p)
         cert = certify_bound(p, res)
         assert cert.method == "eig" and cert.xbar == 12.0
-        assert cert.value == pytest.approx(9.0189, abs=1e-3)
+        assert cert.value == pytest.approx(9.0298, abs=1e-3)
         assert not lp_lower_bound(p, res.state.Z).feasible
 
     def test_gpkc_sdp_eig_kept_at_loose_tolerance(self):
@@ -406,6 +406,31 @@ class TestCertifyRouting:
             lb_sdp = certify_bound(sdp, solve(sdp, prm)).value
             lb_dnn = certify_bound(dnn, solve(dnn, prm)).value
             assert lb_sdp <= lb_dnn + 1e-6 * (1.0 + abs(lb_dnn))
+
+
+class TestConflictPairs:
+    """gen_gpkc_instance(7, 0.2, 7, 3) has a = 932 and 928 against W = 932: most
+    vertex pairs cannot share a group, and the DNN fixes X_ij = 0 on them."""
+
+    @pytest.fixture(scope="class")
+    def conflict(self):
+        g, spec = gen_gpkc_instance(7, 0.2, 7, 3)
+        p = build_gpkc_dnn(g, spec)
+        assert (p.box_hi == 0).any()
+        return p, solve(p), oracle.brute_force_gpkc(g, spec.a, spec.W).opt
+
+    def test_converges_and_eig_certifies_the_optimum(self, conflict):
+        p, res, opt = conflict
+        assert opt == 189.0
+        assert res.status == "converged"
+        cert = certify_bound(p, res)
+        assert cert.method == "eig"
+        assert opt - 5e-3 <= cert.value <= opt + 1e-9
+
+    def test_lp_route_stays_below_the_optimum(self, conflict):
+        p, res, opt = conflict
+        cert = certify_bound(p, res, method="lp")
+        assert cert.feasible and cert.value <= opt + 1e-9
 
 
 class TestLpBoundAgainstIndependentFormulation:

@@ -223,6 +223,31 @@ class TestSolve:
         assert main(["solve", "--instance", str(k8_file), "--problem", "keq",
                      "--k", "2", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("body", [{"rule": "bogus"}, {"max_iter": "ten"}],
+                             ids=["bad-choice", "bad-type"])
+    def test_config_value_refused_before_solving(self, k8_file, tmp_path, body,
+                                                 monkeypatch, capsys):
+        from gpbound import admm
+
+        calls = []
+        monkeypatch.setattr(admm, "solve", lambda *a, **kw: calls.append(1))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        assert main(["solve", "--instance", str(k8_file), "--problem", "keq",
+                     "--k", "2", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "bad config" in err and next(iter(body)) in err
+        assert calls == []
+
+    def test_config_value_read_as_flag_text(self, k8_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iter": "7"}))
+        out = tmp_path / "solve.csv"
+        assert main(["solve", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        # K8 converges by sweep 10, so 7 sweeps show the cap
+        assert reports.read_rows(out)[0].iterations == 7
+
 
 class TestHeur:
     def test_gap_formatting(self, k8_file, tmp_path, capsys):

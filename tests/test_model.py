@@ -110,6 +110,41 @@ class TestGpkcBuilders:
         assert np.all(np.isinf(p.l)) and np.all(p.l < 0)
         assert np.all(p.u == 2.0)
 
+    def test_conflict_pairs_fixed_to_zero(self):
+        # 4 + 3 > 6 is the only conflict; a pair of weight exactly W is not one
+        spec = Gpkc(a=np.array([4.0, 3.0, 1.0, 2.0]), W=6.0)
+        p = build_gpkc_dnn(complete_graph(4), spec)
+        hi = np.full((4, 4), np.inf)
+        hi[0, 1] = hi[1, 0] = 0.0
+        assert np.array_equal(p.box_hi, hi)
+        assert np.array_equal(p.box_lo, np.zeros((4, 4)))
+        # the knapsack SDP keeps the paper's free box
+        assert np.isinf(build_gpkc_sdp(complete_graph(4), spec).box_hi).all()
+
+    def test_every_feasible_partition_lies_in_the_box(self):
+        a = np.array([5.0, 4.0, 3.0, 2.0, 1.0, 4.0])
+        spec = Gpkc(a=a, W=7.0)
+        p = build_gpkc_dnn(gen_rand_graph(6, 0.5, 3), spec)
+        assert (p.box_hi == 0).sum() > 0
+        feasible = 0
+        for groups in all_set_partitions(range(6)):
+            part = Partition.from_groups(6, groups)
+            if part.feasible_for(spec):
+                X = indicator_gram(part)
+                assert np.all(X <= p.box_hi) and np.all(X >= p.box_lo), groups
+                feasible += 1
+        assert feasible > 0
+
+    def test_no_conflict_pairs_keep_the_free_box(self):
+        from gpbound.graphs import gen_gpkc_instance
+
+        g, spec = gen_gpkc_instance(30, 0.5, 5, 1)
+        pair = spec.a[:, None] + spec.a[None, :]
+        assert pair[~np.eye(30, dtype=bool)].max() <= spec.W
+        p = build_gpkc_dnn(g, spec)
+        assert np.array_equal(p.box_hi, np.full((30, 30), np.inf))
+        assert p._box_bounds == (0.0, np.inf)
+
 
 class TestSeparation:
     def test_clear_violation_found(self):
