@@ -21,6 +21,14 @@ The five residuals cost about as much as the multiplier solve, and neither
 stepsize rule needs them after every sweep, so :func:`solve` evaluates them only
 on every ``CHECK_EVERY``-th sweep (and the last); a non-finite iterate in between
 is caught by the sweep itself before its eigendecomposition.
+
+The stepsize sigma follows the norm-ratio rule (``adaptive``: ||X|| / ||Z|| after
+every sweep) or the residual-balancing rule (``classic``: a factor of
+``CLASSIC_SCALE`` on check sweeps). ``auto`` runs the first without inequality rows
+and the second with them. With inequality rows and a finite box lower bound (a
+knapsack DNN, a DNN+MET round) it opens with ``OPENING_SWEEPS`` norm-ratio sweeps:
+such a solve settles near sigma 0.01, which the classic rule alone reaches from
+``sigma0`` = 1 only after hundreds of sweeps.
 """
 from __future__ import annotations
 
@@ -43,6 +51,8 @@ SIGMA_HI = 1e6
 CHECK_EVERY = 10
 CLASSIC_RATIO = 5.0
 CLASSIC_SCALE = 1.1
+# sweeps of the norm-ratio opening that "auto" runs before the classic rule (module docstring)
+OPENING_SWEEPS = 100
 
 
 class SolverDivergedError(RuntimeError):
@@ -169,7 +179,7 @@ def sweep(state: AdmmState, factor: NormalFactor, problem: SdpProblem) -> np.nda
     t = s - sigma * ybar to the slack interval. Returns the adjoint
     A*(y) + B*(ybar) it formed, which :func:`residuals` takes as ``adj``.
     Raises :class:`SolverDivergedError` before the eigendecomposition if N is
-    not finite.
+    not finite, and if the eigendecomposition fails.
     """
     sigma = state.sigma
     x_sigma = state.X / sigma
@@ -189,7 +199,10 @@ def sweep(state: AdmmState, factor: NormalFactor, problem: SdpProblem) -> np.nda
     N += S
     if not np.isfinite(N).all():
         raise SolverDivergedError(state.iter + 1, f"sigma={sigma:.3e}")
-    pos, neg = psd_split(N)
+    try:
+        pos, neg = psd_split(N)
+    except np.linalg.LinAlgError:   # finite N whose symmetrization overflows
+        raise SolverDivergedError(state.iter + 1, f"eigh failed, sigma={sigma:.3e}") from None
     state.Z = np.negative(neg, out=neg)
     pos *= sigma
     state.X = pos
@@ -230,17 +243,23 @@ def residuals(state: AdmmState, problem: SdpProblem,
                           float(eps_opt_m), float(eps_opt_v))
 
 
+def norm_ratio(state: AdmmState) -> float | None:
+    """||X|| / ||Z|| kept within [SIGMA_LO, SIGMA_HI]; None when either norm is 0."""
+    nX = np.linalg.norm(state.X)
+    nZ = np.linalg.norm(state.Z)
+    if nX == 0.0 or nZ == 0.0:
+        return None
+    return float(min(max(nX / nZ, SIGMA_LO), SIGMA_HI))
+
+
 def adapt_sigma(state: AdmmState, rule: str, rec: ResidualRecord | None = None) -> float:
     """Next stepsize under the norm-ratio rule or the residual-balancing rule,
     kept within [SIGMA_LO, SIGMA_HI]."""
     if rule == "adaptive":
-        nX = np.linalg.norm(state.X)
-        nZ = np.linalg.norm(state.Z)
-        if nZ == 0.0:
-            return SIGMA_HI
-        if nX == 0.0:
-            return SIGMA_LO
-        return float(min(max(nX / nZ, SIGMA_LO), SIGMA_HI))
+        ratio = norm_ratio(state)
+        if ratio is not None:
+            return ratio
+        return SIGMA_HI if np.linalg.norm(state.Z) == 0.0 else SIGMA_LO
     if rule == "classic":
         if rec is None:
             raise ValueError("the residual-balancing rule needs a residual record")
@@ -385,9 +404,11 @@ def solve(
     t0 = time.perf_counter()
     work, d_eq, d_in = _equilibrated(problem)
     factor = factor_normal_matrix(work)
-    rule = prm.rule
+    rule, opening = prm.rule, 0
     if rule == "auto":
         rule = "classic" if problem.q else "adaptive"
+        if problem.q and np.isfinite(problem.box_lo).any():
+            opening = OPENING_SWEEPS
 
     if start is not None:
         _check_start(start)
@@ -429,7 +450,13 @@ def solve(
             status = "converged"
             break
 
-        if rule == "adaptive":
+        if k <= opening:
+            ratio = norm_ratio(state)
+            if ratio is None:
+                opening = 0   # the opening ends here, with sigma as it is
+            else:
+                state.sigma = ratio
+        elif rule == "adaptive":
             state.sigma = adapt_sigma(state, "adaptive")
         elif k % CHECK_EVERY == 0:
             state.sigma = adapt_sigma(state, "classic", rec)

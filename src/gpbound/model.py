@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Gpkc, GraphInstance, KEquipartition, PartitionSpec, laplacian
+from .graphs import Gpkc, GraphInstance, KEquipartition, PartitionSpec
 
 MET_VIOLATION_TOL = 1e-4
 
@@ -83,9 +83,11 @@ class SdpProblem:
     def __post_init__(self):
         n = self.n
         C = np.asarray(self.C, dtype=float)
+        if not np.isfinite(C).all():
+            raise ValueError("objective matrix must be finite")
         if C.shape != (n, n) or not np.allclose(C, C.T):
             raise ValueError("objective matrix must be symmetric of order n")
-        object.__setattr__(self, "C", 0.5 * (C + C.T))
+        object.__setattr__(self, "C", 0.5 * C + 0.5 * C.T)  # no overflow below the largest float
         B = sp.csr_matrix((0, n * n)) if self.B is None else self.B
         object.__setattr__(self, "A", _checked_rows(self.A, n, "equality"))
         object.__setattr__(self, "B", _checked_rows(B, n, "inequality"))
@@ -98,6 +100,11 @@ class SdpProblem:
         object.__setattr__(self, "box_hi", hi)
         if self.b.size != self.m:
             raise ValueError("equality right-hand side does not match row count")
+        if not np.isfinite(self.b).all():
+            raise ValueError("equality right-hand side must be finite")
+        for name, vals in (("inequality", (self.l, self.u)), ("box", (lo, hi))):
+            if any(np.isnan(v).any() for v in vals):
+                raise ValueError(f"{name} bounds must not be NaN; infinite ones are allowed")
         if self.l.size != self.q or self.u.size != self.q:
             raise ValueError("inequality bounds do not match row count")
         if np.any(self.l > self.u):
@@ -178,6 +185,13 @@ def _sym_rows(n_rows: int, n: int, row, i, j, val) -> sp.csr_matrix:
     )
 
 
+def _objective(g: GraphInstance) -> np.ndarray:
+    """Half the weighted Laplacian, Diag(W e) / 2 - W / 2, summed from the halved weights:
+    the same bits as halving the Laplacian, but finite wherever the halved row sums are."""
+    half = 0.5 * g.W_adj
+    return np.diag(half.sum(axis=1)) - half
+
+
 def _keq_base(g: GraphInstance, k: int):
     # rows e_i e_i' (diag(X) = e), then (e_i e' + e e_i')/2 ((X e)_i = m)
     spec = KEquipartition.for_graph(g.n, k)
@@ -194,7 +208,7 @@ def build_keq_sdp(g: GraphInstance, k: int) -> SdpProblem:
     """Equipartition relaxation: diag(X) = e, X e = m e, X PSD, free box."""
     spec, A, b = _keq_base(g, k)
     tag = ProblemTag("keq", "sdp", m=spec.m)
-    return SdpProblem(n=g.n, C=0.5 * laplacian(g), A=A, b=b, tag=tag)
+    return SdpProblem(n=g.n, C=_objective(g), A=A, b=b, tag=tag)
 
 
 def build_keq_dnn(g: GraphInstance, k: int) -> SdpProblem:
@@ -202,7 +216,7 @@ def build_keq_dnn(g: GraphInstance, k: int) -> SdpProblem:
     spec, A, b = _keq_base(g, k)
     tag = ProblemTag("keq", "dnn", m=spec.m)
     return SdpProblem(
-        n=g.n, C=0.5 * laplacian(g), A=A, b=b,
+        n=g.n, C=_objective(g), A=A, b=b,
         box_lo=np.zeros((g.n, g.n)), tag=tag,
     )
 
@@ -224,7 +238,7 @@ def build_gpkc_sdp(g: GraphInstance, spec: Gpkc) -> SdpProblem:
     A, b, B, u = _gpkc_base(g, spec)
     tag = ProblemTag("gpkc", "sdp", capacity=spec.W, min_weight=float(spec.a.min()))
     return SdpProblem(
-        n=g.n, C=0.5 * laplacian(g), A=A, b=b,
+        n=g.n, C=_objective(g), A=A, b=b,
         B=B, l=np.full(g.n, -np.inf), u=u, tag=tag,
     )
 
@@ -241,7 +255,7 @@ def build_gpkc_dnn(g: GraphInstance, spec: Gpkc) -> SdpProblem:
     np.fill_diagonal(conflict, False)
     tag = ProblemTag("gpkc", "dnn", capacity=spec.W, min_weight=float(spec.a.min()))
     return SdpProblem(
-        n=g.n, C=0.5 * laplacian(g), A=A, b=b,
+        n=g.n, C=_objective(g), A=A, b=b,
         B=B, l=spec.a.copy(), u=u,
         box_lo=np.zeros((g.n, g.n)),
         box_hi=np.where(conflict, 0.0, np.inf) if conflict.any() else None, tag=tag,

@@ -18,8 +18,9 @@ from gpbound.admm import (
     update_y,
 )
 from gpbound.graphs import GraphInstance, gen_gpkc_instance, gen_rand_graph
-from gpbound.model import (SdpProblem, add_cuts, build_gpkc_dnn, build_keq_dnn, build_keq_sdp,
-                           separate_met)
+from gpbound.certify import certify_bound
+from gpbound.model import (SdpProblem, add_cuts, build_gpkc_dnn, build_gpkc_sdp, build_keq_dnn,
+                           build_keq_sdp, separate_met)
 from gpbound.symm import psd_split
 
 
@@ -363,6 +364,7 @@ class TestAdaptSigma:
         st = AdmmState.zeros(p, sigma=1.0)
         st.X = np.eye(2)
         assert adapt_sigma(st, "adaptive") == 1e6
+        assert admm.norm_ratio(st) is None
 
 
 class TestSolve:
@@ -478,7 +480,8 @@ class TestSolve:
 
 
 def cadence_problems():
-    """A keq DNN (adaptive rule) and a gpkc DNN (classic rule) that converge."""
+    """A keq DNN (adaptive rule) and a gpkc DNN (norm-ratio opening, then the classic
+    rule) that converge."""
     g, spec = gen_gpkc_instance(30, 0.5, 3, 2)
     return {"keq": build_keq_dnn(gen_rand_graph(30, 0.5, 1), 3),
             "gpkc": build_gpkc_dnn(g, spec)}
@@ -551,6 +554,64 @@ class TestCheckCadence:
         res = solve(p, AdmmParams(max_iter=0))
         assert (res.iterations, res.status) == (0, "iter_limit")
         assert res.residuals == residuals(AdmmState.zeros(p, 1.0), p)
+
+
+def sigma_path(p, params=None):
+    """Per sweep: the sigma it ran with, the clamped ||X|| / ||Z|| it left (None when a
+    norm is 0) and a copy of X; plus the result."""
+    path = []
+
+    def cb(k, state, rec, primal, dual):
+        nX, nZ = np.linalg.norm(state.X), np.linalg.norm(state.Z)
+        ratio = None if nX == 0 or nZ == 0 else min(max(nX / nZ, admm.SIGMA_LO), admm.SIGMA_HI)
+        path.append((state.sigma, ratio, state.X.copy()))
+
+    return path, solve(p, params, callback=cb)
+
+
+class TestStepsizeRule:
+    """``auto``: adaptive without inequality rows, classic with them, and a norm-ratio
+    opening first when the box also has a finite lower bound."""
+
+    def test_knapsack_dnn_opens_with_the_norm_ratio(self):
+        path, res = sigma_path(cadence_problems()["gpkc"])
+        assert res.status == "converged" and res.iterations > admm.OPENING_SWEEPS
+        sigmas = [sigma for sigma, _, _ in path]
+        assert sigmas[0] == 1.0
+        for k in range(1, admm.OPENING_SWEEPS + 1):
+            ratio = path[k - 1][1]
+            assert ratio is not None and sigmas[k] == ratio, k
+        moves = [k for k in range(admm.OPENING_SWEEPS + 1, res.iterations)
+                 if sigmas[k] != sigmas[k - 1]]
+        assert moves and all(k % admm.CHECK_EVERY == 0 for k in moves)
+
+    @pytest.mark.parametrize("name, rule", [("keq", "adaptive"), ("gpkc-sdp", "classic")])
+    def test_auto_is_the_explicit_rule(self, name, rule):
+        if name == "keq":
+            p = cadence_problems()["keq"]
+        else:
+            g, spec = gen_gpkc_instance(30, 0.5, 3, 2)
+            p = build_gpkc_sdp(g, spec)
+        auto_path, auto = sigma_path(p, AdmmParams(rule="auto", max_iter=150))
+        path, explicit = sigma_path(p, AdmmParams(rule=rule, max_iter=150))
+        assert auto.iterations == explicit.iterations == len(auto_path) == len(path)
+        for k, ((sa, _, Xa), (se, _, Xe)) in enumerate(zip(auto_path, path), start=1):
+            assert sa == se and np.array_equal(Xa, Xe), k
+        for field in ("X", "y", "ybar", "S", "Z", "v", "s"):
+            assert np.array_equal(getattr(auto.state, field), getattr(explicit.state, field))
+        assert auto.state.sigma == explicit.state.sigma
+
+    def test_zero_z_ends_the_opening(self):
+        # Z is 0 after the first sweep here; the adaptive rule would pin sigma at SIGMA_HI
+        g, spec = gen_gpkc_instance(7, 0.8, 7, 2)
+        p = build_gpkc_dnn(g, spec)
+        path, res = sigma_path(p)
+        assert path[0][1] is None
+        sigmas = [sigma for sigma, _, _ in path]
+        assert all(sigmas[k] == sigmas[k - 1] for k in range(1, res.iterations)
+                   if k % admm.CHECK_EVERY)
+        assert res.status == "converged"
+        assert certify_bound(p, res).method == "eig"
 
 
 class TestBadInput:

@@ -296,6 +296,24 @@ class TestHeur:
                               time_limit=float("inf"), seed=6)
         assert printed == float(f"{lib.ub:.6f}")
 
+    @pytest.mark.parametrize("body, flags", [
+        ({"rule": "classic", "sigma0": 0.5}, []),
+        ({}, ["--rule", "classic", "--sigma0", "0.5"]),
+    ], ids=["config", "flags"])
+    def test_stepsize_settings_reach_the_solve(self, k8_file, tmp_path, monkeypatch,
+                                               body, flags):
+        from gpbound import admm
+
+        seen = []
+        real_solve = admm.solve
+        monkeypatch.setattr(admm, "solve",
+                            lambda p, prm, *a, **kw: seen.append(prm) or real_solve(p, prm, *a, **kw))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        assert main(["heur", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
+                     "--samples", "5", "--config", str(cfg), *flags]) == 0
+        assert [(prm.rule, prm.sigma0) for prm in seen] == [("classic", 0.5)]
+
     @pytest.mark.parametrize("method", ["hyp", "hyp+2opt"])
     def test_hyperplane_refuses_knapsack(self, gpkc_file, method, capsys):
         code = main(["heur", "--instance", str(gpkc_file), "--method", method,

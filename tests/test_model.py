@@ -453,3 +453,52 @@ class TestConstraintRows:
         with pytest.raises(ValueError, match="columns"):
             SdpProblem(n=n, C=np.eye(n), A=diag, b=np.ones(n),
                        B=sp.csr_matrix((1, n * n + 1)), l=np.zeros(1), u=np.ones(1))
+
+
+class TestNonFiniteData:
+    """Non-finite problem data is refused at construction; infinite bounds stay legal."""
+
+    n = 3
+
+    def kwargs(self, **over):
+        n = self.n
+        diag = sp.csr_matrix((np.ones(n), (np.arange(n), np.arange(n) * (n + 1))),
+                             shape=(n, n * n))
+        base = dict(n=n, C=np.eye(n), A=diag, b=np.ones(n), B=diag,
+                    l=np.full(n, -np.inf), u=np.full(n, np.inf),
+                    box_lo=np.full((n, n), -np.inf), box_hi=np.full((n, n), np.inf))
+        base.update(over)
+        return base
+
+    def test_infinite_bounds_accepted(self):
+        p = SdpProblem(**self.kwargs())
+        assert np.isinf(p.l).all() and np.isinf(p.box_hi).all()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_objective_rejected(self, bad):
+        C = np.eye(self.n)
+        C[0, 1] = C[1, 0] = bad
+        with pytest.raises(ValueError, match="objective matrix must be finite"):
+            SdpProblem(**self.kwargs(C=C))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_right_hand_side_rejected(self, bad):
+        b = np.ones(self.n)
+        b[1] = bad
+        with pytest.raises(ValueError, match="right-hand side must be finite"):
+            SdpProblem(**self.kwargs(b=b))
+
+    @pytest.mark.parametrize("name", ["l", "u", "box_lo", "box_hi"])
+    def test_nan_bound_rejected(self, name):
+        vals = self.kwargs()[name].copy()
+        vals.flat[1] = np.nan
+        with pytest.raises(ValueError, match="must not be NaN"):
+            SdpProblem(**self.kwargs(**{name: vals}))
+
+    def test_largest_floats_stay_finite(self):
+        # symmetrizing C, and halving the Laplacian, must not overflow
+        p = SdpProblem(**self.kwargs(C=np.full((self.n, self.n), 1e308)))
+        assert (p.C == 1e308).all()
+        W = np.array([[0.0, 1e308, 0.0], [1e308, 0.0, 1e308], [0.0, 1e308, 0.0]])
+        C = build_keq_sdp(GraphInstance(n=3, W_adj=W, name="big"), 3).C
+        assert np.isfinite(C).all() and C[1, 1] == 1e308
