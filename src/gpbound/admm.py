@@ -399,6 +399,12 @@ def solve(
     where the loop stops. Identical inputs produce an identical iterate stream.
     A start state with a non-finite entry raises ``ValueError``, and a sweep that
     produces one raises :class:`SolverDivergedError`.
+
+    Under ``auto`` a warm start opens with the norm ratio too, although it discards the
+    sigma carried in ``start``: on cutting_loop's DNN+MET rounds at n = 60 (keq, k = 3,
+    densities 0.2/0.5/0.8, seeds 0/10/20/30) the warm rounds take 4880 sweeps with the
+    opening and 5870 without it. A few small ones take more with it (keq n = 12: 1010
+    against 640).
     """
     prm = params or AdmmParams()
     t0 = time.perf_counter()

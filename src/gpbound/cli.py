@@ -193,8 +193,8 @@ def cmd_heur(args) -> int:
         raise ValueError("samples must be at least 1")
     g, spec = _load_problem(args)
     problem = model.build(g, spec, args.relaxation)
-    result = admm.solve(problem, admm.AdmmParams(eps_tol=args.eps_tol, max_iter=args.max_iter,
-                                                 sigma0=args.sigma0, rule=args.rule))
+    result = admm.solve(problem, admm.AdmmParams(eps_tol=args.eps_tol,
+                                                 max_iter=args.max_iter))
     heur = rounding.round_relaxation(g, result.state.X, spec, args.method,
                                      samples=args.samples, time_limit=args.time_limit,
                                      seed=args.seed, distribution=args.distribution)
@@ -315,13 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; its values override flags")
         p.set_defaults(tunables={})
 
-    def add_stepsize(p):
-        tunable(p, "--sigma0", type=float, default=1.0)
-        tunable(p, "--rule", choices=["auto", "adaptive", "classic"], default="auto",
-                help="stepsize rule; auto runs adaptive without inequality rows and classic "
-                     f"with them, after {admm.OPENING_SWEEPS} adaptive sweeps when the box "
-                     "has a finite lower bound")
-
     p = sub.add_parser("gen", help="generate random instances")
     add_common(p)
     p.add_argument("--n", type=int, required=True)
@@ -340,7 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     tunable(p, "--relaxation", choices=["sdp", "dnn", "dnn+met"], default="dnn")
     tunable(p, "--eps-tol", dest="eps_tol", type=float, default=1e-5)
     tunable(p, "--max-iter", dest="max_iter", type=int, default=20000)
-    add_stepsize(p)
+    tunable(p, "--sigma0", type=float, default=1.0)
+    tunable(p, "--rule", choices=["auto", "adaptive", "classic"], default="auto",
+            help="stepsize rule; auto runs adaptive without inequality rows and classic "
+                 f"with them, after {admm.OPENING_SWEEPS} adaptive sweeps when the box "
+                 "has a finite lower bound")
     tunable(p, "--certify", choices=["auto", "eig", "lp"], default="auto")
     tunable(p, "--m-met", dest="m_met", type=int, default=None)
     tunable(p, "--max-rounds", dest="max_rounds", type=int, default=10)
@@ -362,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     tunable(p, "--relaxation", choices=["sdp", "dnn"], default="dnn")
     tunable(p, "--eps-tol", dest="eps_tol", type=float, default=1e-5)
     tunable(p, "--max-iter", dest="max_iter", type=int, default=20000)
-    add_stepsize(p)
     tunable(p, "--samples", type=int, default=1000)
     tunable(p, "--time-limit", dest="time_limit", type=float, default=5.0)
     tunable(p, "--seed", type=int, default=0)

@@ -199,9 +199,10 @@ class Partition:
             raise SpecValidationError("partition violates its problem requirements")
 
 
-def laplacian(g: GraphInstance) -> np.ndarray:
-    """Weighted Laplacian Diag(W e) - W; symmetric PSD with zero row sums."""
-    W = g.W_adj
+def laplacian(g: GraphInstance, scale: float = 1.0) -> np.ndarray:
+    """Weighted Laplacian Diag(W e) - W of the weights scale * W; symmetric PSD with zero
+    row sums. Scaling before the row sums keeps them finite wherever the scaled ones are."""
+    W = scale * g.W_adj
     return np.diag(W.sum(axis=1)) - W
 
 
@@ -383,6 +384,11 @@ def read_instance(path) -> tuple[GraphInstance, Gpkc | None]:
         raise InstanceFormatError(
             f"header declares {declared_edges} edges but {edge_lines} edge lines found"
         )
+    # the relaxations' objective is the Laplacian of W / 2 (model.build)
+    with np.errstate(over="ignore"):
+        overflow = np.flatnonzero(~np.isfinite((0.5 * W).sum(axis=1)))
+    if overflow.size:
+        raise InstanceFormatError(f"weighted degree of vertex {overflow[0] + 1} overflows")
     g = GraphInstance(n=n, W_adj=W, name=name)
     if capacity is None:
         return g, None

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Gpkc, GraphInstance, KEquipartition, PartitionSpec
+from .graphs import Gpkc, GraphInstance, KEquipartition, PartitionSpec, laplacian
 
 MET_VIOLATION_TOL = 1e-4
 
@@ -185,13 +185,6 @@ def _sym_rows(n_rows: int, n: int, row, i, j, val) -> sp.csr_matrix:
     )
 
 
-def _objective(g: GraphInstance) -> np.ndarray:
-    """Half the weighted Laplacian, Diag(W e) / 2 - W / 2, summed from the halved weights:
-    the same bits as halving the Laplacian, but finite wherever the halved row sums are."""
-    half = 0.5 * g.W_adj
-    return np.diag(half.sum(axis=1)) - half
-
-
 def _keq_base(g: GraphInstance, k: int):
     # rows e_i e_i' (diag(X) = e), then (e_i e' + e e_i')/2 ((X e)_i = m)
     spec = KEquipartition.for_graph(g.n, k)
@@ -208,7 +201,7 @@ def build_keq_sdp(g: GraphInstance, k: int) -> SdpProblem:
     """Equipartition relaxation: diag(X) = e, X e = m e, X PSD, free box."""
     spec, A, b = _keq_base(g, k)
     tag = ProblemTag("keq", "sdp", m=spec.m)
-    return SdpProblem(n=g.n, C=_objective(g), A=A, b=b, tag=tag)
+    return SdpProblem(n=g.n, C=laplacian(g, 0.5), A=A, b=b, tag=tag)
 
 
 def build_keq_dnn(g: GraphInstance, k: int) -> SdpProblem:
@@ -216,7 +209,7 @@ def build_keq_dnn(g: GraphInstance, k: int) -> SdpProblem:
     spec, A, b = _keq_base(g, k)
     tag = ProblemTag("keq", "dnn", m=spec.m)
     return SdpProblem(
-        n=g.n, C=_objective(g), A=A, b=b,
+        n=g.n, C=laplacian(g, 0.5), A=A, b=b,
         box_lo=np.zeros((g.n, g.n)), tag=tag,
     )
 
@@ -238,7 +231,7 @@ def build_gpkc_sdp(g: GraphInstance, spec: Gpkc) -> SdpProblem:
     A, b, B, u = _gpkc_base(g, spec)
     tag = ProblemTag("gpkc", "sdp", capacity=spec.W, min_weight=float(spec.a.min()))
     return SdpProblem(
-        n=g.n, C=_objective(g), A=A, b=b,
+        n=g.n, C=laplacian(g, 0.5), A=A, b=b,
         B=B, l=np.full(g.n, -np.inf), u=u, tag=tag,
     )
 
@@ -255,7 +248,7 @@ def build_gpkc_dnn(g: GraphInstance, spec: Gpkc) -> SdpProblem:
     np.fill_diagonal(conflict, False)
     tag = ProblemTag("gpkc", "dnn", capacity=spec.W, min_weight=float(spec.a.min()))
     return SdpProblem(
-        n=g.n, C=_objective(g), A=A, b=b,
+        n=g.n, C=laplacian(g, 0.5), A=A, b=b,
         B=B, l=spec.a.copy(), u=u,
         box_lo=np.zeros((g.n, g.n)),
         box_hi=np.where(conflict, 0.0, np.inf) if conflict.any() else None, tag=tag,

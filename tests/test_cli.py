@@ -143,6 +143,16 @@ class TestSolve:
         assert "diverged" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_degree_exits_malformed(self, tmp_path, capsys):
+        big = tmp_path / "big.gp"
+        big.write_text("gp 4 3\ne 1 2 1.5e308\ne 1 3 1.5e308\ne 1 4 1.5e308\n")
+        out = tmp_path / "solve.csv"
+        code = main(["solve", "--instance", str(big), "--problem", "keq", "--k", "2",
+                     "--out", str(out)])
+        assert code == 3
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("body", [
         "gp 3 1\ne 2 3 inf\n",
         "gp 3 1\ne 1 2 nan\n",
@@ -295,24 +305,6 @@ class TestHeur:
         lib = vc_plus_two_opt(g, X, KEquipartition.for_graph(30, 3), samples=2,
                               time_limit=float("inf"), seed=6)
         assert printed == float(f"{lib.ub:.6f}")
-
-    @pytest.mark.parametrize("body, flags", [
-        ({"rule": "classic", "sigma0": 0.5}, []),
-        ({}, ["--rule", "classic", "--sigma0", "0.5"]),
-    ], ids=["config", "flags"])
-    def test_stepsize_settings_reach_the_solve(self, k8_file, tmp_path, monkeypatch,
-                                               body, flags):
-        from gpbound import admm
-
-        seen = []
-        real_solve = admm.solve
-        monkeypatch.setattr(admm, "solve",
-                            lambda p, prm, *a, **kw: seen.append(prm) or real_solve(p, prm, *a, **kw))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(body))
-        assert main(["heur", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
-                     "--samples", "5", "--config", str(cfg), *flags]) == 0
-        assert [(prm.rule, prm.sigma0) for prm in seen] == [("classic", 0.5)]
 
     @pytest.mark.parametrize("method", ["hyp", "hyp+2opt"])
     def test_hyperplane_refuses_knapsack(self, gpkc_file, method, capsys):

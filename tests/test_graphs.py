@@ -59,6 +59,15 @@ class TestLaplacian:
             assert lam_min >= -1e-8 * np.linalg.norm(L)
             assert np.allclose(L.sum(axis=1), 0.0)
 
+    def test_scale_halves_the_bits_and_keeps_large_sums_finite(self):
+        g = gen_rand_graph(9, 0.5, 3)
+        assert np.array_equal(laplacian(g, 0.5), 0.5 * laplacian(g))
+        W = np.array([[0.0, 1e308, 0.0], [1e308, 0.0, 1e308], [0.0, 1e308, 0.0]])
+        big = GraphInstance(n=3, W_adj=W)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(laplacian(big)).all()
+        assert laplacian(big, 0.5)[1, 1] == 1e308
+
 
 class TestCutValue:
     def test_k4_bisection(self):
@@ -254,6 +263,16 @@ class TestInstanceIO:
         with pytest.raises(InstanceFormatError, match="finite") as err:
             read_instance(f)
         assert err.value.line == line
+
+    def test_overflowing_degree_rejected(self, tmp_path):
+        # 4.5e308 / 2 is past the largest float; 2e308 / 2 is not
+        f = tmp_path / "big.gp"
+        f.write_text("gp 4 3\ne 1 2 1.5e308\ne 1 3 1.5e308\ne 1 4 1.5e308\n")
+        with pytest.raises(InstanceFormatError, match="vertex 1 overflows"):
+            read_instance(f)
+        f.write_text("gp 3 2\ne 1 2 1e308\ne 2 3 1e308\n")
+        g, _ = read_instance(f)
+        assert g.W_adj[1, 2] == 1e308
 
 
 class TestSpecTypes:
