@@ -19,8 +19,9 @@ min(n, W / min(a)) for the knapsack DNN and n for the knapsack SDP). A knapsack
 DNN solve that did not converge to ``GPKC_EIG_ACCURACY`` falls back to the LP
 route, which is much stronger at loose caps. Eigenvalues are charged less a
 margin for rounding, in ``eigvalsh`` (n * eps * ||Zc||_F) and in forming Zc,
-and the dual value less a bound on its summation error, so the bound holds in
-floating point (Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 2007).
+and the dual value and the charge each less a bound on their own summation
+error, so the bound holds in floating point (Jansson, Chaykin & Keil, SIAM J.
+Numer. Anal. 2007).
 ``cutting_loop`` is the one solve-then-certify loop: one round for the SDP and
 the DNN, rounds of violated triangle cuts for DNN+MET.
 """
@@ -150,8 +151,10 @@ def eig_lower_bound(p: SdpProblem, approx: AdmmState, xbar: float,
     multipliers). Rebuilding (rather than trusting the solver's projected PSD
     matrix) is what keeps the bound safe at loose stopping tolerances. Each
     computed eigenvalue is lowered by ``n * eps * ||Zc||_F`` (for ``eigvalsh``)
-    plus the Zc margin of ``_rounding_margins``, and the dual value by its d0
-    margin, since the exact values lie no further away than that.
+    plus the Zc margin of ``_rounding_margins``, the dual value by its d0 margin,
+    and the charge by a doubled Higham bound on its own sums and products, since
+    the exact values lie no further away than that. ``perturbation`` is the
+    charge after its margin.
     """
     if xbar <= 0:
         raise ValueError("xbar must be positive")
@@ -165,7 +168,11 @@ def eig_lower_bound(p: SdpProblem, approx: AdmmState, xbar: float,
     zc_err, d0_err = _rounding_margins(p, y, v_c, S_c)
     margin = p.n * np.finfo(float).eps * np.linalg.norm(Zc) + zc_err
     evals = np.linalg.eigvalsh(0.5 * (Zc + Zc.T)) - margin
-    perturbation = _spectral_charge(evals, xbar, trace)
+    charge = _spectral_charge(evals, xbar, trace)
+    # every product in the charge is <= 0, so |charge| is the sum of their absolute
+    # values; it takes at most (number of negative evals) + 3 roundings, doubled
+    # like the margins of _rounding_margins
+    perturbation = charge - 2.0 * _gamma(int((evals < 0).sum()) + 3) * abs(charge)
     return BoundCertificate(value=d0 - d0_err + perturbation, method="eig",
                             perturbation=perturbation, xbar=xbar, clamp=mag)
 

@@ -1,10 +1,15 @@
 """Feasible partitions from relaxation solutions.
 
 Rounding is randomized but fully reproducible: every entry point accepts a seed
-or generator, ties break toward the lowest vertex index, and time limits are
-only checked between samples or pairwise passes, never inside one. Samplers
-draw label vectors (``labels[v]`` is the group of v, -1 while unassigned);
-only the best one becomes a validated ``Partition``.
+or generator, and ties break toward the lowest vertex index. Samplers draw label
+vectors (``labels[v]`` is the group of v, -1 while unassigned) in chunks, one
+``(c, n)`` label matrix at a time, and score each chunk with one matrix product;
+only the best sample becomes a validated ``Partition``. The first chunk holds one
+sample, later ones at most ``CHUNK_BUDGET`` label-by-group entries (or one
+sample's, if that is more). A chunk draws the same random stream, in the same
+order, as drawing its samples one by one, so results do not depend on the chunk
+size. Time limits are only checked between chunks or pairwise passes, never
+inside one.
 """
 from __future__ import annotations
 
@@ -16,6 +21,7 @@ import numpy as np
 from .graphs import GraphInstance, Gpkc, KEquipartition, Partition, PartitionSpec, cut_value
 
 EPS_GAIN = 1e-9
+CHUNK_BUDGET = 2 ** 16   # label-by-group entries per chunk array (512 KB of floats)
 
 
 @dataclass(frozen=True)
@@ -40,32 +46,47 @@ def gram_factor(X: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.maximum(vals, 0.0))
 
 
+def _twice_cuts(W: np.ndarray, total: float, labels: np.ndarray, groups: int) -> np.ndarray:
+    """Twice the cut of every row of a ``(c, n)`` label matrix, as total weight minus
+    within-group weight, read off one product ``W @ onehot`` with c * groups columns."""
+    c, n = labels.shape
+    rows = np.arange(n)
+    cols = labels + groups * np.arange(c)[:, None]
+    onehot = np.zeros((n, c * groups))
+    onehot[rows, cols] = 1.0
+    return total - (W @ onehot)[rows, cols].sum(axis=1)
+
+
 def _best_of_samples(g: GraphInstance, draw, samples: int, time_limit: float | None,
                      t0: float, method: str) -> HeuristicResult:
-    """Lowest-cut partition over up to ``samples`` label vectors from ``draw()``.
+    """Lowest-cut partition over up to ``samples`` label vectors from ``draw(c)``.
 
-    A sample is scored as total weight minus within-group weight, read off
-    ``W @ onehot(labels)``; the first strict minimum wins and is the one sample
-    turned into a ``Partition``, whose ``cut_value`` is the reported ub. The time
-    limit counts from ``t0`` and is checked between samples, after the first
-    one, so at least one sample is always drawn.
+    ``draw(c)`` returns the next c samples as a ``(c, n)`` label matrix. The first
+    chunk holds one sample; later ones hold as many as keep the scoring arrays
+    within ``CHUNK_BUDGET`` entries for the group count last drawn, and a chunk
+    that drew more groups is scored in slices that do. Samples are scored by
+    ``_twice_cuts``; the first strict minimum wins and is the one sample turned
+    into a ``Partition``, whose ``cut_value`` is the reported ub. The time limit
+    counts from ``t0`` and is checked between chunks, after the first one, so at
+    least one sample is always drawn.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     W = g.W_adj
     total = W.sum()
-    rows = np.arange(g.n)
-    best, best_val, used = None, np.inf, 0
-    for _ in range(samples):
-        if time_limit is not None and time.perf_counter() - t0 > time_limit and used:
+    best, best_val, used, chunk = None, np.inf, 0, 1
+    while used < samples:
+        if used and time_limit is not None and time.perf_counter() - t0 > time_limit:
             break
-        labels = draw()
-        onehot = np.zeros((g.n, labels.max() + 1))
-        onehot[rows, labels] = 1.0
-        val = total - (W @ onehot)[rows, labels].sum()  # twice the cut
-        used += 1
-        if val < best_val:
-            best, best_val = labels, val
+        labels = draw(min(chunk, samples - used))
+        groups = int(labels.max()) + 1
+        chunk = max(1, CHUNK_BUDGET // (g.n * groups))
+        for lo in range(0, len(labels), chunk):
+            vals = _twice_cuts(W, total, labels[lo:lo + chunk], groups)
+            i = int(np.argmin(vals))
+            if vals[i] < best_val:
+                best, best_val = labels[lo + i].copy(), vals[i]
+        used += len(labels)
     partition = Partition.from_assignment(best)
     return HeuristicResult(partition, cut_value(g, partition), used,
                            time.perf_counter() - t0, method)
@@ -79,10 +100,16 @@ def hyperplane_transform(X: np.ndarray, k: int) -> np.ndarray:
     return (k * X - np.ones((n, n))) / (k - 1)
 
 
-def _top_unassigned(scores: np.ndarray, unassigned: np.ndarray, count: int) -> np.ndarray:
-    # stable sort on the ascending index list makes ties pick the lowest vertex
-    order = np.argsort(-scores[unassigned], kind="stable")
-    return unassigned[order[:count]]
+def _fill_smallest(labels: np.ndarray, key: np.ndarray, count: int, t: int) -> None:
+    """Put, in every row of ``labels``, the ``count`` unassigned entries with the
+    smallest ``key`` into group t; ties at the count-th value go to the lowest index."""
+    key = np.where(labels < 0, key, np.inf)
+    kth = np.take_along_axis(key, np.argpartition(key, count - 1, axis=1)[:, count - 1:count],
+                             axis=1)
+    below = key < kth
+    tied = key == kth
+    need = count - below.sum(axis=1, keepdims=True)
+    labels[below | (tied & (np.cumsum(tied, axis=1) <= need))] = t
 
 
 def hyperplane_round(
@@ -98,10 +125,11 @@ def hyperplane_round(
     """Randomized hyperplane rounding.
 
     The relaxation solution is recentred onto the +-1 geometry and factored once;
-    each sample draws an n-by-k score matrix r and fills the groups greedily,
+    each sample draws an n-by-k direction matrix r and fills the groups greedily,
     group t taking the m unassigned vertices with the largest v_i . r_t. The
-    default draws r uniformly on (0, 1); ``distribution="gaussian"`` switches to
-    standard normal directions.
+    default draws r uniformly on [0, 1); ``distribution="gaussian"`` switches to
+    standard normal directions. A chunk of c samples draws r as one (c, n, k)
+    array, the same stream as c draws of (n, k).
     """
     n = g.n
     if m is None:
@@ -114,12 +142,14 @@ def hyperplane_round(
     t0 = time.perf_counter()
     V = gram_factor(hyperplane_transform(X, k))
 
-    def draw() -> np.ndarray:
-        r = rng.random((n, k)) if distribution == "uniform" else rng.normal(size=(n, k))
-        scores = V @ r
-        labels = np.full(n, -1)
-        for t in range(k):
-            labels[_top_unassigned(scores[:, t], np.flatnonzero(labels < 0), m)] = t
+    def draw(c: int) -> np.ndarray:
+        shape = (c, n, k)
+        r = rng.random(shape) if distribution == "uniform" else rng.normal(size=shape)
+        scores = np.matmul(V, r)   # one product per sample, each equal to V @ r[s]
+        labels = np.full((c, n), -1)
+        for t in range(k - 1):
+            _fill_smallest(labels, -scores[:, :, t], m, t)
+        labels[labels < 0] = k - 1
         return labels
 
     return _best_of_samples(g, draw, samples, time_limit, t0, "Hyp")
@@ -135,7 +165,12 @@ def vc_round_keq(
     seed=None,
 ) -> HeuristicResult:
     """Vector clustering: seed a group at a random vertex, pull in its m-1 nearest
-    unassigned neighbours under the similarity sim(i, j) = x_i . x_j (rows of X)."""
+    unassigned neighbours under the similarity sim(i, j) = x_i . x_j (rows of X).
+
+    Group t opens at the pick-th unassigned vertex in index order, pick uniform
+    below n - t m; a chunk of c samples draws its c * k picks at once, in the order
+    the samples would draw them one by one.
+    """
     n = g.n
     if m is None:
         m = n // k
@@ -144,14 +179,20 @@ def vc_round_keq(
     rng = _rng(seed)
     t0 = time.perf_counter()
     sim = X @ X
+    if not np.isfinite(sim).all():   # a non-finite key would tie with assigned vertices
+        raise ValueError("relaxation solution gives non-finite similarities")
+    highs = n - m * np.arange(k)
 
-    def draw() -> np.ndarray:
-        labels = np.full(n, -1)
-        for t in range(k):
-            unassigned = np.flatnonzero(labels < 0)
-            i = unassigned[rng.integers(unassigned.size)]
-            labels[i] = t
-            labels[_top_unassigned(sim[i], unassigned[unassigned != i], m - 1)] = t
+    def draw(c: int) -> np.ndarray:
+        picks = rng.integers(np.broadcast_to(highs, (c, k)))
+        labels = np.full((c, n), -1)
+        rows = np.arange(c)
+        for t in range(k - 1):
+            opener = np.argmax(np.cumsum(labels < 0, axis=1) > picks[:, t:t + 1], axis=1)
+            labels[rows, opener] = t
+            if m > 1:
+                _fill_smallest(labels, -sim[opener], m - 1, t)
+        labels[labels < 0] = k - 1
         return labels
 
     return _best_of_samples(g, draw, samples, time_limit, t0, "Vc")
@@ -169,30 +210,37 @@ def vc_round_gpkc(
     """Capacity-aware vector clustering; the group count is an output.
 
     Groups open at a random unassigned vertex and scan the remaining vertices in
-    decreasing similarity order, keeping every one whose weight still fits.
+    decreasing similarity order, keeping every one whose weight still fits. Each
+    sample's draws depend on its own packing, so samples are drawn one at a time
+    and stacked into chunks; the similarity orders (stable, so ties keep the
+    lowest index first) are sorted once per call and filtered to the unassigned
+    vertices.
     """
     n = g.n
     a = np.asarray(a, dtype=float)
     rng = _rng(seed)
     t0 = time.perf_counter()
-    sim = X @ X
+    order = np.argsort(-(X @ X), axis=1, kind="stable")
 
-    def draw() -> np.ndarray:
+    def draw_one() -> np.ndarray:
         labels = np.full(n, -1)
         t = 0
         while (unassigned := np.flatnonzero(labels < 0)).size:
             i = unassigned[rng.integers(unassigned.size)]
-            rest = unassigned[unassigned != i]
+            labels[i] = t
+            rest = order[i][labels[order[i]] < 0]
             group = [i]
             weight = float(a[i])
-            order = rest[np.argsort(-sim[i][rest], kind="stable")]
-            for j, aj in zip(order.tolist(), a[order].tolist()):
+            for j, aj in zip(rest.tolist(), a[rest].tolist()):
                 if weight + aj <= W_cap:
                     group.append(j)
                     weight += aj
             labels[group] = t
             t += 1
         return labels
+
+    def draw(c: int) -> np.ndarray:
+        return np.stack([draw_one() for _ in range(c)])
 
     return _best_of_samples(g, draw, samples, time_limit, t0, "Vc")
 

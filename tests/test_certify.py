@@ -269,6 +269,16 @@ class TestRoundingMargins:
         assert self.naive_value(p, st, 2.0, 2.0) > exact
         assert Fraction(eig_lower_bound(p, st, xbar=2.0, trace=2.0).value) <= exact
 
+    def test_summing_the_charge(self):
+        # Zc = Diag(-1, -1e-16, -1e-16, -1e-16) is formed exactly; each -1e-16 is
+        # lost against -1 in the running sum, so the naive charge is -1 where the
+        # exact one is -1 - 3e-16
+        p = diag_problem([-1.0, -1e-16, -1e-16, -1e-16])
+        st = state_with(p, y=np.zeros(4))
+        exact = self.exact_value(p, st, 1.0, 4.0)
+        assert self.naive_value(p, st, 1.0, 4.0) > exact
+        assert Fraction(eig_lower_bound(p, st, xbar=1.0, trace=4.0).value) <= exact
+
     def test_forming_the_dual_value(self):
         # b'y = -BIG + 1 rounds up to -BIG + 2; Zc = Diag(4, 4) is formed exactly
         A = diag_problem([0.0, 0.0]).A

@@ -1,7 +1,9 @@
+import types
+
 import numpy as np
 import pytest
 
-from gpbound import oracle
+from gpbound import oracle, rounding
 from gpbound.graphs import (
     Gpkc,
     GraphInstance,
@@ -13,7 +15,6 @@ from gpbound.graphs import (
 )
 from gpbound.rounding import (
     _rng,
-    _top_unassigned,
     gram_factor,
     hyp_plus_two_opt,
     hyperplane_round,
@@ -125,6 +126,14 @@ class TestVcKeq:
             A = rng.normal(size=(8, 8))
             res = vc_round_keq(g, A @ A.T, k=4, samples=2, seed=trial)
             assert all(s == 2 for s in res.partition.sizes())
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_similarity_rejected(self, bad):
+        X = np.eye(6)
+        X[1, 4] = X[4, 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            vc_round_keq(gen_rand_graph(6, 0.5, 3), X, k=3, samples=2, seed=0)
 
 
 class TestVcGpkc:
@@ -268,9 +277,16 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------- reference samplers
-# Reference samplers that build and validate a Partition for every sample and
-# score it by cut_value. The library scores label vectors instead and must match
-# them bit for bit on integer-weight graphs.
+# Reference samplers that draw one sample at a time, build and validate a
+# Partition for every sample and score it by cut_value. The library draws and
+# scores label vectors in chunks instead and must match them bit for bit on
+# integer-weight graphs.
+
+def _top_unassigned(scores: np.ndarray, unassigned: np.ndarray, count: int) -> np.ndarray:
+    # stable sort on the ascending index list makes ties pick the lowest vertex
+    order = np.argsort(-scores[unassigned], kind="stable")
+    return unassigned[order[:count]]
+
 
 def _reference_best(g, draw, samples):
     best, best_val, used = None, np.inf, 0
@@ -473,3 +489,132 @@ class TestLabelVectorSampling:
         for call in calls:
             with pytest.raises(ValueError, match="samples must be at least 1"):
                 call()
+
+
+CHUNK = 4   # samples per chunk after the first, with CHUNK_BUDGET patched below
+
+
+def patch_budget(monkeypatch, n, groups, chunk=CHUNK):
+    monkeypatch.setattr(rounding, "CHUNK_BUDGET", chunk * n * groups)
+
+
+def keq_cases(g, X, spec, samples, seed):
+    """(library result, reference (partition, ub, samples)) for every keq sampler."""
+    k = spec.k
+    return [
+        (hyperplane_round(g, X, k, samples=samples, seed=seed),
+         reference_hyperplane(g, X, k, samples, _rng(seed))),
+        (hyperplane_round(g, X, k, samples=samples, seed=seed, distribution="gaussian"),
+         reference_hyperplane(g, X, k, samples, _rng(seed), "gaussian")),
+        (vc_round_keq(g, X, k, samples=samples, seed=seed),
+         reference_vc_keq(g, X, k, samples, _rng(seed))),
+        (vc_plus_two_opt(g, X, spec, samples=samples, seed=seed),
+         reference_plus_two_opt(g, X, spec, "vc", seed, samples)),
+        (hyp_plus_two_opt(g, X, spec, samples=samples, seed=seed),
+         reference_plus_two_opt(g, X, spec, "hyp", seed, samples)),
+    ]
+
+
+def gpkc_cases(g, X, spec, samples, seed):
+    return [
+        (vc_round_gpkc(g, X, spec.a, spec.W, samples=samples, seed=seed),
+         reference_vc_gpkc(g, X, spec.a, spec.W, samples, _rng(seed))),
+        (vc_plus_two_opt(g, X, spec, samples=samples, seed=seed),
+         reference_plus_two_opt(g, X, spec, "vc", seed, samples)),
+    ]
+
+
+def assert_matches(cases):
+    for res, (part, ub, used) in cases:
+        assert (res.partition.groups, res.ub, res.samples_used) == (part.groups, ub, used)
+
+
+class TestChunkedSampling:
+    """Chunks of a few samples, with ``CHUNK_BUDGET`` patched small."""
+
+    @pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_every_chunk_boundary_matches_reference(self, monkeypatch, samples):
+        g = gen_rand_graph(24, 0.5, samples)
+        X = tied_relaxation(24, samples)
+        patch_budget(monkeypatch, 24, 3)
+        assert_matches(keq_cases(g, X, KEquipartition.for_graph(24, 3), samples, samples))
+        g, spec = gen_gpkc_instance(24, 0.5, 3, samples)
+        patch_budget(monkeypatch, 24, 4)
+        assert_matches(gpkc_cases(g, X, spec, samples, samples))
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_singleton_groups(self, monkeypatch, chunk):
+        # m = 1 (k = n): every group is its opener alone
+        g = gen_rand_graph(6, 0.5, chunk)
+        X = tied_relaxation(6, chunk)
+        patch_budget(monkeypatch, 6, 6, chunk)
+        assert_matches(keq_cases(g, X, KEquipartition.for_graph(6, 6), 7, chunk))
+
+    def test_time_limit_is_checked_between_chunks(self, monkeypatch):
+        # a clock that ticks once per reading: t0 = 0, then 1, 2, 3 before chunks
+        # 2, 3 and 4, so a limit of 2.5 stops after chunk 3
+        g = gen_rand_graph(24, 0.5, 3)
+        X = tied_relaxation(24, 3)
+        gk, spec = gen_gpkc_instance(24, 0.5, 3, 3)
+        patch_budget(monkeypatch, 24, 3)
+        calls = [
+            (g, lambda: hyperplane_round(g, X, 3, samples=50, time_limit=2.5, seed=1),
+             lambda used: reference_hyperplane(g, X, 3, used, _rng(1))),
+            (g, lambda: vc_round_keq(g, X, 3, samples=50, time_limit=2.5, seed=1),
+             lambda used: reference_vc_keq(g, X, 3, used, _rng(1))),
+            (gk, lambda: vc_round_gpkc(gk, X, spec.a, spec.W, samples=50, time_limit=2.5, seed=1),
+             lambda used: reference_vc_gpkc(gk, X, spec.a, spec.W, used, _rng(1))),
+        ]
+        used = []
+        for graph, call, reference in calls:
+            ticks = iter(range(100))
+            monkeypatch.setattr(rounding, "time",
+                                types.SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+            res = call()
+            assert 1 <= res.samples_used < 50
+            assert res.ub == cut_value(graph, res.partition)
+            part, ub, n_used = reference(res.samples_used)
+            assert (res.partition.groups, res.ub, res.samples_used) == (part.groups, ub, n_used)
+            used.append(res.samples_used)
+        assert used[:2] == [1 + 2 * CHUNK] * 2
+
+    @pytest.mark.parametrize("per_sample", [0.5, 5.3])
+    def test_chunk_arrays_stay_within_the_budget(self, monkeypatch, per_sample):
+        # a budget of half a sample's n * groups entries, and of a few samples
+        n, k = 24, 3
+        budget = int(per_sample * n * k)
+        monkeypatch.setattr(rounding, "CHUNK_BUDGET", budget)
+        drawn, scored = [], []
+        best_of_samples, twice_cuts = rounding._best_of_samples, rounding._twice_cuts
+
+        def spy_best(g, draw, *args):
+            def spied(c):
+                labels = draw(c)
+                drawn.append((labels.shape, int(labels.max()) + 1))
+                return labels
+            return best_of_samples(g, spied, *args)
+
+        def spy_cuts(W, total, labels, groups):
+            scored.append((labels.shape, groups))
+            return twice_cuts(W, total, labels, groups)
+
+        monkeypatch.setattr(rounding, "_best_of_samples", spy_best)
+        monkeypatch.setattr(rounding, "_twice_cuts", spy_cuts)
+        g = gen_rand_graph(n, 0.5, 5)
+        X = tied_relaxation(n, 5)
+        gk, spec = gen_gpkc_instance(n, 0.5, 3, 5)
+        for call in (lambda: hyperplane_round(g, X, k, samples=30, seed=2),
+                     lambda: vc_round_keq(g, X, k, samples=30, seed=2),
+                     lambda: vc_round_gpkc(gk, X, spec.a, spec.W, samples=30, seed=2)):
+            drawn.clear()
+            scored.clear()
+            assert call().samples_used == 30
+            assert sum(c for (c, _), _ in drawn) == sum(c for (c, _), _ in scored) == 30
+            assert drawn[0][0][0] == 1
+            for (c, width), groups in scored:
+                assert c * width * groups <= max(budget, width * groups)
+            for (c, width), groups in drawn[1:]:
+                # a chunk is sized from the groups of the chunk before it
+                assert c * width <= max(budget, width * groups)
+            if per_sample < 1:
+                assert len(drawn) == 30
