@@ -8,14 +8,24 @@ interval-dual v by closed-form interval projections, Z and the primal X from a
 single eigendecomposition, and the primal slack s; the complementarity
 <X, Z> = 0 holds by construction in every iteration.
 
+The matrix multiplier moves by a step of ``PRIMAL_STEP`` = 1.6: the sweep keeps
+Xt <- (1 - 1.6) Xt + 1.6 X beside X and forms the next sweep's X / sigma from Xt.
+Wen, Goldfarb & Yin (Math. Prog. Comp. 2, 2010) prove convergence for any step in
+(0, (1 + sqrt(5)) / 2). Every other reader of the primal matrix (residuals, the
+stepsize rules, the callback, the returned state, warm starts, certificates and
+rounding) sees the projection X, which stays PSD and complementary to Z. Keq
+DNNs at n = 200 and 300 converge in 80-90 sweeps instead of 110-120; knapsack
+DNNs save less (BENCH_relaxed_step.json). Stepping the slack s too saved 0.2% of
+the sweeps, and stepping X in place would leave it neither PSD nor
+complementary to Z.
+
 Apart from that eigendecomposition, a sweep is kept to a few passes over n x n
-arrays. It forms X / sigma once for both the multiplier right-hand side and
-the matrix that is split, and it forms the adjoint A*(y) + B*(ybar) once and
-returns it, so :func:`residuals` does not form it again. The triangular solves
-read the cached factor in place. The PSD/NSD product is formed from the smaller
-side of the spectrum (see :func:`gpbound.symm.psd_split`). Box clips use
-scalar bounds when the box is uniform, as every builder's box is except a
-knapsack DNN with conflict pairs.
+arrays. It forms Xt / sigma once for both the multiplier right-hand side and
+the matrix that is split, and it forms the adjoint A*(y) + B*(ybar) once. The
+triangular solves read the cached factor in place. The PSD/NSD product is formed
+from the smaller side of the spectrum (see :func:`gpbound.symm.psd_split`). Box
+clips use scalar bounds when the box is uniform, as every builder's box is except
+a knapsack DNN with conflict pairs.
 
 The five residuals cost about as much as the multiplier solve, and neither
 stepsize rule needs them after every sweep, so :func:`solve` evaluates them only
@@ -51,6 +61,9 @@ SIGMA_HI = 1e6
 CHECK_EVERY = 10
 CLASSIC_RATIO = 5.0
 CLASSIC_SCALE = 1.1
+# step of the matrix multiplier: Xt <- (1 - PRIMAL_STEP) Xt + PRIMAL_STEP sigma P_psd(N);
+# the ADMM converges for any step in (0, (1 + sqrt(5)) / 2) (module docstring)
+PRIMAL_STEP = 1.6
 # sweeps of the norm-ratio opening that "auto" runs before the classic rule (module docstring)
 OPENING_SWEEPS = 100
 
@@ -73,6 +86,11 @@ class DependentRowsError(ValueError):
 
 @dataclass
 class AdmmState:
+    """An iterate. ``X`` is the projection sigma P_psd(N) of the last sweep, which every
+    reader of the primal matrix sees; ``Xt`` is the stepped multiplier the next sweep
+    starts from, and it is ``X`` itself unless given. Sweeps rebind both and write into
+    neither, so they may share one array."""
+
     X: np.ndarray
     s: np.ndarray
     y: np.ndarray
@@ -82,6 +100,11 @@ class AdmmState:
     v: np.ndarray
     sigma: float
     iter: int = 0
+    Xt: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.Xt is None:
+            self.Xt = self.X
 
     @classmethod
     def zeros(cls, problem: SdpProblem, sigma: float) -> "AdmmState":
@@ -95,7 +118,7 @@ class AdmmState:
         return AdmmState(
             X=self.X.copy(), s=self.s.copy(), y=self.y.copy(), ybar=self.ybar.copy(),
             Z=self.Z.copy(), S=self.S.copy(), v=self.v.copy(),
-            sigma=self.sigma, iter=self.iter,
+            sigma=self.sigma, iter=self.iter, Xt=self.Xt.copy(),
         )
 
 
@@ -157,35 +180,35 @@ def update_y(state: AdmmState, factor: NormalFactor, problem: SdpProblem,
              x_sigma: np.ndarray | None = None):
     """Multiplier update: solve the cached normal system at the current iterate.
 
-    Expects the state as left by the previous sweep (S, Z, X, v, s current);
-    ``x_sigma`` is X / sigma when the caller has it already.
+    Expects the state as left by the previous sweep (S, Z, Xt, v, s current);
+    ``x_sigma`` is Xt / sigma when the caller has it already.
     """
     sigma = state.sigma
     W0 = state.S + state.Z
     W0 -= problem.C
-    W0 += state.X / sigma if x_sigma is None else x_sigma
+    W0 += state.Xt / sigma if x_sigma is None else x_sigma
     rhs_top = problem.b / sigma - problem.eq_apply(W0)
     rhs_bot = -problem.ineq_apply(W0) + state.v + state.s / sigma
     yy = factor.solve(np.concatenate([rhs_top, rhs_bot]))
     return yy[: factor.m], yy[factor.m :]
 
 
-def sweep(state: AdmmState, factor: NormalFactor, problem: SdpProblem) -> np.ndarray:
-    """One three-block sweep, in place: (y, ybar), then S, then Z, v, X and s.
+def sweep(state: AdmmState, factor: NormalFactor, problem: SdpProblem) -> None:
+    """One three-block sweep, in place: (y, ybar), then S, then Z, v, X, Xt and s.
 
     S is the box-dual interval projection, Z and X come from one eigenvalue
-    split of N = A*(y) + B*(ybar) + S + X/sigma - C (X = sigma * P_psd(N),
-    Z = -P_nsd(N)), and the slack s and its dual v from clipping
-    t = s - sigma * ybar to the slack interval. Returns the adjoint
-    A*(y) + B*(ybar) it formed, which :func:`residuals` takes as ``adj``.
-    Raises :class:`SolverDivergedError` before the eigendecomposition if N is
-    not finite, and if the eigendecomposition fails.
+    split of N = A*(y) + B*(ybar) + S + Xt/sigma - C (X = sigma * P_psd(N),
+    Z = -P_nsd(N)), the stepped multiplier is Xt <- (1 - PRIMAL_STEP) Xt +
+    PRIMAL_STEP X, and the slack s and its dual v come from clipping
+    t = s - sigma * ybar to the slack interval. X stays PSD with <X, Z> = 0; only
+    the next sweep reads Xt. Raises :class:`SolverDivergedError` before the
+    eigendecomposition if N is not finite, and if the eigendecomposition fails.
     """
     sigma = state.sigma
-    x_sigma = state.X / sigma
+    x_sigma = state.Xt / sigma
     state.y, state.ybar = update_y(state, factor, problem, x_sigma)
     adj = problem.adjoint(state.y, state.ybar)
-    # M = A*(y) + B*(ybar) + Z + X/sigma - C, summed into X/sigma's buffer; addition
+    # M = A*(y) + B*(ybar) + Z + Xt/sigma - C, summed into Xt/sigma's buffer; addition
     # commutes exactly, so the bits are those of the left-to-right sum
     M = x_sigma
     M += adj + state.Z
@@ -206,21 +229,21 @@ def sweep(state: AdmmState, factor: NormalFactor, problem: SdpProblem) -> np.nda
     state.Z = np.negative(neg, out=neg)
     pos *= sigma
     state.X = pos
+    # Xt + PRIMAL_STEP (X - Xt), formed in N's buffer, which the split left unused
+    np.subtract(pos, state.Xt, out=N)
+    N *= PRIMAL_STEP
+    N += state.Xt
+    state.Xt = N
     t = state.s - sigma * state.ybar
     state.s = problem.clip_slack(t)
     state.v = (state.s - t) / sigma
-    return adj
 
 
-def residuals(state: AdmmState, problem: SdpProblem,
-              adj: np.ndarray | None = None) -> ResidualRecord:
-    """The five normalized infeasibility / optimality measures of the iterate.
-
-    ``adj`` is A*(y) + B*(ybar) at the state's multipliers, as :func:`sweep`
-    returns it; it is formed here when omitted.
-    """
+def residuals(state: AdmmState, problem: SdpProblem) -> ResidualRecord:
+    """The five normalized infeasibility / optimality measures of the iterate."""
     C, b = problem.C, problem.b
-    Rd = (problem.adjoint(state.y, state.ybar) if adj is None else adj) + state.Z
+    Rd = problem.adjoint(state.y, state.ybar)
+    Rd += state.Z
     Rd += state.S
     Rd -= C
     eps_dc = np.linalg.norm(Rd) / (1.0 + np.linalg.norm(C))
@@ -376,7 +399,7 @@ def _equilibrated(problem: SdpProblem):
 def _check_start(start: AdmmState) -> None:
     if not (np.isfinite(start.sigma) and start.sigma > 0):
         raise ValueError(f"start state sigma must be finite and positive, got {start.sigma!r}")
-    for name in ("X", "s", "y", "ybar", "Z", "S", "v"):
+    for name in ("X", "Xt", "s", "y", "ybar", "Z", "S", "v"):
         if not np.isfinite(getattr(start, name)).all():
             raise ValueError(f"start state {name} has non-finite entries")
 
@@ -401,10 +424,11 @@ def solve(
     produces one raises :class:`SolverDivergedError`.
 
     Under ``auto`` a warm start opens with the norm ratio too, although it discards the
-    sigma carried in ``start``: on cutting_loop's DNN+MET rounds at n = 60 (keq, k = 3,
-    densities 0.2/0.5/0.8, seeds 0/10/20/30) the warm rounds take 4880 sweeps with the
-    opening and 5870 without it. A few small ones take more with it (keq n = 12: 1010
-    against 640).
+    sigma carried in ``start``. On cutting_loop's DNN+MET rounds at n = 60 (keq, k = 3,
+    densities 0.2/0.5/0.8, seeds 0/10/20/30) the warm rounds took 4880 sweeps with the
+    opening and 5870 without it at a multiplier step of 1. At ``PRIMAL_STEP`` = 1.6 they
+    take 4690 with it and 4320 without it, and keq n = 12 takes 920 against 620, so the
+    opening no longer pays on warm starts (ROADMAP item 8).
     """
     prm = params or AdmmParams()
     t0 = time.perf_counter()
@@ -438,13 +462,12 @@ def solve(
     rec = residuals(unscaled_view(), problem)
 
     for k in range(1, prm.max_iter + 1):
-        adj = sweep(state, factor, work)
+        sweep(state, factor, work)
         state.iter = k
         check = k % CHECK_EVERY == 0 or k == prm.max_iter
         if check or callback is not None:
             view = unscaled_view()
-            rec = residuals(view, problem, adj)
-        del adj   # one n x n array less held through the next sweep's eigendecomposition
+            rec = residuals(view, problem)
         # every part of the state enters the numerator of some residual
         if check and not np.isfinite(rec.as_tuple()).all():
             raise SolverDivergedError(k, f"sigma={state.sigma:.3e}")

@@ -152,9 +152,10 @@ def eig_lower_bound(p: SdpProblem, approx: AdmmState, xbar: float,
     matrix) is what keeps the bound safe at loose stopping tolerances. Each
     computed eigenvalue is lowered by ``n * eps * ||Zc||_F`` (for ``eigvalsh``)
     plus the Zc margin of ``_rounding_margins``, the dual value by its d0 margin,
-    and the charge by a doubled Higham bound on its own sums and products, since
-    the exact values lie no further away than that. ``perturbation`` is the
-    charge after its margin.
+    the charge by a doubled Higham bound on its own sums and products, and the
+    final sum of those three by a doubled gamma_2 of their magnitudes, since the
+    exact values lie no further away than that. ``perturbation`` is the charge
+    after its margin.
     """
     if xbar <= 0:
         raise ValueError("xbar must be positive")
@@ -173,7 +174,10 @@ def eig_lower_bound(p: SdpProblem, approx: AdmmState, xbar: float,
     # values; it takes at most (number of negative evals) + 3 roundings, doubled
     # like the margins of _rounding_margins
     perturbation = charge - 2.0 * _gamma(int((evals < 0).sum()) + 3) * abs(charge)
-    return BoundCertificate(value=d0 - d0_err + perturbation, method="eig",
+    # the two additions of the final sum round too; same doubling
+    value = d0 - d0_err + perturbation
+    value -= 2.0 * _gamma(2) * (abs(d0) + d0_err + abs(perturbation))
+    return BoundCertificate(value=value, method="eig",
                             perturbation=perturbation, xbar=xbar, clamp=mag)
 
 

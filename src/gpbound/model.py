@@ -267,23 +267,41 @@ def build(g: GraphInstance, spec: PartitionSpec, relaxation: str) -> SdpProblem:
 def separate_met(X: np.ndarray, max_cuts: int) -> list[TriangleCut]:
     """Most violated transitivity inequalities, sorted by decreasing violation.
 
-    Scans all 3 * C(n, 3) inequalities X_ij + X_ir - X_jr <= 1 (apex i, pair j < r)
-    and keeps up to ``max_cuts`` with violation above ``MET_VIOLATION_TOL``.
+    Checks all 3 * C(n, 3) inequalities X_ij + X_ir - X_jr <= 1 (apex i, pair j < r)
+    and keeps up to ``max_cuts`` with violation above ``MET_VIOLATION_TOL``; ties
+    are ordered by (apex, left, right). Leg j at apex i can only be in a violated
+    one if X_ij + t_i - x_min - 1 > MET_VIOLATION_TOL, where t_i is the largest
+    leg at i and x_min the smallest off-diagonal entry, so each apex scans only the
+    block of such legs. Rounding is monotone, so that test, evaluated in the same
+    order with a few units of roundoff to spare, keeps every leg the full scan
+    would use.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if X.shape != (n, n):
         raise ValueError("X must be square")
+    if n < 3:
+        return []
+    off = X.copy()
+    np.fill_diagonal(off, np.nan)
+    # fmax/fmin skip NaN entries, which are in no violated inequality
+    top = np.fmax.reduce(off, axis=1)
+    x_min = np.fmin.reduce(off, axis=None)
+    spare = 8 * np.finfo(float).eps * (1.0 + np.fmax.reduce(np.abs(off), axis=None))
+    with np.errstate(invalid="ignore", over="ignore"):
+        legs = off + top[:, None] - x_min - 1.0 > MET_VIOLATION_TOL - spare
     apex, left, right, viol = [], [], [], []
     for i in range(n):
-        V = X[i][:, None] + X[i][None, :] - X - 1.0
+        J = np.flatnonzero(legs[i])   # ascending and without i, so j < r maps to J[j] < J[r]
+        if J.size < 2:
+            continue
+        xi = X[i, J]
+        V = xi[:, None] + xi[None, :] - X[np.ix_(J, J)] - 1.0
         jj, rr = np.nonzero(np.triu(V > MET_VIOLATION_TOL, k=1))
-        keep = (jj != i) & (rr != i)
-        jj, rr = jj[keep], rr[keep]
         if jj.size:
             apex.append(np.full(jj.size, i))
-            left.append(jj)
-            right.append(rr)
+            left.append(J[jj])
+            right.append(J[rr])
             viol.append(V[jj, rr])
     if not apex:
         return []
@@ -291,6 +309,11 @@ def separate_met(X: np.ndarray, max_cuts: int) -> list[TriangleCut]:
     left = np.concatenate(left)
     right = np.concatenate(right)
     viol = np.concatenate(viol)
+    if 0 < max_cuts < viol.size:
+        # sort only the max_cuts largest violations and every tie of the smallest
+        kth = np.partition(viol, viol.size - max_cuts)[viol.size - max_cuts]
+        keep = np.flatnonzero(viol >= kth)
+        apex, left, right, viol = apex[keep], left[keep], right[keep], viol[keep]
     order = np.lexsort((right, left, apex, -viol))[:max_cuts]
     return [
         TriangleCut(int(apex[t]), int(left[t]), int(right[t]), float(viol[t]))

@@ -278,18 +278,24 @@ class TestUpdatePrimal:
         assert np.allclose(st.X, 0.0, atol=1e-12)
 
     def test_complementarity_and_reconstruction(self):
+        # N is formed from the stepped multiplier Xt; X is its projection, and Xt
+        # moves toward X by PRIMAL_STEP
         rng = np.random.default_rng(6)
         p = diag_problem([1.0, -2.0, 0.3, 0.9])
         for _ in range(25):
             st = random_state(p, rng, sigma=float(rng.uniform(0.2, 3.0)))
+            st.Xt = random_state(p, rng).X
             new = swept(st, p)
             X, Z = new.X, new.Z
-            N = p.adjoint(new.y, new.ybar) + new.S + st.X / st.sigma - p.C
+            N = p.adjoint(new.y, new.ybar) + new.S + st.Xt / st.sigma - p.C
             nrm = np.linalg.norm(N)
             assert abs((X * Z).sum()) <= 1e-8 * max(1.0, np.linalg.norm(X) * np.linalg.norm(Z))
             assert np.linalg.norm(X / st.sigma - Z - N) <= 1e-10 * max(1.0, nrm)
             assert np.linalg.eigvalsh(X)[0] >= -1e-9 * max(1.0, nrm)
             assert np.linalg.eigvalsh(Z)[0] >= -1e-9 * max(1.0, nrm)
+            step = (1.0 - admm.PRIMAL_STEP) * st.Xt + admm.PRIMAL_STEP * X
+            assert np.linalg.norm(new.Xt - step) <= 1e-12 * max(1.0, np.linalg.norm(step))
+            assert np.array_equal(new.Xt, new.Xt.T)
 
     def test_slack_and_its_dual_follow_clip(self):
         p = ineq_toy_problem()
@@ -440,24 +446,30 @@ class TestSolve:
                 assert late <= early * (1.0 + 1e-9)
 
     def test_one_iteration_is_one_sweep(self):
-        # unit-norm rows leave the equilibrated copy equal to the problem itself
+        # unit-norm rows leave the equilibrated copy equal to the problem itself; the
+        # sweep starts from the start state's Xt, and the returned state carries the
+        # projection X as its Xt, so a warm start from it begins with Xt = X
+        rng = np.random.default_rng(12)
         p = diag_problem([1.0, -2.0, 0.3], box_lo=np.zeros((3, 3)))
-        st = random_state(p, np.random.default_rng(12), sigma=0.9)
+        st = random_state(p, rng, sigma=0.9)
+        st.Xt = random_state(p, rng).X
         res = solve(p, AdmmParams(max_iter=1, eps_tol=0.0), start=st)
         manual = swept(st, p)
         for name in ("y", "S", "Z", "X"):
             assert np.array_equal(getattr(res.state, name), getattr(manual, name)), name
         assert res.iterations == 1
+        assert np.array_equal(res.state.Xt, res.state.X)
+        assert np.array_equal(res.state.copy().Xt, res.state.X)
+        assert not np.array_equal(manual.Xt, manual.X)
 
     def test_callback_records_match_residuals(self):
-        # the solver hands residuals the adjoint its sweep formed on the row-scaled
-        # copy; the records must match the public definition recomputed from scratch
+        # the solver forms each record in the caller's coordinates, so the records
+        # equal the public definition recomputed from scratch, bit for bit
         def check(p, start=None):
             seen = []
 
             def cb(k, state, rec, primal, dual):
-                ref = residuals(state, p).as_tuple()
-                assert rec.as_tuple() == pytest.approx(ref, rel=1e-12, abs=0.0), k
+                assert rec == residuals(state, p), k
                 seen.append(k)
 
             res = solve(p, start=start, callback=cb)
@@ -519,8 +531,7 @@ class TestCheckCadence:
             assert res.status == "converged"
             assert res.iterations % admm.CHECK_EVERY == 0
             assert res.residuals.max_residual <= res.eps_tol
-            ref = residuals(res.state, p).as_tuple()
-            assert res.residuals.as_tuple() == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert res.residuals == residuals(res.state, p)
         capped = solve(cadence_problems()["keq"], AdmmParams(max_iter=23))
         assert capped.status == "iter_limit" and capped.iterations == 23
         assert np.isfinite(capped.residuals.as_tuple()).all()

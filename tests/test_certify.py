@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from gpbound import certify, oracle
-from gpbound.admm import AdmmParams, AdmmState, clamp_unbounded, solve
+from gpbound.admm import AdmmParams, AdmmState, clamp_unbounded, dual_objective, solve
 from gpbound.certify import (
     _spectral_charge,
     certify_bound,
@@ -289,6 +289,23 @@ class TestRoundingMargins:
         assert self.naive_value(p, st, trace, trace) > exact
         assert Fraction(eig_lower_bound(p, st, xbar=trace, trace=trace).value) <= exact
 
+    def test_the_final_sum(self):
+        # the value is d0 - d0_err + perturbation, summed in floating point; it must
+        # not exceed the exact sum of those three floats, which the plain float sum
+        # does on some of these random cases
+        p = diag_problem([0.0, 0.0, 0.0])
+        rng = np.random.default_rng(15)
+        above = 0
+        for _ in range(200):
+            st = state_with(p, y=rng.normal(size=3))
+            cert = eig_lower_bound(p, st, xbar=1.0, trace=3.0)
+            d0, _ = dual_objective(p, st.y, st.v, st.S)
+            _, d0_err = certify._rounding_margins(p, st.y, st.v, st.S)
+            exact = Fraction(d0) - Fraction(d0_err) + Fraction(cert.perturbation)
+            assert Fraction(cert.value) <= exact
+            above += Fraction(d0 - d0_err + cert.perturbation) > exact
+        assert above
+
 
 class TestLpBound:
     def test_hand_lp_diagonal(self):
@@ -366,7 +383,7 @@ class TestCertifyRouting:
         res = solve(p)
         cert = certify_bound(p, res)
         assert cert.method == "eig" and cert.xbar == 12.0
-        assert cert.value == pytest.approx(9.0298, abs=1e-3)
+        assert cert.value == pytest.approx(9.0331, abs=1e-3)
         assert not lp_lower_bound(p, res.state.Z).feasible
 
     def test_gpkc_sdp_eig_kept_at_loose_tolerance(self):

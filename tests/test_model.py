@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from gpbound import admm
 from gpbound.graphs import Gpkc, GraphInstance, Partition, gen_rand_graph
 from gpbound.model import (
+    MET_VIOLATION_TOL,
     SdpProblem,
     TriangleCut,
     add_cuts,
@@ -190,6 +191,77 @@ class TestSeparation:
         assert len(cuts) <= 4
         viols = [c.violation for c in cuts]
         assert viols == sorted(viols, reverse=True)
+
+
+def separate_met_full_scan(X, max_cuts):
+    """The n^3 scan that separate_met replaced: every apex, every pair, one full sort."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    apex, left, right, viol = [], [], [], []
+    for i in range(n):
+        V = X[i][:, None] + X[i][None, :] - X - 1.0
+        jj, rr = np.nonzero(np.triu(V > MET_VIOLATION_TOL, k=1))
+        keep = (jj != i) & (rr != i)
+        jj, rr = jj[keep], rr[keep]
+        if jj.size:
+            apex.append(np.full(jj.size, i))
+            left.append(jj)
+            right.append(rr)
+            viol.append(V[jj, rr])
+    if not apex:
+        return []
+    apex = np.concatenate(apex)
+    left = np.concatenate(left)
+    right = np.concatenate(right)
+    viol = np.concatenate(viol)
+    order = np.lexsort((right, left, apex, -viol))[:max_cuts]
+    return [TriangleCut(int(apex[t]), int(left[t]), int(right[t]), float(viol[t]))
+            for t in order]
+
+
+class TestSeparationMatchesFullScan:
+    """separate_met scans only the legs that can be in a violated cut and sorts only
+    the largest violations; its output must be the full scan's, tie order included."""
+
+    @staticmethod
+    def matrices():
+        rng = np.random.default_rng(16)
+        for n in (3, 4, 9, 25):
+            A = rng.random((n, n)) - 0.01          # entries from -0.01, as DNN iterates have
+            yield 0.5 * (A + A.T)
+        for n in (8, 20):
+            A = rng.integers(-1, 5, size=(n, n)) / 4.0   # quarters: many exact ties
+            yield np.triu(A) + np.triu(A, 1).T
+        A = rng.random((12, 12)) * 0.7             # legs below 0.5 on most apexes
+        X = 0.5 * (A + A.T)
+        X[3, 5] = X[5, 3] = 0.95
+        X[3, 7] = X[7, 3] = 0.9
+        yield X
+        X = 0.5 * (A + A.T) + 0.3
+        X[2, 4] = X[4, 2] = np.nan
+        yield X
+        g = gen_rand_graph(30, 0.5, 1)
+        yield admm.solve(build_keq_dnn(g, 3), admm.AdmmParams(max_iter=40)).state.X
+
+    def test_equals_the_full_scan(self):
+        found = []
+        for X in self.matrices():
+            every = separate_met_full_scan(X, 10 ** 6)
+            counts = {0, 1, len(every) // 3, len(every) - 1, len(every), len(every) + 5}
+            for max_cuts in sorted(c for c in counts if c >= 0):
+                assert separate_met(X, max_cuts) == separate_met_full_scan(X, max_cuts), \
+                    (X.shape, max_cuts)
+            found.append(len(every))
+        assert sum(c > 0 for c in found) >= 6
+
+    def test_ties_at_the_cap_keep_the_full_order(self):
+        X = np.zeros((6, 6))
+        X[0, 1:] = X[1:, 0] = 1.0                 # apex 0: ten cuts of violation 1
+        np.fill_diagonal(X, 1.0)
+        every = separate_met_full_scan(X, 10 ** 6)
+        assert len(every) == 10 and len({c.violation for c in every}) == 1
+        for max_cuts in range(1, 11):
+            assert separate_met(X, max_cuts) == every[:max_cuts]
 
 
 class TestAddCuts:

@@ -1,8 +1,10 @@
-"""Master check: lb <= opt <= ub against the brute-force oracle, at loose solver caps.
+"""Master check: lb <= opt <= ub against the brute-force oracle, at loose solver caps
+and at the default one.
 
 A certificate must be a bound at any iterate, so every relaxation is solved for
-only 5, 20 or 50 sweeps and certified by every route. The instance grid and its
-seeds are fixed; each case prints its seed.
+only 5, 20 or 50 sweeps and certified by every route; at the default cap every
+round must also converge, which checks the bound where a converged solve stops.
+The instance grid and its seeds are fixed; each case prints its seed.
 """
 from functools import lru_cache
 
@@ -20,7 +22,7 @@ CASES = (("keq", 10, 2, 0.5, 21), ("keq", 9, 3, 0.5, 22), ("gpkc", 9, 3, 0.5, 23
          ("gpkc", 7, 7, 0.2, 3))
 RELAXATIONS = ("sdp", "dnn", "dnn+met")
 METHODS = ("auto", "eig", "lp")
-CAPS = (5, 20, 50)
+CAPS = (5, 20, 50, AdmmParams().max_iter)
 TOL = 1e-9
 
 
@@ -49,6 +51,8 @@ def test_lb_opt_ub(case, relaxation, method, cap):
     tol = TOL * max(1.0, abs(opt))
     for rnd in rounds:
         assert rnd.bound <= opt + tol, (case, relaxation, method, cap, rnd)
+        if cap == AdmmParams().max_iter:
+            assert rnd.status == "converged", (case, relaxation, method, rnd)
     heur = vc_plus_two_opt(g, last["X"], spec, samples=20, seed=case[4])
     assert heur.partition.feasible_for(spec)
     assert heur.ub == pytest.approx(cut_value(g, heur.partition))
