@@ -32,13 +32,19 @@ stepsize rule needs them after every sweep, so :func:`solve` evaluates them only
 on every ``CHECK_EVERY``-th sweep (and the last); a non-finite iterate in between
 is caught by the sweep itself before its eigendecomposition.
 
-The stepsize sigma follows the norm-ratio rule (``adaptive``: ||X|| / ||Z|| after
-every sweep) or the residual-balancing rule (``classic``: a factor of
-``CLASSIC_SCALE`` on check sweeps). ``auto`` runs the first without inequality rows
-and the second with them. With inequality rows and a finite box lower bound (a
-knapsack DNN, a DNN+MET round) it opens with ``OPENING_SWEEPS`` norm-ratio sweeps:
-such a solve settles near sigma 0.01, which the classic rule alone reaches from
-``sigma0`` = 1 only after hundreds of sweeps.
+The stepsize sigma follows from the problem. It starts at 1, or at the sigma a
+warm start carries, and stays within [``SIGMA_LO``, ``SIGMA_HI``].
+
+- Without inequality rows (every keq SDP and DNN), sigma is the norm ratio
+  ||X|| / ||Z|| after every sweep: ``SIGMA_HI`` when Z is 0, ``SIGMA_LO`` when
+  only X is.
+- With them, residual balancing moves sigma by ``CLASSIC_SCALE`` on check sweeps;
+  from sweep 1 when the box has no finite lower bound (the knapsack SDP).
+- With them and a finite box lower bound (a knapsack DNN, every DNN+MET round,
+  warm ones too), the first ``OPENING_SWEEPS`` sweeps set sigma to the norm ratio
+  before balancing takes over; the opening ends early, with sigma as it is, at a
+  sweep where either norm is 0. Such a solve settles near sigma 0.01, which
+  balancing alone reaches from 1 only after hundreds of sweeps.
 """
 from __future__ import annotations
 
@@ -64,7 +70,7 @@ CLASSIC_SCALE = 1.1
 # step of the matrix multiplier: Xt <- (1 - PRIMAL_STEP) Xt + PRIMAL_STEP sigma P_psd(N);
 # the ADMM converges for any step in (0, (1 + sqrt(5)) / 2) (module docstring)
 PRIMAL_STEP = 1.6
-# sweeps of the norm-ratio opening that "auto" runs before the classic rule (module docstring)
+# norm-ratio sweeps that open balancing on a finite box lower bound (module docstring)
 OPENING_SWEEPS = 100
 
 
@@ -275,27 +281,26 @@ def norm_ratio(state: AdmmState) -> float | None:
     return float(min(max(nX / nZ, SIGMA_LO), SIGMA_HI))
 
 
-def adapt_sigma(state: AdmmState, rule: str, rec: ResidualRecord | None = None) -> float:
-    """Next stepsize under the norm-ratio rule or the residual-balancing rule,
-    kept within [SIGMA_LO, SIGMA_HI]."""
-    if rule == "adaptive":
-        ratio = norm_ratio(state)
-        if ratio is not None:
-            return ratio
-        return SIGMA_HI if np.linalg.norm(state.Z) == 0.0 else SIGMA_LO
-    if rule == "classic":
-        if rec is None:
-            raise ValueError("the residual-balancing rule needs a residual record")
-        # Primal-dominant residuals call for a smaller stepsize in this dual sweep:
-        # large sigma enforces dual feasibility and freezes the primal multiplier.
-        sigma = state.sigma
-        pd = rec.eps_pc / rec.eps_dc if rec.eps_dc > 0 else np.inf
-        if pd > CLASSIC_RATIO:
-            sigma /= CLASSIC_SCALE
-        elif pd < 1.0 / CLASSIC_RATIO:
-            sigma *= CLASSIC_SCALE
-        return float(min(max(sigma, SIGMA_LO), SIGMA_HI))
-    raise ValueError(f"unknown stepsize rule {rule!r}")
+def norm_ratio_sigma(state: AdmmState) -> float:
+    """The norm ratio; ``SIGMA_HI`` when Z is 0 and ``SIGMA_LO`` when only X is."""
+    ratio = norm_ratio(state)
+    if ratio is not None:
+        return ratio
+    return SIGMA_HI if np.linalg.norm(state.Z) == 0.0 else SIGMA_LO
+
+
+def classic_sigma(state: AdmmState, rec: ResidualRecord) -> float:
+    """Residual balancing: sigma moved by ``CLASSIC_SCALE`` toward balanced primal and
+    dual residuals, kept within [SIGMA_LO, SIGMA_HI]."""
+    # Primal-dominant residuals call for a smaller stepsize in this dual sweep:
+    # large sigma enforces dual feasibility and freezes the primal multiplier.
+    sigma = state.sigma
+    pd = rec.eps_pc / rec.eps_dc if rec.eps_dc > 0 else np.inf
+    if pd > CLASSIC_RATIO:
+        sigma /= CLASSIC_SCALE
+    elif pd < 1.0 / CLASSIC_RATIO:
+        sigma *= CLASSIC_SCALE
+    return float(min(max(sigma, SIGMA_LO), SIGMA_HI))
 
 
 def box_support_value(M: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
@@ -338,14 +343,12 @@ def dual_objective(problem: SdpProblem, y, v, S):
 class AdmmParams:
     eps_tol: float = 1e-5
     max_iter: int = 20000
-    sigma0: float = 1.0
-    rule: str = "auto"             # auto | adaptive | classic
 
     def __post_init__(self):
-        if self.rule not in ("auto", "adaptive", "classic"):
-            raise ValueError(f"rule must be auto, adaptive or classic, got {self.rule!r}")
-        if not (np.isfinite(self.sigma0) and self.sigma0 > 0):
-            raise ValueError(f"sigma0 must be finite and positive, got {self.sigma0!r}")
+        if not (np.isfinite(self.eps_tol) and self.eps_tol > 0):
+            raise ValueError(f"eps_tol must be finite and positive, got {self.eps_tol!r}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be at least 0, got {self.max_iter!r}")
 
 
 @dataclass
@@ -423,22 +426,17 @@ def solve(
     A start state with a non-finite entry raises ``ValueError``, and a sweep that
     produces one raises :class:`SolverDivergedError`.
 
-    Under ``auto`` a warm start opens with the norm ratio too, although it discards the
-    sigma carried in ``start``. On cutting_loop's DNN+MET rounds at n = 60 (keq, k = 3,
-    densities 0.2/0.5/0.8, seeds 0/10/20/30) the warm rounds took 4880 sweeps with the
-    opening and 5870 without it at a multiplier step of 1. At ``PRIMAL_STEP`` = 1.6 they
-    take 4690 with it and 4320 without it, and keq n = 12 takes 920 against 620, so the
-    opening no longer pays on warm starts (ROADMAP item 8).
+    The stepsize policy follows from ``problem`` (module docstring). A cold start
+    begins at sigma 1 and a warm start at the sigma in ``start``. An opening discards
+    that sigma, because opening only cold starts is unmeasured on knapsack DNN+MET
+    rounds (ROADMAP item 8).
     """
     prm = params or AdmmParams()
     t0 = time.perf_counter()
     work, d_eq, d_in = _equilibrated(problem)
     factor = factor_normal_matrix(work)
-    rule, opening = prm.rule, 0
-    if rule == "auto":
-        rule = "classic" if problem.q else "adaptive"
-        if problem.q and np.isfinite(problem.box_lo).any():
-            opening = OPENING_SWEEPS
+    balancing = problem.q > 0
+    opening = OPENING_SWEEPS if balancing and np.isfinite(problem.box_lo).any() else 0
 
     if start is not None:
         _check_start(start)
@@ -449,7 +447,7 @@ def solve(
         state.v = state.v * d_in
         state.s = state.s / d_in
     else:
-        state = AdmmState.zeros(work, prm.sigma0)
+        state = AdmmState.zeros(work, 1.0)
 
     def unscaled_view() -> AdmmState:
         return AdmmState(
@@ -485,10 +483,10 @@ def solve(
                 opening = 0   # the opening ends here, with sigma as it is
             else:
                 state.sigma = ratio
-        elif rule == "adaptive":
-            state.sigma = adapt_sigma(state, "adaptive")
+        elif not balancing:
+            state.sigma = norm_ratio_sigma(state)
         elif k % CHECK_EVERY == 0:
-            state.sigma = adapt_sigma(state, "classic", rec)
+            state.sigma = classic_sigma(state, rec)
 
     final = unscaled_view()
     primal = float((C * final.X).sum())

@@ -311,9 +311,11 @@ def cutting_loop(
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
+    m_met = m_met if m_met is not None else 2 * g.n
+    if m_met < 1:
+        raise ValueError(f"m_met must be at least 1, got {m_met}")
     if relaxation != "dnn+met":
         max_rounds = 1
-    m_met = m_met if m_met is not None else 2 * g.n
     problem = build(g, spec, "dnn" if relaxation == "dnn+met" else relaxation)
 
     rounds: list[CutRound] = []

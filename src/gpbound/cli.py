@@ -2,11 +2,7 @@
 oracle checks, and CSV report assembly.
 
 Output paths given as relative names resolve against the ``GPBOUND_OUTDIR``
-environment variable when it is set. A JSON object passed through ``--config``
-sets tunable flags by their destination names (``eps_tol`` for ``--eps-tol``)
-and takes precedence over them. Every command accepts the same file and ignores
-the tunables it has no flag for; a key that is no command's tunable exits 1.
-Paths and instances are not tunables.
+environment variable when it is set.
 
 Exit codes: 0 success, 1 generic failure, 2 usage, 3 infeasible or malformed
 problem data, 4 solver divergence, 5 certificate (sandwich) violation.
@@ -14,7 +10,7 @@ problem data, 4 solver divergence, 5 certificate (sandwich) violation.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -40,40 +36,6 @@ EXIT_CERT_VIOLATION = 5
 OUTDIR_ENV = "GPBOUND_OUTDIR"
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Set the tunables that the JSON object in ``args.config`` names, over the flags.
-
-    The keys are the tunable flags of every command (``args.config_keys``); a key
-    that no command declares raises ``ValueError``, and a key this command has no
-    flag for, or a null value, is ignored. Each value is read as if it followed
-    its flag on the command line (``_config_value``).
-    """
-    data = json.loads(Path(args.config).read_text())
-    if not isinstance(data, dict):
-        raise ValueError("the config file must hold a JSON object")
-    unknown = set(data) - args.config_keys
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, val in data.items():
-        action = args.tunables.get(key)
-        if val is not None and action is not None:
-            setattr(args, key, _config_value(action, val))
-
-
-def _config_value(action: argparse.Action, val):
-    """``val`` passed through the flag's ``type`` as the text ``str(val)`` and checked
-    against its ``choices``, as argparse treats a command-line value; a value the
-    flag would refuse raises ``ValueError``."""
-    text = str(val)
-    try:
-        out = action.type(text) if action.type else text
-    except (TypeError, ValueError, argparse.ArgumentTypeError):
-        raise ValueError(f"{action.dest}: invalid value {val!r}") from None
-    if action.choices is not None and out not in action.choices:
-        raise ValueError(f"{action.dest}: {val!r} is not one of {list(action.choices)}")
-    return out
-
-
 def _out_path(name) -> Path:
     path = Path(name)
     base = os.environ.get(OUTDIR_ENV)
@@ -94,6 +56,13 @@ def _load_problem(args):
     if spec is None:
         raise SpecValidationError(f"{args.instance} carries no capacity block")
     return g, spec
+
+
+def _pct(new, base) -> float | None:
+    """100 (new - base) / base; None unless both bounds are finite and base is nonzero."""
+    if new is None or base is None or not (math.isfinite(new) and math.isfinite(base)):
+        return None
+    return 100.0 * (new - base) / base if abs(base) > 1e-12 else None
 
 
 def _k_or_w(spec) -> str:
@@ -151,8 +120,7 @@ def _solve_one(args, g, spec) -> list[reports.SolveRow]:
         if k % every == 0:
             trace_rows.append(latest[0])
 
-    params = admm.AdmmParams(eps_tol=args.eps_tol, max_iter=args.max_iter,
-                             sigma0=args.sigma0, rule=args.rule)
+    params = admm.AdmmParams(eps_tol=args.eps_tol, max_iter=args.max_iter)
     rounds = certify.cutting_loop(g, spec, args.relaxation, params,
                                   max_rounds=args.max_rounds, m_met=args.m_met,
                                   method=args.certify,
@@ -199,10 +167,7 @@ def cmd_heur(args) -> int:
                                      samples=args.samples, time_limit=args.time_limit,
                                      seed=args.seed, distribution=args.distribution)
     heur.partition.validate_for(spec)
-    lb = _read_lb(args, g, spec)
-    gap = None
-    if lb is not None and abs(lb) > 1e-12:
-        gap = 100.0 * (heur.ub - lb) / lb
+    gap = _pct(heur.ub, _read_lb(args, g, spec))
     row = reports.HeurRow(g.name, _k_or_w(spec), heur.method, heur.ub, gap)
     print(f"{row.instance},{row.method},{row.ub:.6f}," +
           ("" if gap is None else f"{gap:.4f}"))
@@ -266,11 +231,6 @@ def cmd_report(args) -> int:
         if key not in best_ub or row.ub < best_ub[key][0]:
             best_ub[key] = (row.ub, row.method)
 
-    def imp(new, base):
-        if new is None or base is None or abs(base) < 1e-12:
-            return None
-        return 100.0 * (new - base) / base
-
     summary = []
     violated = False
     for (instance, kw), bounds in sorted(lbs.items()):
@@ -283,12 +243,9 @@ def cmd_report(args) -> int:
                   f"lb {max(bounds.values())}", file=sys.stderr)
             violated = True
         ref = next((v for v in (lb_met, lb_dnn, lb_sdp) if v is not None), None)
-        gap = None
-        if ub is not None and ref is not None and abs(ref) > 1e-12:
-            gap = 100.0 * (ub - ref) / ref
         summary.append(reports.SummaryRow(instance, sizes[instance], kw, lb_sdp, lb_dnn,
-                                          imp(lb_dnn, lb_sdp), lb_met, imp(lb_met, lb_sdp),
-                                          ub, ub_method, gap))
+                                          _pct(lb_dnn, lb_sdp), lb_met, _pct(lb_met, lb_sdp),
+                                          ub, ub_method, _pct(ub, ref)))
     if violated:
         return EXIT_CERT_VIOLATION
     reports.write_rows(_out_path(args.out), summary)
@@ -303,44 +260,26 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    config_keys: set[str] = set()
-
-    def tunable(p, *flags, **kwargs):
-        """A flag that a ``--config`` file may also set, under the flag's dest."""
-        action = p.add_argument(*flags, **kwargs)
-        config_keys.add(action.dest)
-        p.get_default("tunables")[action.dest] = action
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file; its values override flags")
-        p.set_defaults(tunables={})
 
     p = sub.add_parser("gen", help="generate random instances")
-    add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--density", type=float, nargs="+", default=[0.2, 0.5, 0.8])
-    tunable(p, "--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gpkc", action="store_true", help="attach vertex weights and a capacity")
-    tunable(p, "--k", type=int, help="group count used to calibrate the capacity")
+    p.add_argument("--k", type=int, help="group count used to calibrate the capacity")
     p.add_argument("--outdir", default=".")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="solve a relaxation and certify a lower bound")
-    add_common(p)
     p.add_argument("--instance", nargs="+", required=True)
-    tunable(p, "--problem", choices=["keq", "gpkc"])
-    tunable(p, "--k", type=int, help="group count (equipartition)")
-    tunable(p, "--relaxation", choices=["sdp", "dnn", "dnn+met"], default="dnn")
-    tunable(p, "--eps-tol", dest="eps_tol", type=float, default=1e-5)
-    tunable(p, "--max-iter", dest="max_iter", type=int, default=20000)
-    tunable(p, "--sigma0", type=float, default=1.0)
-    tunable(p, "--rule", choices=["auto", "adaptive", "classic"], default="auto",
-            help="stepsize rule; auto runs adaptive without inequality rows and classic "
-                 f"with them, after {admm.OPENING_SWEEPS} adaptive sweeps when the box "
-                 "has a finite lower bound")
-    tunable(p, "--certify", choices=["auto", "eig", "lp"], default="auto")
-    tunable(p, "--m-met", dest="m_met", type=int, default=None)
-    tunable(p, "--max-rounds", dest="max_rounds", type=int, default=10)
+    p.add_argument("--problem", choices=["keq", "gpkc"])
+    p.add_argument("--k", type=int, help="group count (equipartition)")
+    p.add_argument("--relaxation", choices=["sdp", "dnn", "dnn+met"], default="dnn")
+    p.add_argument("--eps-tol", dest="eps_tol", type=float, default=1e-5)
+    p.add_argument("--max-iter", dest="max_iter", type=int, default=20000)
+    p.add_argument("--certify", choices=["auto", "eig", "lp"], default="auto")
+    p.add_argument("--m-met", dest="m_met", type=int, default=None)
+    p.add_argument("--max-rounds", dest="max_rounds", type=int, default=10)
     p.add_argument("--out", help="append the result row to this CSV")
     p.add_argument("--cert-out", dest="cert_out", help="append the certificate row here")
     p.add_argument("--cuts-out", dest="cuts_out", help="write per-round cut trace here")
@@ -349,19 +288,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("heur", help="round a relaxation solution to a feasible partition")
-    add_common(p)
     p.add_argument("--instance", required=True)
-    tunable(p, "--problem", choices=["keq", "gpkc"])
-    tunable(p, "--k", type=int)
-    tunable(p, "--method", choices=rounding.ROUNDING_METHODS, default="vc+2opt")
-    tunable(p, "--distribution", choices=["uniform", "gaussian"], default="uniform",
-            help="direction sampling for hyperplane rounding")
-    tunable(p, "--relaxation", choices=["sdp", "dnn"], default="dnn")
-    tunable(p, "--eps-tol", dest="eps_tol", type=float, default=1e-5)
-    tunable(p, "--max-iter", dest="max_iter", type=int, default=20000)
-    tunable(p, "--samples", type=int, default=1000)
-    tunable(p, "--time-limit", dest="time_limit", type=float, default=5.0)
-    tunable(p, "--seed", type=int, default=0)
+    p.add_argument("--problem", choices=["keq", "gpkc"])
+    p.add_argument("--k", type=int)
+    p.add_argument("--method", choices=rounding.ROUNDING_METHODS, default="vc+2opt")
+    p.add_argument("--distribution", choices=["uniform", "gaussian"], default="uniform",
+                   help="direction sampling for hyperplane rounding")
+    p.add_argument("--relaxation", choices=["sdp", "dnn"], default="dnn")
+    p.add_argument("--eps-tol", dest="eps_tol", type=float, default=1e-5)
+    p.add_argument("--max-iter", dest="max_iter", type=int, default=20000)
+    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--time-limit", dest="time_limit", type=float, default=5.0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lb", type=float, help="lower bound for the gap column")
     p.add_argument("--lb-csv", dest="lb_csv", help="read the lower bound from a solve CSV")
     p.add_argument("--out", help="append the result row to this CSV")
@@ -370,10 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_heur)
 
     p = sub.add_parser("oracle", help="brute-force an instance; check a bound sandwich")
-    add_common(p)
     p.add_argument("--instance", required=True)
-    tunable(p, "--problem", choices=["keq", "gpkc"])
-    tunable(p, "--k", type=int)
+    p.add_argument("--problem", choices=["keq", "gpkc"])
+    p.add_argument("--k", type=int)
     p.add_argument("--lb", type=float)
     p.add_argument("--lb-csv", dest="lb_csv")
     p.add_argument("--ub", type=float)
@@ -382,25 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("report", help="merge result CSVs into a summary table")
-    add_common(p)
     p.add_argument("--solve-csv", dest="solve_csv", nargs="*", default=[])
     p.add_argument("--heur-csv", dest="heur_csv", nargs="*", default=[])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
 
-    parser.set_defaults(config_keys=frozenset(config_keys))
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        try:
-            _apply_config(args)
-        except (OSError, ValueError) as exc:
-            print(f"bad config: {exc}", file=sys.stderr)
-            return EXIT_ERROR
     try:
         return args.func(args)
     except (InstanceFormatError, SpecValidationError) as exc:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,10 +10,11 @@ from gpbound.admm import (
     AdmmState,
     DependentRowsError,
     SolverDivergedError,
-    adapt_sigma,
     box_support_value,
+    classic_sigma,
     dual_objective,
     factor_normal_matrix,
+    norm_ratio_sigma,
     residuals,
     solve,
     sweep,
@@ -357,19 +360,19 @@ class TestAdaptSigma:
         st = AdmmState.zeros(p, sigma=3.0)
         st.X = np.eye(2)
         st.Z = np.diag([1.0, 1.0])
-        assert adapt_sigma(st, "adaptive") == pytest.approx(1.0)
+        assert norm_ratio_sigma(st) == pytest.approx(1.0)
 
     def test_balanced_residuals_leave_sigma(self):
         p = diag_problem([1.0, 1.0])
         st = AdmmState.zeros(p, sigma=2.2)
         rec = admm.ResidualRecord(0.5, 0.5, 0.0, 0.0, 0.0)
-        assert adapt_sigma(st, "classic", rec) == pytest.approx(2.2)
+        assert classic_sigma(st, rec) == pytest.approx(2.2)
 
     def test_zero_z_clamps_high(self):
         p = diag_problem([1.0, 1.0])
         st = AdmmState.zeros(p, sigma=1.0)
         st.X = np.eye(2)
-        assert adapt_sigma(st, "adaptive") == 1e6
+        assert norm_ratio_sigma(st) == 1e6
         assert admm.norm_ratio(st) is None
 
 
@@ -453,7 +456,7 @@ class TestSolve:
         p = diag_problem([1.0, -2.0, 0.3], box_lo=np.zeros((3, 3)))
         st = random_state(p, rng, sigma=0.9)
         st.Xt = random_state(p, rng).X
-        res = solve(p, AdmmParams(max_iter=1, eps_tol=0.0), start=st)
+        res = solve(p, AdmmParams(max_iter=1), start=st)
         manual = swept(st, p)
         for name in ("y", "S", "Z", "X"):
             assert np.array_equal(getattr(res.state, name), getattr(manual, name)), name
@@ -492,8 +495,8 @@ class TestSolve:
 
 
 def cadence_problems():
-    """A keq DNN (adaptive rule) and a gpkc DNN (norm-ratio opening, then the classic
-    rule) that converge."""
+    """A keq DNN (norm ratio) and a gpkc DNN (norm-ratio opening, then residual
+    balancing) that converge."""
     g, spec = gen_gpkc_instance(30, 0.5, 3, 2)
     return {"keq": build_keq_dnn(gen_rand_graph(30, 0.5, 1), 3),
             "gpkc": build_gpkc_dnn(g, spec)}
@@ -581,8 +584,8 @@ def sigma_path(p, params=None):
 
 
 class TestStepsizeRule:
-    """``auto``: adaptive without inequality rows, classic with them, and a norm-ratio
-    opening first when the box also has a finite lower bound."""
+    """The norm ratio without inequality rows, residual balancing with them, and a
+    norm-ratio opening first when the box also has a finite lower bound."""
 
     def test_knapsack_dnn_opens_with_the_norm_ratio(self):
         path, res = sigma_path(cadence_problems()["gpkc"])
@@ -596,24 +599,35 @@ class TestStepsizeRule:
                  if sigmas[k] != sigmas[k - 1]]
         assert moves and all(k % admm.CHECK_EVERY == 0 for k in moves)
 
-    @pytest.mark.parametrize("name, rule", [("keq", "adaptive"), ("gpkc-sdp", "classic")])
-    def test_auto_is_the_explicit_rule(self, name, rule):
+    @pytest.mark.parametrize("name", ["keq", "gpkc-sdp"])
+    def test_sigma_path_follows_the_problem(self, name):
+        # keq: the norm ratio after every sweep; the free-box knapsack SDP: residual
+        # balancing on every check sweep from sweep 1, with no opening
         if name == "keq":
             p = cadence_problems()["keq"]
         else:
             g, spec = gen_gpkc_instance(30, 0.5, 3, 2)
             p = build_gpkc_sdp(g, spec)
-        auto_path, auto = sigma_path(p, AdmmParams(rule="auto", max_iter=150))
-        path, explicit = sigma_path(p, AdmmParams(rule=rule, max_iter=150))
-        assert auto.iterations == explicit.iterations == len(auto_path) == len(path)
-        for k, ((sa, _, Xa), (se, _, Xe)) in enumerate(zip(auto_path, path), start=1):
-            assert sa == se and np.array_equal(Xa, Xe), k
-        for field in ("X", "y", "ybar", "S", "Z", "v", "s"):
-            assert np.array_equal(getattr(auto.state, field), getattr(explicit.state, field))
-        assert auto.state.sigma == explicit.state.sigma
+        path = []
+
+        def cb(k, state, rec, primal, dual):
+            path.append((state.sigma, norm_ratio_sigma(state), classic_sigma(state, rec)))
+
+        res = solve(p, AdmmParams(max_iter=150), callback=cb)
+        assert len(path) == res.iterations > admm.CHECK_EVERY
+        sigmas = [sigma for sigma, _, _ in path]
+        assert sigmas[0] == 1.0
+        for k in range(1, len(path)):
+            _, ratio, balanced = path[k - 1]
+            if name == "keq":
+                expected = ratio
+            else:
+                expected = balanced if k % admm.CHECK_EVERY == 0 else sigmas[k - 1]
+            assert sigmas[k] == expected, k
+        assert sigmas[admm.CHECK_EVERY] != 1.0
 
     def test_zero_z_ends_the_opening(self):
-        # Z is 0 after the first sweep here; the adaptive rule would pin sigma at SIGMA_HI
+        # Z is 0 after the first sweep here; the norm ratio would pin sigma at SIGMA_HI
         g, spec = gen_gpkc_instance(7, 0.8, 7, 2)
         p = build_gpkc_dnn(g, spec)
         path, res = sigma_path(p)
@@ -626,14 +640,24 @@ class TestStepsizeRule:
 
 
 class TestBadInput:
-    @pytest.mark.parametrize("sigma0", [0.0, -1.0, np.inf, -np.inf, np.nan])
-    def test_params_reject_bad_sigma0(self, sigma0):
-        with pytest.raises(ValueError, match="sigma0"):
-            AdmmParams(sigma0=sigma0)
+    @pytest.mark.parametrize("eps_tol", [0.0, -1.0, np.inf, np.nan])
+    def test_params_reject_bad_eps_tol(self, eps_tol):
+        with pytest.raises(ValueError, match="eps_tol"):
+            AdmmParams(eps_tol=eps_tol)
 
-    def test_params_reject_unknown_rule(self):
-        with pytest.raises(ValueError, match="rule"):
-            AdmmParams(rule="bogus")
+    def test_params_reject_negative_max_iter(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            AdmmParams(max_iter=-5)
+
+    def test_params_hold_only_the_stopping_rule(self):
+        assert [f.name for f in dataclasses.fields(AdmmParams)] == ["eps_tol", "max_iter"]
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, -np.inf, np.nan])
+    def test_start_rejects_bad_sigma(self, sigma):
+        # a start state is how a caller picks another starting sigma
+        p = diag_problem([1.0, 2.0])
+        with pytest.raises(ValueError, match="sigma"):
+            solve(p, start=AdmmState.zeros(p, sigma=sigma))
 
     @pytest.mark.parametrize("name", ["X", "S", "Z"])
     def test_non_finite_start_rejected(self, name):
@@ -677,14 +701,6 @@ class TestWarmStart:
         assert warm.status == "converged"
         assert warm.primal_obj == pytest.approx(cold.primal_obj, rel=1e-4)
         assert warm.iterations < cold.iterations
-
-    def test_explicit_rules_both_converge(self):
-        g = gen_rand_graph(10, 0.8, 7)
-        p = build_keq_dnn(g, 2)
-        res_a = solve(p, AdmmParams(rule="adaptive"))
-        res_c = solve(p, AdmmParams(rule="classic"))
-        assert res_a.status == "converged" and res_c.status == "converged"
-        assert res_a.primal_obj == pytest.approx(res_c.primal_obj, rel=1e-3)
 
 
 class TestPsdSplit:

@@ -1,11 +1,12 @@
-import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gpbound import reports
 from gpbound.admm import AdmmParams, solve
-from gpbound.cli import main
+from gpbound.cli import build_parser, main
 from gpbound.graphs import (GraphInstance, KEquipartition, gen_gpkc_instance, read_instance,
                             write_instance)
 from gpbound.model import build_keq_dnn
@@ -93,10 +94,10 @@ class TestSolve:
         rows = reports.read_rows(trace)
         assert rows and isinstance(rows[0], reports.TraceRow)
 
-    def test_met_honours_certificate_rule_and_trace_flags(self, tmp_path):
+    def test_met_honours_certificate_and_trace_flags(self, tmp_path):
         main(["gen", "--n", "12", "--density", "0.5", "--seed", "1", "--outdir", str(tmp_path)])
         base = ["solve", "--instance", str(tmp_path / "rand50_n12_s1.gp"), "--problem", "keq",
-                "--k", "3", "--certify", "lp", "--rule", "classic", "--trace-every", "100000"]
+                "--k", "3", "--certify", "lp", "--trace-every", "100000"]
         for relax in ("dnn", "dnn+met"):
             code = main([*base, "--relaxation", relax, "--max-rounds", "3",
                          "--out", str(tmp_path / f"{relax}.csv"),
@@ -123,14 +124,27 @@ class TestSolve:
         assert "max_rounds" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("sigma0", ["0", "-1", "inf", "nan"])
-    def test_rejects_bad_sigma0(self, k8_file, tmp_path, sigma0, capsys):
+    @pytest.mark.parametrize("flags, field", [
+        (["--eps-tol", "0"], "eps_tol"), (["--eps-tol", "-1"], "eps_tol"),
+        (["--eps-tol", "nan"], "eps_tol"), (["--max-iter", "-5"], "max_iter"),
+        (["--relaxation", "dnn+met", "--m-met", "-1"], "m_met"),
+    ], ids=["eps-tol-0", "eps-tol-neg", "eps-tol-nan", "max-iter-neg", "m-met-neg"])
+    def test_rejects_bad_solver_settings(self, k8_file, tmp_path, flags, field, capsys):
         out = tmp_path / "solve.csv"
         code = main(["solve", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
-                     "--sigma0", sigma0, "--out", str(out)])
+                     *flags, "--out", str(out)])
         assert code == 1
-        assert "sigma0" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--rule", "auto"], ["--sigma0", "1"],
+                                       ["--config", "f.json"]],
+                             ids=["rule", "sigma0", "config"])
+    def test_removed_flags_are_unknown(self, k8_file, flags):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
+                  *flags])
+        assert info.value.code == 2
 
     def test_overflowing_instance_exits_diverged(self, tmp_path, capsys):
         big = tmp_path / "big.gp"
@@ -186,77 +200,6 @@ class TestSolve:
         bad = tmp_path / "bad.gp"
         bad.write_text("gp 2 1\ne 1 2 5\nk 3\nv 1 4\nv 2 1\n")
         assert main(["solve", "--instance", str(bad), "--problem", "gpkc"]) == 3
-
-    def test_config_overrides_flags(self, k8_file, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"max_iter": 1}))
-        out = tmp_path / "solve.csv"
-        main(["solve", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
-              "--max-iter", "500", "--config", str(cfg), "--out", str(out)])
-        row = reports.read_rows(out)[0]
-        assert row.iterations == 1
-        assert row.status == "iter_limit"
-
-    def test_config_sets_certificate_method(self, k8_file, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"certify": "lp"}))
-        cert = tmp_path / "cert.csv"
-        assert main(["solve", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
-                     "--config", str(cfg), "--cert-out", str(cert)]) == 0
-        assert [c.method for c in reports.read_rows(cert)] == ["lp"]
-
-    def test_config_sets_group_count(self, k8_file, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"k": 2}))
-        out = tmp_path / "solve.csv"
-        assert main(["solve", "--instance", str(k8_file), "--problem", "keq",
-                     "--config", str(cfg), "--out", str(out)]) == 0
-        assert reports.read_rows(out)[0].k_or_w == "2"
-
-    @pytest.mark.parametrize("key, value", [
-        ("problem", "keq"), ("relaxation", "dnn"), ("eps_tol", 1e-4), ("max_iter", 500),
-        ("sigma0", 1.0), ("rule", "auto"), ("method", "vc"), ("samples", 10),
-        ("time_limit", 1.0), ("seed", 0), ("m_met", 4), ("max_rounds", 2),
-        ("distribution", "uniform"),
-    ])
-    def test_config_keys_accepted_by_every_command(self, k8_file, tmp_path, key, value, capsys):
-        # the oracle has none of these flags but problem, so it ignores the others
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: value}))
-        assert main(["oracle", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
-                     "--config", str(cfg)]) == 0
-        assert capsys.readouterr().err == ""
-
-    def test_unknown_config_key_rejected(self, k8_file, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"not_a_knob": 3}))
-        assert main(["solve", "--instance", str(k8_file), "--problem", "keq",
-                     "--k", "2", "--config", str(cfg)]) == 1
-
-    @pytest.mark.parametrize("body", [{"rule": "bogus"}, {"max_iter": "ten"}],
-                             ids=["bad-choice", "bad-type"])
-    def test_config_value_refused_before_solving(self, k8_file, tmp_path, body,
-                                                 monkeypatch, capsys):
-        from gpbound import admm
-
-        calls = []
-        monkeypatch.setattr(admm, "solve", lambda *a, **kw: calls.append(1))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(body))
-        assert main(["solve", "--instance", str(k8_file), "--problem", "keq",
-                     "--k", "2", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert "bad config" in err and next(iter(body)) in err
-        assert calls == []
-
-    def test_config_value_read_as_flag_text(self, k8_file, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"max_iter": "7"}))
-        out = tmp_path / "solve.csv"
-        assert main(["solve", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
-                     "--config", str(cfg), "--out", str(out)]) == 0
-        # K8 converges by sweep 10, so 7 sweeps show the cap
-        assert reports.read_rows(out)[0].iterations == 7
 
 
 class TestHeur:
@@ -469,6 +412,32 @@ class TestReport:
         assert "certificate violation" in capsys.readouterr().err
         assert not summary.exists()
 
+    def test_infinite_lb_leaves_percentages_empty(self, tmp_path, capsys):
+        # the LP certificate of the knapsack SDP reads -inf; gaps and improvements
+        # over it once printed nan
+        main(["gen", "--n", "12", "--seed", "3", "--gpkc", "--k", "3", "--density", "0.5",
+              "--outdir", str(tmp_path)])
+        base = ["--instance", str(tmp_path / "GPKCrand50_n12_s3.gp")]
+        solve_csv, heur_csv = tmp_path / "solve.csv", tmp_path / "heur.csv"
+        summary = tmp_path / "summary.csv"
+        assert main(["solve", *base, "--relaxation", "sdp", "--certify", "lp",
+                     "--out", str(solve_csv)]) == 0
+        assert reports.read_rows(solve_csv)[0].lb == -np.inf
+        capsys.readouterr()
+        assert main(["heur", *base, "--samples", "20", "--lb-csv", str(solve_csv),
+                     "--out", str(heur_csv)]) == 0
+        assert capsys.readouterr().out.strip().endswith(",")
+        assert reports.read_rows(heur_csv)[0].gap_vs_lb_percent is None
+        report = ["report", "--solve-csv", str(solve_csv), "--heur-csv", str(heur_csv),
+                  "--out", str(summary)]
+        assert main(report) == 0
+        row = reports.read_rows(summary)[0]
+        assert row.lb_sdp == -np.inf and row.gap_pct is None
+        assert main(["solve", *base, "--out", str(solve_csv)]) == 0
+        assert main(report) == 0
+        row = reports.read_rows(summary)[0]
+        assert row.imp_dnn_pct is None and np.isfinite(row.gap_pct)
+
     def test_every_emitted_csv_parses(self, k8_file, tmp_path):
         paths = {
             "solve": tmp_path / "s.csv",
@@ -494,3 +463,20 @@ class TestReport:
             if name == "cuts" and not path.exists():
                 continue  # loop may stop before any cut is found
             assert reports.read_rows(path), name
+
+
+def readme_commands():
+    """The ``gpbound ...`` lines of the README's command-line block, continuations
+    joined, as argument lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:] for line in joined.splitlines()
+            if line.startswith("gpbound ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"gen", "solve", "heur", "oracle", "report"}
+    for argv in commands:
+        build_parser().parse_args(argv)

@@ -382,6 +382,17 @@ class TestCuttingLoop:
         with pytest.raises(ValueError, match="max_rounds"):
             cutting_loop(g, KEquipartition.for_graph(6, 2), max_rounds=max_rounds)
 
+    @pytest.mark.parametrize("m_met", [0, -1])
+    def test_rejects_fewer_than_one_cut_per_round(self, m_met):
+        # m_met = -1 once sliced the separated cuts with a negative index: round 1 of
+        # rand50_n12_s1 at k = 3 added 36 cuts, against 24 at the default 2n
+        from gpbound.certify import cutting_loop
+        from gpbound.graphs import KEquipartition
+
+        g = gen_rand_graph(12, 0.5, 1)
+        with pytest.raises(ValueError, match="m_met"):
+            cutting_loop(g, KEquipartition.for_graph(12, 3), m_met=m_met)
+
 
 def model_cutting_loop_for(g, k):
     from gpbound.certify import cutting_loop
