@@ -12,7 +12,7 @@ The matrix multiplier moves by a step of ``PRIMAL_STEP`` = 1.6: the sweep keeps
 Xt <- (1 - 1.6) Xt + 1.6 X beside X and forms the next sweep's X / sigma from Xt.
 Wen, Goldfarb & Yin (Math. Prog. Comp. 2, 2010) prove convergence for any step in
 (0, (1 + sqrt(5)) / 2). Every other reader of the primal matrix (residuals, the
-stepsize rules, the callback, the returned state, warm starts, certificates and
+stepsize rule, the callback, the returned state, warm starts, certificates and
 rounding) sees the projection X, which stays PSD and complementary to Z. Keq
 DNNs at n = 200 and 300 converge in 80-90 sweeps instead of 110-120; knapsack
 DNNs save less (BENCH_relaxed_step.json). Stepping the slack s too saved 0.2% of
@@ -27,24 +27,20 @@ from the smaller side of the spectrum (see :func:`gpbound.symm.psd_split`). Box
 clips use scalar bounds when the box is uniform, as every builder's box is except
 a knapsack DNN with conflict pairs.
 
-The five residuals cost about as much as the multiplier solve, and neither
-stepsize rule needs them after every sweep, so :func:`solve` evaluates them only
+The five residuals cost about as much as the multiplier solve, and the stepsize
+rule does not need them after every sweep, so :func:`solve` evaluates them only
 on every ``CHECK_EVERY``-th sweep (and the last); a non-finite iterate in between
 is caught by the sweep itself before its eigendecomposition.
 
-The stepsize sigma follows from the problem. It starts at 1, or at the sigma a
-warm start carries, and stays within [``SIGMA_LO``, ``SIGMA_HI``].
-
-- Without inequality rows (every keq SDP and DNN), sigma is the norm ratio
-  ||X|| / ||Z|| after every sweep: ``SIGMA_HI`` when Z is 0, ``SIGMA_LO`` when
-  only X is.
-- With them, residual balancing moves sigma by ``CLASSIC_SCALE`` on check sweeps;
-  from sweep 1 when the box has no finite lower bound (the knapsack SDP).
-- With them and a finite box lower bound (a knapsack DNN, every DNN+MET round,
-  warm ones too), the first ``OPENING_SWEEPS`` sweeps set sigma to the norm ratio
-  before balancing takes over; the opening ends early, with sigma as it is, at a
-  sweep where either norm is 0. Such a solve settles near sigma 0.01, which
-  balancing alone reaches from 1 only after hundreds of sweeps.
+One stepsize rule serves every problem; it never looks at the problem's
+structure. A cold start begins at sigma 1 and sets sigma to the norm ratio
+||X|| / ||Z|| after each of its first ``OPENING_SWEEPS`` sweeps; the opening ends
+early, with sigma as it is, at a sweep where either norm is 0. After that, and
+from sweep 1 of a warm start (which begins at the sigma it carries), residual
+balancing moves sigma by ``CLASSIC_SCALE`` on check sweeps. Sigma stays within
+[``SIGMA_LO``, ``SIGMA_HI``]. The opening brings a cold solve near its settling
+sigma (about 0.01 on a knapsack DNN) in a few sweeps, which balancing alone
+reaches from 1 only after hundreds; a warm start already carries such a sigma.
 """
 from __future__ import annotations
 
@@ -70,7 +66,7 @@ CLASSIC_SCALE = 1.1
 # step of the matrix multiplier: Xt <- (1 - PRIMAL_STEP) Xt + PRIMAL_STEP sigma P_psd(N);
 # the ADMM converges for any step in (0, (1 + sqrt(5)) / 2) (module docstring)
 PRIMAL_STEP = 1.6
-# norm-ratio sweeps that open balancing on a finite box lower bound (module docstring)
+# norm-ratio sweeps that open every cold start before balancing (module docstring)
 OPENING_SWEEPS = 100
 
 
@@ -281,14 +277,6 @@ def norm_ratio(state: AdmmState) -> float | None:
     return float(min(max(nX / nZ, SIGMA_LO), SIGMA_HI))
 
 
-def norm_ratio_sigma(state: AdmmState) -> float:
-    """The norm ratio; ``SIGMA_HI`` when Z is 0 and ``SIGMA_LO`` when only X is."""
-    ratio = norm_ratio(state)
-    if ratio is not None:
-        return ratio
-    return SIGMA_HI if np.linalg.norm(state.Z) == 0.0 else SIGMA_LO
-
-
 def classic_sigma(state: AdmmState, rec: ResidualRecord) -> float:
     """Residual balancing: sigma moved by ``CLASSIC_SCALE`` toward balanced primal and
     dual residuals, kept within [SIGMA_LO, SIGMA_HI]."""
@@ -426,17 +414,15 @@ def solve(
     A start state with a non-finite entry raises ``ValueError``, and a sweep that
     produces one raises :class:`SolverDivergedError`.
 
-    The stepsize policy follows from ``problem`` (module docstring). A cold start
-    begins at sigma 1 and a warm start at the sigma in ``start``. An opening discards
-    that sigma, because opening only cold starts is unmeasured on knapsack DNN+MET
-    rounds (ROADMAP item 8).
+    The stepsize rule is the same for every problem (module docstring): a cold start
+    opens at sigma 1 with ``OPENING_SWEEPS`` norm-ratio sweeps, and a warm start
+    balances residuals from the sigma in ``start``.
     """
     prm = params or AdmmParams()
     t0 = time.perf_counter()
     work, d_eq, d_in = _equilibrated(problem)
     factor = factor_normal_matrix(work)
-    balancing = problem.q > 0
-    opening = OPENING_SWEEPS if balancing and np.isfinite(problem.box_lo).any() else 0
+    opening = OPENING_SWEEPS if start is None else 0
 
     if start is not None:
         _check_start(start)
@@ -483,8 +469,6 @@ def solve(
                 opening = 0   # the opening ends here, with sigma as it is
             else:
                 state.sigma = ratio
-        elif not balancing:
-            state.sigma = norm_ratio_sigma(state)
         elif k % CHECK_EVERY == 0:
             state.sigma = classic_sigma(state, rec)
 

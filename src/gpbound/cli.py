@@ -83,21 +83,17 @@ def _read_lb(args, g, spec) -> float | None:
 
 
 def cmd_gen(args) -> int:
+    if args.gpkc and args.k is None:
+        raise SystemExit("--k is required when generating capacity instances")
+    # draw every instance before writing any, so a bad value leaves no directory behind
+    drawn = [gen_gpkc_instance(args.n, density, args.k, args.seed) if args.gpkc
+             else (gen_rand_graph(args.n, density, args.seed), None)
+             for density in args.density]
     outdir = _out_path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for density in args.density:
-        if args.gpkc:
-            if args.k is None:
-                raise SystemExit("--k is required when generating capacity instances")
-            g, spec = gen_gpkc_instance(args.n, density, args.k, args.seed)
-            path = outdir / f"{g.name}.gp"
-            write_instance(path, g, spec)
-        else:
-            g = gen_rand_graph(args.n, density, args.seed)
-            path = outdir / f"{g.name}.gp"
-            write_instance(path, g)
-        paths.append(path)
+    for g, spec in drawn:
+        path = outdir / f"{g.name}.gp"
+        write_instance(path, g, spec)
         print(path)
     return EXIT_OK
 
@@ -105,7 +101,6 @@ def cmd_gen(args) -> int:
 def _solve_one(args, g, spec) -> list[reports.SolveRow]:
     """Every relaxation through ``certify.cutting_loop``; rows, certificates, trace
     and cut rounds are written from the rounds it returns."""
-    every = max(1, args.trace_every)
     trace_rows: list[reports.TraceRow] = []
     latest: list[reports.TraceRow] = []   # the last sweep seen of the running round
 
@@ -117,7 +112,7 @@ def _solve_one(args, g, spec) -> list[reports.SolveRow]:
         if k == 1:  # a new round: the previous one has ended
             keep_latest()
         latest[:] = [reports.TraceRow(k, *rec.as_tuple(), state.sigma, primal, dual)]
-        if k % every == 0:
+        if k % args.trace_every == 0:
             trace_rows.append(latest[0])
 
     params = admm.AdmmParams(eps_tol=args.eps_tol, max_iter=args.max_iter)
@@ -141,6 +136,8 @@ def _solve_one(args, g, spec) -> list[reports.SolveRow]:
 
 
 def cmd_solve(args) -> int:
+    if args.trace_every < 1:
+        raise ValueError(f"--trace-every must be at least 1, got {args.trace_every}")
     all_rows = []
     for instance in args.instance:
         args_one = argparse.Namespace(**vars(args))
@@ -159,6 +156,8 @@ def cmd_solve(args) -> int:
 def cmd_heur(args) -> int:
     if args.samples < 1:
         raise ValueError("samples must be at least 1")
+    if not args.time_limit >= 0:   # inf is no limit; NaN compares false
+        raise ValueError(f"--time-limit must be nonnegative, got {args.time_limit}")
     g, spec = _load_problem(args)
     problem = model.build(g, spec, args.relaxation)
     result = admm.solve(problem, admm.AdmmParams(eps_tol=args.eps_tol,

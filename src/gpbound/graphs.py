@@ -220,7 +220,8 @@ def cut_value(g: GraphInstance, p: Partition) -> float:
     return 0.5 * float(L[same].sum())
 
 
-def _sample_graph(rng: np.random.Generator, n: int, density: float, name: str) -> GraphInstance:
+def _sample_graph(rng: np.random.Generator, n: int, density: float, prefix: str,
+                  seed: int) -> GraphInstance:
     # Draw order (part of the contract): one uniform per unordered pair for presence,
     # then one integer weight per unordered pair; both in row-major triangle order.
     if n < 2:
@@ -233,13 +234,12 @@ def _sample_graph(rng: np.random.Generator, n: int, density: float, name: str) -
     W = np.zeros((n, n))
     W[rows[present], cols[present]] = weights[present]
     W = W + W.T
-    return GraphInstance(n=n, W_adj=W, name=name)
+    return GraphInstance(n=n, W_adj=W, name=f"{prefix}{int(round(density * 100))}_n{n}_s{seed}")
 
 
 def gen_rand_graph(n: int, density: float, seed: int) -> GraphInstance:
     """Random graph with edge probability ``density`` and integer weights in {1..100}."""
-    name = f"rand{int(round(density * 100))}_n{n}_s{seed}"
-    return _sample_graph(np.random.default_rng(seed), n, density, name)
+    return _sample_graph(np.random.default_rng(seed), n, density, "rand", seed)
 
 
 def gen_gpkc_instance(n: int, density: float, k: int, seed: int) -> tuple[GraphInstance, Gpkc]:
@@ -256,8 +256,7 @@ def gen_gpkc_instance(n: int, density: float, k: int, seed: int) -> tuple[GraphI
         raise SpecValidationError(f"k={k} must divide n={n}")
     m = n // k
     rng = np.random.default_rng(seed)
-    name = f"GPKCrand{int(round(density * 100))}_n{n}_s{seed}"
-    g = _sample_graph(rng, n, density, name)
+    g = _sample_graph(rng, n, density, "GPKCrand", seed)
     a = rng.integers(1, VERTEX_WEIGHT_HIGH + 1, size=n).astype(float)
     perms = rng.permuted(np.tile(a, (CAPACITY_SAMPLES, 1)), axis=1)
     maxima = perms.reshape(CAPACITY_SAMPLES, k, m).sum(axis=2).max(axis=1)

@@ -14,7 +14,7 @@ from gpbound.admm import (
     classic_sigma,
     dual_objective,
     factor_normal_matrix,
-    norm_ratio_sigma,
+    norm_ratio,
     residuals,
     solve,
     sweep,
@@ -360,7 +360,7 @@ class TestAdaptSigma:
         st = AdmmState.zeros(p, sigma=3.0)
         st.X = np.eye(2)
         st.Z = np.diag([1.0, 1.0])
-        assert norm_ratio_sigma(st) == pytest.approx(1.0)
+        assert norm_ratio(st) == pytest.approx(1.0)
 
     def test_balanced_residuals_leave_sigma(self):
         p = diag_problem([1.0, 1.0])
@@ -372,8 +372,9 @@ class TestAdaptSigma:
         p = diag_problem([1.0, 1.0])
         st = AdmmState.zeros(p, sigma=1.0)
         st.X = np.eye(2)
-        assert norm_ratio_sigma(st) == 1e6
-        assert admm.norm_ratio(st) is None
+        assert norm_ratio(st) is None
+        st.Z = np.diag([1e-9, 0.0])
+        assert norm_ratio(st) == admm.SIGMA_HI
 
 
 class TestSolve:
@@ -495,8 +496,7 @@ class TestSolve:
 
 
 def cadence_problems():
-    """A keq DNN (norm ratio) and a gpkc DNN (norm-ratio opening, then residual
-    balancing) that converge."""
+    """A keq DNN and a gpkc DNN that converge."""
     g, spec = gen_gpkc_instance(30, 0.5, 3, 2)
     return {"keq": build_keq_dnn(gen_rand_graph(30, 0.5, 1), 3),
             "gpkc": build_gpkc_dnn(g, spec)}
@@ -583,48 +583,56 @@ def sigma_path(p, params=None):
     return path, solve(p, params, callback=cb)
 
 
-class TestStepsizeRule:
-    """The norm ratio without inequality rows, residual balancing with them, and a
-    norm-ratio opening first when the box also has a finite lower bound."""
+def stepsize_problems():
+    """A keq and a knapsack SDP and DNN; the stepsize rule must not tell them apart."""
+    g = gen_rand_graph(30, 0.5, 1)
+    gk, spec = gen_gpkc_instance(30, 0.5, 3, 2)
+    return {"keq-sdp": build_keq_sdp(g, 3), "keq-dnn": build_keq_dnn(g, 3),
+            "gpkc-sdp": build_gpkc_sdp(gk, spec), "gpkc-dnn": build_gpkc_dnn(gk, spec)}
 
-    def test_knapsack_dnn_opens_with_the_norm_ratio(self):
-        path, res = sigma_path(cadence_problems()["gpkc"])
-        assert res.status == "converged" and res.iterations > admm.OPENING_SWEEPS
+
+def rule_path(p, start=None, sweeps=admm.OPENING_SWEEPS + 50):
+    """Per sweep: the sigma it ran with, the norm ratio it left and the balanced sigma
+    of its record, over ``sweeps`` sweeps that no tolerance ends early."""
+    path = []
+
+    def cb(k, state, rec, primal, dual):
+        path.append((state.sigma, norm_ratio(state), classic_sigma(state, rec)))
+
+    res = solve(p, AdmmParams(eps_tol=1e-300, max_iter=sweeps), start=start, callback=cb)
+    assert len(path) == res.iterations == sweeps
+    return path
+
+
+def assert_balanced_on_check_sweeps(path, first):
+    """From sweep ``first`` on, sigma moves only on check sweeps, to the balanced sigma."""
+    sigmas = [sigma for sigma, _, _ in path]
+    for k in range(first, len(path)):
+        expected = path[k - 1][2] if k % admm.CHECK_EVERY == 0 else sigmas[k - 1]
+        assert sigmas[k] == expected, k
+
+
+class TestStepsizeRule:
+    """One rule for every problem: a cold start takes the norm ratio after each of its
+    first OPENING_SWEEPS sweeps and then balances residuals on check sweeps; a warm
+    start balances from the sigma it carries."""
+
+    @pytest.mark.parametrize("name", ["keq-sdp", "keq-dnn", "gpkc-sdp", "gpkc-dnn"])
+    def test_cold_start_opens_then_balances(self, name):
+        path = rule_path(stepsize_problems()[name])
         sigmas = [sigma for sigma, _, _ in path]
         assert sigmas[0] == 1.0
         for k in range(1, admm.OPENING_SWEEPS + 1):
             ratio = path[k - 1][1]
             assert ratio is not None and sigmas[k] == ratio, k
-        moves = [k for k in range(admm.OPENING_SWEEPS + 1, res.iterations)
-                 if sigmas[k] != sigmas[k - 1]]
-        assert moves and all(k % admm.CHECK_EVERY == 0 for k in moves)
+        assert_balanced_on_check_sweeps(path, admm.OPENING_SWEEPS + 1)
 
-    @pytest.mark.parametrize("name", ["keq", "gpkc-sdp"])
-    def test_sigma_path_follows_the_problem(self, name):
-        # keq: the norm ratio after every sweep; the free-box knapsack SDP: residual
-        # balancing on every check sweep from sweep 1, with no opening
-        if name == "keq":
-            p = cadence_problems()["keq"]
-        else:
-            g, spec = gen_gpkc_instance(30, 0.5, 3, 2)
-            p = build_gpkc_sdp(g, spec)
-        path = []
-
-        def cb(k, state, rec, primal, dual):
-            path.append((state.sigma, norm_ratio_sigma(state), classic_sigma(state, rec)))
-
-        res = solve(p, AdmmParams(max_iter=150), callback=cb)
-        assert len(path) == res.iterations > admm.CHECK_EVERY
-        sigmas = [sigma for sigma, _, _ in path]
-        assert sigmas[0] == 1.0
-        for k in range(1, len(path)):
-            _, ratio, balanced = path[k - 1]
-            if name == "keq":
-                expected = ratio
-            else:
-                expected = balanced if k % admm.CHECK_EVERY == 0 else sigmas[k - 1]
-            assert sigmas[k] == expected, k
-        assert sigmas[admm.CHECK_EVERY] != 1.0
+    def test_warm_start_balances_from_the_carried_sigma(self):
+        p, start = warm_round()
+        path = rule_path(p, start)
+        assert path[0][0] == start.sigma
+        assert_balanced_on_check_sweeps(path, 1)
+        assert path[admm.CHECK_EVERY][0] != start.sigma
 
     def test_zero_z_ends_the_opening(self):
         # Z is 0 after the first sweep here; the norm ratio would pin sigma at SIGMA_HI

@@ -53,6 +53,22 @@ class TestGen:
         main(["gen", "--n", "6", "--density", "0.2", "--seed", "0", "--outdir", "sub"])
         assert (tmp_path / "sub" / "rand20_n6_s0.gp").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "1"], "vertices"), (["--n", "8", "--density", "1.7"], "density"),
+        (["--n", "8", "--density", "0.5", "nan"], "density"),
+    ], ids=["n-1", "density-above-1", "density-nan-after-a-good-one"])
+    def test_bad_values_leave_no_directory(self, tmp_path, flags, message, capsys):
+        outdir = tmp_path / "inst"
+        assert main(["gen", *flags, "--outdir", str(outdir)]) == 1
+        assert message in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_gpkc_without_k_leaves_no_directory(self, tmp_path):
+        outdir = tmp_path / "inst"
+        with pytest.raises(SystemExit, match="--k is required"):
+            main(["gen", "--n", "8", "--gpkc", "--outdir", str(outdir)])
+        assert not outdir.exists()
+
 
 class TestSolve:
     def test_k8_dnn_bound(self, k8_file, tmp_path):
@@ -136,6 +152,15 @@ class TestSolve:
         assert code == 1
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("every", ["0", "-5"])
+    def test_rejects_trace_every_below_one(self, k8_file, tmp_path, every, capsys):
+        out, trace = tmp_path / "solve.csv", tmp_path / "trace.csv"
+        code = main(["solve", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
+                     "--trace", str(trace), "--trace-every", every, "--out", str(out)])
+        assert code == 1
+        assert "--trace-every" in capsys.readouterr().err
+        assert not out.exists() and not trace.exists()
 
     @pytest.mark.parametrize("flags", [["--rule", "auto"], ["--sigma0", "1"],
                                        ["--config", "f.json"]],
@@ -293,6 +318,26 @@ class TestHeur:
         assert code == 1
         assert "samples must be at least 1" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("limit", ["-1", "nan"])
+    def test_rejects_bad_time_limit(self, k8_file, tmp_path, limit, monkeypatch, capsys):
+        from gpbound import admm
+
+        calls = []
+        monkeypatch.setattr(admm, "solve", lambda *a, **kw: calls.append(1))
+        out = tmp_path / "heur.csv"
+        code = main(["heur", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
+                     "--time-limit", limit, "--out", str(out)])
+        assert code == 1
+        assert "--time-limit" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    def test_infinite_time_limit_draws_every_sample(self, k8_file, tmp_path):
+        detail = tmp_path / "detail.csv"
+        assert main(["heur", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
+                     "--method", "vc", "--samples", "7", "--time-limit", "inf",
+                     "--detail-out", str(detail)]) == 0
+        assert reports.read_rows(detail)[0].samples == 7
 
     def test_detail_rows(self, k8_file, tmp_path):
         detail = tmp_path / "detail.csv"
