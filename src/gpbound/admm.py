@@ -32,6 +32,15 @@ rule does not need them after every sweep, so :func:`solve` evaluates them only
 on every ``CHECK_EVERY``-th sweep (and the last); a non-finite iterate in between
 is caught by the sweep itself before its eigendecomposition.
 
+The eigenvalue bound of :mod:`gpbound.eigbound` is valid at every iterate, and the
+product of a solve is that bound. So on the same check sweeps :func:`solve` also
+certifies the iterate (about 8 ms at n = 300, against about 13 ms per sweep), keeps
+the best-certified state by reference (sweeps rebind the state's arrays and never
+write into them), and stops once the best bound meets the primal objective within
+``BOUND_STOP`` * eps_tol relative and has stopped rising by that much. The residual
+test still runs first. Keq-eig bench solves end after 60 instead of 80-90 sweeps,
+with bounds lower by under 1e-4 relative (BENCH_certified_stop.json).
+
 One stepsize rule serves every problem; it never looks at the problem's
 structure. A cold start begins at sigma 1 and sets sigma to the norm ratio
 ||X|| / ||Z|| after each of its first ``OPENING_SWEEPS`` sweeps; the opening ends
@@ -51,6 +60,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from .eigbound import dual_objective, eig_lower_bound, xbar_for
 from .model import SdpProblem
 from .symm import psd_split
 
@@ -68,6 +78,12 @@ CLASSIC_SCALE = 1.1
 PRIMAL_STEP = 1.6
 # norm-ratio sweeps that open every cold start before balancing (module docstring)
 OPENING_SWEEPS = 100
+# ``solve`` stops on a check sweep once the best certified bound lies within
+# BOUND_STOP * eps_tol (relative) of the primal objective and rose by less than that
+# since the previous check sweep (module docstring)
+BOUND_STOP = 10
+# the statuses of a solve that a stopping test ended; the other one is "iter_limit"
+STOPPED = ("converged", "bound")
 
 
 class SolverDivergedError(RuntimeError):
@@ -291,42 +307,6 @@ def classic_sigma(state: AdmmState, rec: ResidualRecord) -> float:
     return float(min(max(sigma, SIGMA_LO), SIGMA_HI))
 
 
-def box_support_value(M: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """inf{<M, W> : lo <= W <= hi}; -inf when a nonzero entry pairs an infinite bound."""
-    pos = M > 0
-    neg = M < 0
-    if np.any(pos & np.isinf(lo)) or np.any(neg & np.isinf(hi)):
-        return -np.inf
-    total = 0.0
-    if pos.any():
-        total += float((M[pos] * lo[pos]).sum())
-    if neg.any():
-        total += float((M[neg] * hi[neg]).sum())
-    return total
-
-
-def clamp_unbounded(M: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Zero the entries whose support pairing is infinite; returns (clamped, magnitude)."""
-    bad = ((M > 0) & np.isinf(lo)) | ((M < 0) & np.isinf(hi))
-    if not bad.any():
-        return M, 0.0
-    out = M.copy()
-    out[bad] = 0.0
-    return out, float(np.linalg.norm(M[bad]))
-
-
-def dual_objective(problem: SdpProblem, y, v, S):
-    """b'y + F1(S) + F2(v) with the unbounded-paired entries of S and v zeroed.
-
-    Returns (value, clamp magnitude).
-    """
-    S, m1 = clamp_unbounded(S, problem.box_lo, problem.box_hi)
-    v, m2 = clamp_unbounded(v, problem.l, problem.u)
-    val = float(problem.b @ y) + box_support_value(S, problem.box_lo, problem.box_hi)
-    val += box_support_value(v, problem.l, problem.u)
-    return val, m1 + m2
-
-
 @dataclass
 class AdmmParams:
     eps_tol: float = 1e-5
@@ -343,10 +323,10 @@ class AdmmParams:
 class AdmmResult:
     state: AdmmState
     residuals: ResidualRecord
-    status: str                    # "converged" | "iter_limit"
+    status: str                    # "converged" | "bound" | "iter_limit"
     primal_obj: float
     dual_obj: float
-    iterations: int
+    iterations: int                # sweeps run; state.iter is the returned state's sweep
     elapsed: float
     eps_tol: float
 
@@ -401,18 +381,31 @@ def solve(
     start: AdmmState | None = None,
     callback=None,
 ) -> AdmmResult:
-    """Run the sweep loop until the largest residual drops below the tolerance.
+    """Run the sweep loop until a stopping test passes, and return the best-certified state.
 
     The loop itself runs on a row-equilibrated copy of the constraints; the stopping
-    test, the returned state, and the residual record all live in the caller's
-    coordinates. The stopping test runs only on check sweeps: every ``CHECK_EVERY``-th
-    sweep and the sweep at ``max_iter``. So the returned state always comes from a
-    check sweep, and ``residuals`` describes it; ``max_iter=0`` returns the start
-    state with its record. ``callback(iteration, state, record, primal, dual)`` fires
-    after every sweep when provided, with a record formed for it; it does not change
-    where the loop stops. Identical inputs produce an identical iterate stream.
-    A start state with a non-finite entry raises ``ValueError``, and a sweep that
-    produces one raises :class:`SolverDivergedError`.
+    tests, the returned state, and the residual record all live in the caller's
+    coordinates. The tests run only on check sweeps: every ``CHECK_EVERY``-th sweep
+    and the sweep at ``max_iter``. First the residual test: the largest residual is
+    within ``eps_tol`` (status ``"converged"``). Then, when the problem has a provable
+    ``xbar`` (every builder's problem does; a ``custom`` tag does not), the bound
+    test: the best eigenvalue bound seen, b, satisfies |<C, X> - b| <=
+    ``BOUND_STOP`` * eps_tol * |b| and rose by less than that since the previous
+    check sweep (status ``"bound"``). Otherwise the loop ends at ``max_iter``
+    (status ``"iter_limit"``).
+
+    With an ``xbar``, every check sweep's state is certified, and the state with the
+    best bound is returned, with its own residual record; a warm start's own
+    certificate is the first to beat, so a solve never certifies below its start.
+    Without one, the state of the last check sweep is returned. So the returned
+    state comes from a check sweep or is the start, ``state.iter`` names its sweep,
+    ``iterations`` counts the sweeps run, and ``residuals`` describes the returned
+    state; ``max_iter=0`` returns the start state with its record.
+    ``callback(iteration, state, record, primal, dual)`` fires after every sweep when
+    provided, with a record formed for it; it does not change where the loop stops.
+    Identical inputs produce an identical iterate stream. A start state with a
+    non-finite entry raises ``ValueError``, and a sweep that produces one raises
+    :class:`SolverDivergedError`.
 
     The stepsize rule is the same for every problem (module docstring): a cold start
     opens at sigma 1 with ``OPENING_SWEEPS`` norm-ratio sweeps, and a warm start
@@ -423,6 +416,10 @@ def solve(
     work, d_eq, d_in = _equilibrated(problem)
     factor = factor_normal_matrix(work)
     opening = OPENING_SWEEPS if start is None else 0
+    try:
+        xbar = xbar_for(problem)
+    except ValueError:
+        xbar = None
 
     if start is not None:
         _check_start(start)
@@ -436,32 +433,55 @@ def solve(
         state = AdmmState.zeros(work, 1.0)
 
     def unscaled_view() -> AdmmState:
+        # sweeps rebind the state's arrays and never write into them, so a view keeps
+        # its values after later sweeps
         return AdmmState(
             X=state.X, s=state.s * d_in, y=state.y / d_eq, ybar=state.ybar / d_in,
             Z=state.Z, S=state.S, v=state.v / d_in, sigma=state.sigma, iter=state.iter,
         )
 
+    def certified(view: AdmmState) -> float:
+        return eig_lower_bound(problem, view, xbar, trace=problem.n).value
+
     C = problem.C
     status = "iter_limit"
-    rec = residuals(unscaled_view(), problem)
+    view = unscaled_view()
+    rec = residuals(view, problem)
+    best, best_rec = view, rec
+    best_lb = certified(view) if start is not None and xbar is not None else -np.inf
+    last_lb = best_lb
+    sweeps = 0
 
     for k in range(1, prm.max_iter + 1):
         sweep(state, factor, work)
-        state.iter = k
+        state.iter = sweeps = k
         check = k % CHECK_EVERY == 0 or k == prm.max_iter
         if check or callback is not None:
             view = unscaled_view()
             rec = residuals(view, problem)
-        # every part of the state enters the numerator of some residual
-        if check and not np.isfinite(rec.as_tuple()).all():
-            raise SolverDivergedError(k, f"sigma={state.sigma:.3e}")
-        if callback is not None:
+            # every part of the state enters the numerator of some residual
+            if check and not np.isfinite(rec.as_tuple()).all():
+                raise SolverDivergedError(k, f"sigma={state.sigma:.3e}")
             primal = float((C * view.X).sum())
+        if callback is not None:
             dual, _ = dual_objective(problem, view.y, view.v, view.S)
             callback(k, view, rec, primal, dual)
-        if check and rec.max_residual <= prm.eps_tol:
-            status = "converged"
-            break
+        if check:
+            if xbar is None:
+                best, best_rec = view, rec
+            else:
+                lb = certified(view)
+                if lb > best_lb:
+                    best, best_rec, best_lb = view, rec, lb
+            if rec.max_residual <= prm.eps_tol:
+                status = "converged"
+                break
+            if xbar is not None:
+                slack = BOUND_STOP * prm.eps_tol * abs(best_lb)
+                if abs(primal - best_lb) <= slack and best_lb - last_lb < slack:
+                    status = "bound"
+                    break
+                last_lb = best_lb
 
         if k <= opening:
             ratio = norm_ratio(state)
@@ -472,12 +492,11 @@ def solve(
         elif k % CHECK_EVERY == 0:
             state.sigma = classic_sigma(state, rec)
 
-    final = unscaled_view()
-    primal = float((C * final.X).sum())
-    dual, _ = dual_objective(problem, final.y, final.v, final.S)
+    primal = float((C * best.X).sum())
+    dual, _ = dual_objective(problem, best.y, best.v, best.S)
     return AdmmResult(
-        state=final, residuals=rec, status=status,
+        state=best, residuals=best_rec, status=status,
         primal_obj=primal, dual_obj=dual,
-        iterations=final.iter, elapsed=time.perf_counter() - t0,
+        iterations=sweeps, elapsed=time.perf_counter() - t0,
         eps_tol=prm.eps_tol,
     )

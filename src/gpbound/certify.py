@@ -3,25 +3,18 @@
 Two post-processing routes turn a near-optimal iterate into a bound that is
 valid no matter how early the solver stopped:
 
-* eigenvalue route: evaluate the dual objective (``admm.dual_objective``, the
-  value the solver reports) at sign-feasible multipliers and pay for the
-  dual-equality violation through the negative spectrum of the rebuilt slack
-  matrix Zc. Every feasible X has trace n (each relaxation has the
-  rows diag(X) = e) and top eigenvalue at most a provable ``xbar``, so
-  <Zc, X> >= min{sum mu_i lambda_i : 0 <= mu_i <= xbar, sum mu_i <= n}: xbar on
-  the floor(n / xbar) most negative eigenvalues and the remainder on the next;
+* eigenvalue route (:mod:`gpbound.eigbound`): evaluate the dual objective at
+  sign-feasible multipliers and pay for the dual-equality violation through the
+  negative spectrum of the rebuilt slack matrix, with margins for every rounding;
 * LP route: freeze the solver's PSD dual block Z as it is and re-optimize the
   remaining multipliers exactly with the bundled dense simplex.
 
 ``certify_bound``'s ``auto`` route is the eigenvalue route for every relaxation
 (xbar = group size m for the equipartition DNN, n - m for its SDP,
 min(n, W / min(a)) for the knapsack DNN and n for the knapsack SDP). A knapsack
-DNN solve that did not converge to ``GPKC_EIG_ACCURACY`` falls back to the LP
-route, which is much stronger at loose caps. Eigenvalues are charged less a
-margin for rounding, in ``eigvalsh`` (n * eps * ||Zc||_F) and in forming Zc,
-and the dual value and the charge each less a bound on their own summation
-error, so the bound holds in floating point (Jansson, Chaykin & Keil, SIAM J.
-Numer. Anal. 2007).
+DNN solve that did not stop by a test at ``GPKC_EIG_ACCURACY`` falls back to the
+LP route, which is much stronger at loose caps. With integral edge weights every
+cut is an integer, so the eigenvalue route reports its bound rounded up.
 ``cutting_loop`` is the one solve-then-certify loop: one round for the SDP and
 the DNN, rounds of violated triangle cuts for DNN+MET.
 """
@@ -30,12 +23,12 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import (AdmmParams, AdmmResult, AdmmState, clamp_unbounded, dual_objective,
-                   pad_state, solve)
+from .admm import STOPPED, AdmmParams, AdmmResult, pad_state, solve
+from .eigbound import BoundCertificate, eig_lower_bound, xbar_for
 from .graphs import GraphInstance, PartitionSpec
 from .model import SdpProblem, add_cuts, build, separate_met
 from .simplex import LpResult, solve_dense_lp  # re-exported: the LP oracle lives here
@@ -55,130 +48,6 @@ __all__ = [
     "solve_dense_lp",
     "LpResult",
 ]
-
-
-@dataclass(frozen=True)
-class BoundCertificate:
-    value: float
-    method: str                      # "eig" | "lp"
-    perturbation: float | None = None
-    xbar: float | None = None
-    feasible: bool = True            # LP route may fail; -inf value then
-    clamp: float = 0.0               # magnitude of sign-clamped multiplier entries
-
-
-def xbar_for(p: SdpProblem) -> float:
-    """Provable upper bound on the top eigenvalue of every feasible primal matrix.
-
-    Equipartition DNN points are nonnegative with row sums m, so their top
-    eigenvalue is at most the group size m. Equipartition SDP points have e as an
-    eigenvector with eigenvalue m and trace n, so every other eigenvalue is
-    nonnegative and at most n - m. Knapsack SDP points are PSD with trace n.
-    Knapsack DNN points are also nonnegative with (X a)_i <= W, so the row sums of
-    Diag(a)^-1 X Diag(a) are at most W / min(a), and by Perron so is the top
-    eigenvalue. A problem whose tag names none of these raises ``ValueError``.
-    """
-    tag = p.tag
-    if tag.problem == "keq" and tag.m is not None:
-        return float(tag.m if tag.relaxation != "sdp" else max(tag.m, p.n - tag.m))
-    if tag.problem == "gpkc" and tag.relaxation == "sdp":
-        return float(p.n)
-    if tag.problem == "gpkc" and tag.capacity is not None and tag.min_weight:
-        return float(min(p.n, tag.capacity / tag.min_weight))
-    raise ValueError(f"no provable xbar for a {tag.problem!r} {tag.relaxation!r} problem")
-
-
-def _gamma(k: int) -> float:
-    """Higham's gamma_k = k u / (1 - k u), the relative error of k roundings."""
-    ku = k * np.finfo(float).eps / 2
-    return ku / (1.0 - ku)
-
-
-def _support_abs(M: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Sum of the absolute products that ``box_support_value(M, lo, hi)`` adds up."""
-    pos, neg = M > 0, M < 0
-    return float(np.abs(M[pos] * lo[pos]).sum() + np.abs(M[neg] * hi[neg]).sum())
-
-
-def _rounding_margins(p: SdpProblem, y, v, S) -> tuple[float, float]:
-    """Error bounds for forming Zc = C - A*(y) - B*(v) - S and d0 = b'y + F1(S) + F2(v).
-
-    An entry of Zc sums at most c + 2 terms, c the largest column count of the
-    stacked rows, so |fl(Zc) - Zc| <= gamma_{c+2} (|C| + |A|'|y| + |B|'|v| + |S|)
-    elementwise (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-    section 3.1), and gamma_{c+3} covers the symmetrized copy too; by Weyl, the
-    Frobenius norm of that bound shifts no eigenvalue further. d0 sums at most
-    m + q + n^2 products. Both bounds are doubled, which covers the rounding in
-    evaluating them (relative size below (n^2 + m + q + c) u).
-    """
-    n = p.n
-    G = p.stacked_rows()
-    c = int(G.getnnz(axis=0).max())
-    w = np.abs(np.concatenate([y, v]))
-    T = np.abs(p.C) + (abs(G).T @ w).reshape(n, n) + np.abs(S)
-    zc = 2.0 * _gamma(c + 3) * float(np.linalg.norm(T))
-    terms = float(np.abs(p.b) @ np.abs(y)) + _support_abs(S, p.box_lo, p.box_hi)
-    terms += _support_abs(v, p.l, p.u)
-    return zc, 2.0 * _gamma(p.m + p.q + n * n) * terms
-
-
-def _spectral_charge(evals: np.ndarray, xbar: float, trace: float) -> float:
-    """min sum mu_i evals_i over 0 <= mu_i <= xbar, sum mu_i <= trace (evals ascending).
-
-    xbar goes on the floor(trace / xbar) most negative eigenvalues and the
-    remainder on the next one if it is negative; an infinite trace charges xbar
-    on every negative eigenvalue.
-    """
-    neg = evals[evals < 0]
-    full = neg.size if trace >= xbar * neg.size else int(trace // xbar)
-    neg_sum = float(neg[:full].sum())
-    charge = xbar * neg_sum if neg_sum < 0 else 0.0
-    rest = trace - xbar * full
-    if full < neg.size and rest > 0:
-        charge += rest * float(neg[full])
-    return charge
-
-
-def eig_lower_bound(p: SdpProblem, approx: AdmmState, xbar: float,
-                    trace: float = math.inf) -> BoundCertificate:
-    """Spectral-perturbation bound from approximate multipliers.
-
-    The multipliers are sign-clamped wherever their support pairing would hit an
-    infinite bound, the PSD-deficient matrix is rebuilt as Zc = C - A*(y) - B*(v) - S
-    from the clamped multipliers, and its negative eigenvalues are charged by
-    ``_spectral_charge`` with ``xbar`` and ``trace``, which must bound the top
-    eigenvalue and the trace of every feasible X (the bound is valid for any
-    multipliers). Rebuilding (rather than trusting the solver's projected PSD
-    matrix) is what keeps the bound safe at loose stopping tolerances. Each
-    computed eigenvalue is lowered by ``n * eps * ||Zc||_F`` (for ``eigvalsh``)
-    plus the Zc margin of ``_rounding_margins``, the dual value by its d0 margin,
-    the charge by a doubled Higham bound on its own sums and products, and the
-    final sum of those three by a doubled gamma_2 of their magnitudes, since the
-    exact values lie no further away than that. ``perturbation`` is the charge
-    after its margin.
-    """
-    if xbar <= 0:
-        raise ValueError("xbar must be positive")
-    y = approx.y
-    d0, mag = dual_objective(p, y, approx.v, approx.S)
-    if mag:
-        log.debug("eig bound clamped multiplier mass %.3e", mag)
-    S_c, _ = clamp_unbounded(approx.S, p.box_lo, p.box_hi)
-    v_c, _ = clamp_unbounded(approx.v, p.l, p.u)
-    Zc = p.C - p.adjoint(y, v_c) - S_c
-    zc_err, d0_err = _rounding_margins(p, y, v_c, S_c)
-    margin = p.n * np.finfo(float).eps * np.linalg.norm(Zc) + zc_err
-    evals = np.linalg.eigvalsh(0.5 * (Zc + Zc.T)) - margin
-    charge = _spectral_charge(evals, xbar, trace)
-    # every product in the charge is <= 0, so |charge| is the sum of their absolute
-    # values; it takes at most (number of negative evals) + 3 roundings, doubled
-    # like the margins of _rounding_margins
-    perturbation = charge - 2.0 * _gamma(int((evals < 0).sum()) + 3) * abs(charge)
-    # the two additions of the final sum round too; same doubling
-    value = d0 - d0_err + perturbation
-    value -= 2.0 * _gamma(2) * (abs(d0) + d0_err + abs(perturbation))
-    return BoundCertificate(value=value, method="eig",
-                            perturbation=perturbation, xbar=xbar, clamp=mag)
 
 
 def _standard_form_box_lp(p: SdpProblem, Cz: np.ndarray):
@@ -255,14 +124,18 @@ def certify_bound(p: SdpProblem, result: AdmmResult, method: str = "auto") -> Bo
     """Certify a solver result: ``"auto"`` and ``"eig"`` take the eigenvalue route.
 
     Every builder emits the rows diag(X) = e, so the eigenvalue bound is charged
-    with trace n and ``xbar_for(p)``. A knapsack DNN (or DNN+MET) solve that did
-    not converge to ``GPKC_EIG_ACCURACY`` goes to the LP route instead, which is
-    much stronger at loose caps. ``"lp"`` always takes the LP route.
+    with trace n and ``xbar_for(p)``. When the problem's tag says its edge weights
+    are integral, the optimum is an integer, so the certificate reports the bound
+    rounded up and keeps the unrounded one in ``raw``. A knapsack DNN (or DNN+MET)
+    solve that did not stop by a test (status ``"converged"`` or ``"bound"``) at
+    ``GPKC_EIG_ACCURACY`` goes to the LP route instead, which is much stronger at
+    loose caps. ``"lp"`` always takes the LP route; its value carries no rounding
+    margin, so it is not rounded up.
     """
     if method == "auto":
         method = "eig"
     if method == "eig" and p.tag.problem == "gpkc" and p.tag.relaxation != "sdp":
-        accurate = result.status == "converged" and result.eps_tol <= GPKC_EIG_ACCURACY
+        accurate = result.status in STOPPED and result.eps_tol <= GPKC_EIG_ACCURACY
         if not accurate:
             log.warning(
                 "eigenvalue bound for a knapsack DNN needs an accurate solve; "
@@ -270,7 +143,10 @@ def certify_bound(p: SdpProblem, result: AdmmResult, method: str = "auto") -> Bo
             )
             method = "lp"
     if method == "eig":
-        return eig_lower_bound(p, result.state, xbar_for(p), trace=p.n)
+        cert = eig_lower_bound(p, result.state, xbar_for(p), trace=p.n)
+        if p.tag.integral and math.isfinite(cert.value):
+            cert = replace(cert, value=float(math.ceil(cert.value)))
+        return cert
     if method == "lp":
         return lp_lower_bound(p, result.state.Z)
     raise ValueError(f"unknown certificate method {method!r}")

@@ -127,7 +127,7 @@ def _solve_one(args, g, spec) -> list[reports.SolveRow]:
         reports.write_rows(_out_path(args.cert_out), [
             reports.CertRow(g.name, args.relaxation, r.certificate.method, r.bound,
                             r.certificate.perturbation, r.certificate.xbar,
-                            r.status == "converged") for r in rounds], append=True)
+                            r.status in admm.STOPPED) for r in rounds], append=True)
     if args.cuts_out:
         reports.write_rows(_out_path(args.cuts_out),
                            [reports.CutRoundRow(r.round, r.bound, r.cuts) for r in rounds])

@@ -35,6 +35,7 @@ class ProblemTag:
     m: int | None = None      # equipartition group size
     capacity: float | None = None
     min_weight: float | None = None   # smallest knapsack vertex weight
+    integral: bool = False    # integral edge weights: every cut, so the optimum, is an integer
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,19 @@ class SdpProblem:
         """All constraint rows, equalities first, over vec(X)."""
         return sp.vstack([self.A, self.B], format="csr")
 
+    @cached_property
+    def row_magnitudes(self) -> tuple[sp.spmatrix, sp.spmatrix, int]:
+        """|A|', |B|' and the largest column count of the stacked rows: the parts of the
+        eigenvalue bound's rounding margin that depend on the problem only. A transpose
+        without negative entries is |.|' itself, so every builder's rows but the
+        triangle cuts cost no copy."""
+        def magnitude(Mt):
+            return Mt if (Mt.data >= 0).all() else abs(Mt)
+
+        At, Bt = self._transposes
+        columns = int((self.A.getnnz(axis=0) + self.B.getnnz(axis=0)).max())
+        return magnitude(At), magnitude(Bt), columns
+
 
 def _checked_rows(M, n: int, kind: str) -> sp.csr_matrix:
     """``M`` as CSR after checking it has n^2 columns and every row is symmetric."""
@@ -185,6 +199,11 @@ def _sym_rows(n_rows: int, n: int, row, i, j, val) -> sp.csr_matrix:
     )
 
 
+def _integral(g: GraphInstance) -> bool:
+    """Whether every edge weight is an integer, so that every cut value is one."""
+    return bool((g.W_adj == np.round(g.W_adj)).all())
+
+
 def _keq_base(g: GraphInstance, k: int):
     # rows e_i e_i' (diag(X) = e), then (e_i e' + e e_i')/2 ((X e)_i = m)
     spec = KEquipartition.for_graph(g.n, k)
@@ -200,14 +219,14 @@ def _keq_base(g: GraphInstance, k: int):
 def build_keq_sdp(g: GraphInstance, k: int) -> SdpProblem:
     """Equipartition relaxation: diag(X) = e, X e = m e, X PSD, free box."""
     spec, A, b = _keq_base(g, k)
-    tag = ProblemTag("keq", "sdp", m=spec.m)
+    tag = ProblemTag("keq", "sdp", m=spec.m, integral=_integral(g))
     return SdpProblem(n=g.n, C=laplacian(g, 0.5), A=A, b=b, tag=tag)
 
 
 def build_keq_dnn(g: GraphInstance, k: int) -> SdpProblem:
     """As :func:`build_keq_sdp` with the elementwise lower bound X >= 0."""
     spec, A, b = _keq_base(g, k)
-    tag = ProblemTag("keq", "dnn", m=spec.m)
+    tag = ProblemTag("keq", "dnn", m=spec.m, integral=_integral(g))
     return SdpProblem(
         n=g.n, C=laplacian(g, 0.5), A=A, b=b,
         box_lo=np.zeros((g.n, g.n)), tag=tag,
@@ -229,7 +248,8 @@ def _gpkc_base(g: GraphInstance, spec: Gpkc):
 def build_gpkc_sdp(g: GraphInstance, spec: Gpkc) -> SdpProblem:
     """Knapsack relaxation: diag(X) = e, X a <= W e, X PSD, free box."""
     A, b, B, u = _gpkc_base(g, spec)
-    tag = ProblemTag("gpkc", "sdp", capacity=spec.W, min_weight=float(spec.a.min()))
+    tag = ProblemTag("gpkc", "sdp", capacity=spec.W, min_weight=float(spec.a.min()),
+                     integral=_integral(g))
     return SdpProblem(
         n=g.n, C=laplacian(g, 0.5), A=A, b=b,
         B=B, l=np.full(g.n, -np.inf), u=u, tag=tag,
@@ -246,7 +266,8 @@ def build_gpkc_dnn(g: GraphInstance, spec: Gpkc) -> SdpProblem:
     A, b, B, u = _gpkc_base(g, spec)
     conflict = spec.a[:, None] + spec.a[None, :] > spec.W
     np.fill_diagonal(conflict, False)
-    tag = ProblemTag("gpkc", "dnn", capacity=spec.W, min_weight=float(spec.a.min()))
+    tag = ProblemTag("gpkc", "dnn", capacity=spec.W, min_weight=float(spec.a.min()),
+                     integral=_integral(g))
     return SdpProblem(
         n=g.n, C=laplacian(g, 0.5), A=A, b=b,
         B=B, l=spec.a.copy(), u=u,

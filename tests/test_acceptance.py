@@ -5,6 +5,7 @@ to watch them live. The sandwich checks are hard assertions; the bound-method
 comparison (criterion 7) reports its outcome and only warns on a direction flip,
 since that behavior is empirical rather than guaranteed.
 """
+import dataclasses
 import logging
 import time
 import warnings
@@ -166,14 +167,19 @@ class TestCriterion5ConvergenceAtScale:
         times = []
         for k in (2, 5, 10):
             p = model.build_keq_dnn(g, k)
+            prm = AdmmParams(eps_tol=1e-5, max_iter=20000)
             t0 = time.perf_counter()
-            res = solve(p, AdmmParams(eps_tol=1e-5, max_iter=20000))
+            # untagged, the problem has no xbar, so only the residual test stops it
+            res = solve(dataclasses.replace(p, tag=model.ProblemTag("custom", "dnn")), prm)
             dt = time.perf_counter() - t0
             times.append(dt)
             assert res.status == "converged"
             assert res.iterations <= 20000
             assert res.residuals.max_residual <= 1e-5
             assert dt < 120.0
+            # the same iterates, which the bound test can only stop sooner
+            tagged = solve(p, prm)
+            assert tagged.status in admm.STOPPED and tagged.iterations <= res.iterations
         announce("C5", "n=100 convergence at reference settings", True,
                  "(" + ", ".join(f"{t:.1f}s" for t in times) + ")")
 

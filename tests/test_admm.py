@@ -10,7 +10,6 @@ from gpbound.admm import (
     AdmmState,
     DependentRowsError,
     SolverDivergedError,
-    box_support_value,
     classic_sigma,
     dual_objective,
     factor_normal_matrix,
@@ -22,8 +21,9 @@ from gpbound.admm import (
 )
 from gpbound.graphs import GraphInstance, gen_gpkc_instance, gen_rand_graph
 from gpbound.certify import certify_bound
-from gpbound.model import (SdpProblem, add_cuts, build_gpkc_dnn, build_gpkc_sdp, build_keq_dnn,
-                           build_keq_sdp, separate_met)
+from gpbound.eigbound import box_support_value, eig_lower_bound, xbar_for
+from gpbound.model import (ProblemTag, SdpProblem, add_cuts, build_gpkc_dnn, build_gpkc_sdp,
+                           build_keq_dnn, build_keq_sdp, separate_met)
 from gpbound.symm import psd_split
 
 
@@ -61,6 +61,12 @@ def ineq_toy_kkt_state(sigma=1.0):
         v=np.array([0.6]),
         sigma=sigma,
     )
+
+
+def untagged(p):
+    """The same problem under a custom tag: it has no xbar, so only the residual test
+    can stop a solve of it."""
+    return dataclasses.replace(p, tag=ProblemTag("custom", p.tag.relaxation))
 
 
 def random_state(problem, rng, sigma=1.0):
@@ -395,7 +401,7 @@ class TestSolve:
 
     def test_rand80_n50_converges(self):
         g = gen_rand_graph(50, 0.8, 1)
-        res = solve(build_keq_dnn(g, 5))
+        res = solve(untagged(build_keq_dnn(g, 5)))
         assert res.status == "converged"
         assert res.iterations <= 20000
         assert res.residuals.max_residual <= 1e-5
@@ -409,7 +415,7 @@ class TestSolve:
         g, spec = gen_gpkc_instance(9, 0.5, 3, 2)
         cases.append(build_gpkc_dnn(g, spec))
         for p in cases:
-            res = solve(p)
+            res = solve(untagged(p))
             assert res.status == "converged"
             slack = 10 * res.eps_tol * (1.0 + abs(res.primal_obj))
             assert res.dual_obj <= res.primal_obj + slack
@@ -477,7 +483,7 @@ class TestSolve:
                 seen.append(k)
 
             res = solve(p, start=start, callback=cb)
-            assert res.status == "converged" and seen == list(range(1, res.iterations + 1))
+            assert res.status in admm.STOPPED and seen == list(range(1, res.iterations + 1))
             return res
 
         keq = build_keq_dnn(gen_rand_graph(30, 0.5, 1), 3)
@@ -495,11 +501,13 @@ class TestSolve:
         assert res.iterations == 3
 
 
-def cadence_problems():
-    """A keq DNN and a gpkc DNN that converge."""
+def cadence_problems(tagged=False):
+    """A keq DNN and a gpkc DNN that converge; untagged unless ``tagged``, so that only
+    the residual test stops them."""
     g, spec = gen_gpkc_instance(30, 0.5, 3, 2)
-    return {"keq": build_keq_dnn(gen_rand_graph(30, 0.5, 1), 3),
-            "gpkc": build_gpkc_dnn(g, spec)}
+    problems = {"keq": build_keq_dnn(gen_rand_graph(30, 0.5, 1), 3),
+                "gpkc": build_gpkc_dnn(g, spec)}
+    return problems if tagged else {name: untagged(p) for name, p in problems.items()}
 
 
 def warm_round():
@@ -511,8 +519,27 @@ def warm_round():
     return met, admm.pad_state(res.state, met)
 
 
+def assert_callback_does_not_move_the_stop(p, start):
+    plain = solve(p, start=start)
+    traced = solve(p, start=start, callback=lambda *a: None)
+    assert (traced.iterations, traced.status) == (plain.iterations, plain.status)
+    for field in ("X", "y", "ybar", "S", "Z", "v", "s"):
+        assert np.array_equal(getattr(traced.state, field), getattr(plain.state, field))
+    assert (traced.state.sigma, traced.state.iter) == (plain.state.sigma, plain.state.iter)
+    assert traced.residuals == plain.residuals
+
+
+def cadence_case(name, tagged=False):
+    """A cadence problem or the warm round, untagged unless ``tagged``, and its start."""
+    if name != "warm":
+        return cadence_problems(tagged)[name], None
+    p, start = warm_round()
+    return (p if tagged else untagged(p)), start
+
+
 class TestCheckCadence:
-    """The stopping test runs on every CHECK_EVERY-th sweep and at max_iter only."""
+    """The residual test runs on every CHECK_EVERY-th sweep and at max_iter only; on
+    untagged problems it is the only stopping test."""
 
     @pytest.mark.parametrize("name", ["keq", "gpkc"])
     def test_residuals_run_on_check_sweeps_only(self, name, monkeypatch):
@@ -541,18 +568,11 @@ class TestCheckCadence:
 
     @pytest.mark.parametrize("name", ["keq", "gpkc", "warm"])
     def test_callback_does_not_move_the_stop(self, name):
-        p, start = warm_round() if name == "warm" else (cadence_problems()[name], None)
-        plain = solve(p, start=start)
-        traced = solve(p, start=start, callback=lambda *a: None)
-        assert (traced.iterations, traced.status) == (plain.iterations, plain.status)
-        for field in ("X", "y", "ybar", "S", "Z", "v", "s"):
-            assert np.array_equal(getattr(traced.state, field), getattr(plain.state, field))
-        assert traced.state.sigma == plain.state.sigma
-        assert traced.residuals == plain.residuals
+        assert_callback_does_not_move_the_stop(*cadence_case(name))
 
     @pytest.mark.parametrize("name", ["keq", "gpkc", "warm"])
     def test_stop_is_first_check_sweep_within_tolerance(self, name):
-        p, start = warm_round() if name == "warm" else (cadence_problems()[name], None)
+        p, start = cadence_case(name)
         prm = AdmmParams()
         worst = []
         res = solve(p, prm, start=start,
@@ -568,6 +588,82 @@ class TestCheckCadence:
         res = solve(p, AdmmParams(max_iter=0))
         assert (res.iterations, res.status) == (0, "iter_limit")
         assert res.residuals == residuals(AdmmState.zeros(p, 1.0), p)
+
+
+def certified_path(p, params=None, start=None):
+    """Per check sweep: (sweep, its eigenvalue bound, its primal objective), read
+    through the callback; plus the result."""
+    prm = params or AdmmParams()
+    path = []
+
+    def cb(k, state, rec, primal, dual):
+        if k % admm.CHECK_EVERY == 0 or k == prm.max_iter:
+            lb = eig_lower_bound(p, state, xbar_for(p), trace=p.n).value
+            path.append((k, lb, primal))
+
+    return path, solve(p, prm, start=start, callback=cb)
+
+
+class TestCertifiedStop:
+    """With a provable xbar, every check sweep is certified, the best-certified state
+    is returned, and the loop also stops once that bound meets the primal objective."""
+
+    @pytest.mark.parametrize("seed, density", [(1, 0.5), (4, 0.2)])
+    def test_returns_the_best_certified_iterate(self, seed, density):
+        # the sweep where a solve stops need not certify best: the first SDP's bound
+        # fell 501.19243 -> 501.18424 when its stop moved from sweep 85 to 90, and the
+        # second converges at sweep 270 after its best bound at sweep 260
+        p = build_keq_sdp(gen_rand_graph(12, density, seed), 3)
+        path, res = certified_path(p)
+        cert = certify_bound(p, res)
+        assert cert.raw >= max(lb for _, lb, _ in path)
+        assert (res.state.iter, cert.raw) in [(k, lb) for k, lb, _ in path]
+        assert res.residuals == residuals(res.state, p)
+        if seed == 4:
+            assert res.state.iter < res.iterations
+
+    @pytest.mark.parametrize("name", ["keq", "gpkc", "warm"])
+    def test_stop_is_first_check_sweep_meeting_the_bound(self, name):
+        p, start = cadence_case(name, tagged=True)
+        prm = AdmmParams()
+        path, res = certified_path(p, prm, start)
+        best = -np.inf if start is None else \
+            eig_lower_bound(p, start, xbar_for(p), trace=p.n).value
+        stop = None
+        for k, lb, primal in path:
+            last, best = best, max(best, lb)
+            slack = admm.BOUND_STOP * prm.eps_tol * abs(best)
+            if abs(primal - best) <= slack and best - last < slack:
+                stop = k
+                break
+        assert stop is not None and (res.status, res.iterations) == ("bound", stop)
+        assert certify_bound(p, res).raw == best
+
+    @pytest.mark.parametrize("name", ["keq", "gpkc", "warm"])
+    def test_callback_does_not_move_the_stop(self, name):
+        assert_callback_does_not_move_the_stop(*cadence_case(name, tagged=True))
+
+    @pytest.mark.parametrize("name", ["keq", "gpkc", "warm"])
+    def test_custom_tag_never_stops_on_the_bound(self, name):
+        p, start = cadence_case(name, tagged=True)
+        tagged = solve(p, start=start)
+        plain = solve(untagged(p), start=start)
+        assert tagged.status == "bound" and plain.status == "converged"
+        assert plain.iterations > tagged.iterations
+        assert plain.state.iter == plain.iterations
+
+    def test_warm_start_never_certifies_below_its_start(self):
+        # no sweep of the second round certifies above its start, which comes back
+        p0 = build_keq_dnn(gen_rand_graph(12, 0.5, 3), 4)
+        r0 = solve(p0)
+        p1 = add_cuts(p0, separate_met(r0.state.X, 24))
+        for p, start in (warm_round(), (p1, admm.pad_state(r0.state, p1))):
+            res = solve(p, start=start)
+            before = eig_lower_bound(p, start, xbar_for(p), trace=p.n).value
+            assert certify_bound(p, res).raw >= before
+            assert res.residuals == residuals(res.state, p)
+        assert res.state.iter == 0 < res.iterations
+        assert np.array_equal(res.state.X, start.X)
 
 
 def sigma_path(p, params=None):
@@ -643,7 +739,7 @@ class TestStepsizeRule:
         sigmas = [sigma for sigma, _, _ in path]
         assert all(sigmas[k] == sigmas[k - 1] for k in range(1, res.iterations)
                    if k % admm.CHECK_EVERY)
-        assert res.status == "converged"
+        assert res.status in admm.STOPPED
         assert certify_bound(p, res).method == "eig"
 
 
@@ -706,7 +802,7 @@ class TestWarmStart:
         cold = solve(p)
         partial = solve(p, AdmmParams(max_iter=30))
         warm = solve(p, start=partial.state)
-        assert warm.status == "converged"
+        assert warm.status in admm.STOPPED
         assert warm.primal_obj == pytest.approx(cold.primal_obj, rel=1e-4)
         assert warm.iterations < cold.iterations
 

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gpbound import certify, oracle
-from gpbound.admm import AdmmParams, AdmmState, clamp_unbounded, dual_objective, solve
+from gpbound import certify, eigbound, oracle
+from gpbound.admm import STOPPED, AdmmParams, AdmmState, dual_objective, solve
 from gpbound.certify import (
-    _spectral_charge,
     certify_bound,
     eig_lower_bound,
     lp_lower_bound,
     solve_dense_lp,
     xbar_for,
 )
-from gpbound.graphs import Gpkc, gen_gpkc_instance, gen_rand_graph
+from gpbound.eigbound import _spectral_charge, clamp_unbounded
+from gpbound.graphs import Gpkc, GraphInstance, gen_gpkc_instance, gen_rand_graph
 from gpbound.model import (ProblemTag, SdpProblem, TriangleCut, add_cuts, build_gpkc_dnn,
                            build_gpkc_sdp, build_keq_dnn, build_keq_sdp)
 
@@ -300,7 +300,7 @@ class TestRoundingMargins:
             st = state_with(p, y=rng.normal(size=3))
             cert = eig_lower_bound(p, st, xbar=1.0, trace=3.0)
             d0, _ = dual_objective(p, st.y, st.v, st.S)
-            _, d0_err = certify._rounding_margins(p, st.y, st.v, st.S)
+            _, d0_err = eigbound._rounding_margins(p, st.y, st.v, st.S)
             exact = Fraction(d0) - Fraction(d0_err) + Fraction(cert.perturbation)
             assert Fraction(cert.value) <= exact
             above += Fraction(d0 - d0_err + cert.perturbation) > exact
@@ -370,7 +370,7 @@ class TestCertifyRouting:
         g, spec = gen_gpkc_instance(8, 0.5, 2, 2)
         p = build_gpkc_dnn(g, spec)
         res = solve(p)
-        assert res.status == "converged"
+        assert res.status in STOPPED
         cert = certify_bound(p, res)
         assert cert.method == "eig" and cert.xbar == xbar_for(p)
         capped = solve(p, AdmmParams(max_iter=5))
@@ -383,7 +383,8 @@ class TestCertifyRouting:
         res = solve(p)
         cert = certify_bound(p, res)
         assert cert.method == "eig" and cert.xbar == 12.0
-        assert cert.value == pytest.approx(9.0053, abs=1e-3)
+        assert cert.raw == pytest.approx(9.0053, abs=1e-3)
+        assert cert.value == 10.0   # integral weights: the bound rounded up
         assert not lp_lower_bound(p, res.state.Z).feasible
 
     def test_gpkc_sdp_eig_kept_at_loose_tolerance(self):
@@ -407,7 +408,7 @@ class TestCertifyRouting:
         g, spec = gen_gpkc_instance(8, 0.5, 2, 2)
         p = build_gpkc_dnn(g, spec)
         res = solve(p, AdmmParams(eps_tol=1e-5))
-        assert res.status == "converged"
+        assert res.status in STOPPED
         cert = certify_bound(p, res, method="eig")
         assert cert.method == "eig"
         opt = oracle.brute_force_gpkc(g, spec.a, spec.W).opt
@@ -449,15 +450,63 @@ class TestConflictPairs:
     def test_converges_and_eig_certifies_the_optimum(self, conflict):
         p, res, opt = conflict
         assert opt == 189.0
-        assert res.status == "converged"
+        assert res.status in STOPPED
         cert = certify_bound(p, res)
         assert cert.method == "eig"
         assert opt - 5e-3 <= cert.value <= opt + 1e-9
+        assert cert.value == opt   # rounded up, the bound proves optimality
 
     def test_lp_route_stays_below_the_optimum(self, conflict):
         p, res, opt = conflict
         cert = certify_bound(p, res, method="lp")
         assert cert.feasible and cert.value <= opt + 1e-9
+
+
+class TestIntegralRoundUp:
+    """With integral edge weights every cut is an integer, so the eigenvalue route
+    reports its bound rounded up and keeps the unrounded one in ``raw``."""
+
+    @staticmethod
+    def halved(g):
+        return GraphInstance(n=g.n, W_adj=0.5 * g.W_adj, name=g.name)
+
+    def test_builders_flag_integral_weights(self):
+        g = gen_rand_graph(9, 0.5, 4)
+        gk, spec = gen_gpkc_instance(8, 0.5, 2, 2)
+        problems = [build_keq_sdp(g, 3), build_keq_dnn(g, 3),
+                    build_gpkc_sdp(gk, spec), build_gpkc_dnn(gk, spec)]
+        assert all(p.tag.integral for p in problems)
+        assert add_cuts(problems[1], [TriangleCut(0, 1, 2)]).tag.integral
+        assert (self.halved(g).W_adj % 1 == 0.5).any()
+        assert not build_keq_dnn(self.halved(g), 3).tag.integral
+        assert not build_gpkc_dnn(self.halved(gk), spec).tag.integral
+
+    @pytest.mark.parametrize("halve", [False, True])
+    def test_eig_route_rounds_up_only_integral_cuts(self, halve):
+        g = gen_rand_graph(9, 0.5, 4)
+        p = build_keq_dnn(self.halved(g) if halve else g, 3)
+        res = solve(p)
+        cert = certify_bound(p, res)
+        assert cert.raw == eig_lower_bound(p, res.state, xbar_for(p), trace=p.n).value
+        assert cert.value == (cert.raw if halve else math.ceil(cert.raw))
+        assert cert.value != cert.raw or halve
+
+    def test_lp_route_is_not_rounded(self):
+        g, spec = gen_gpkc_instance(8, 0.5, 2, 2)
+        p = build_gpkc_dnn(g, spec)
+        res = solve(p, AdmmParams(max_iter=20))
+        cert = certify_bound(p, res, method="lp")
+        assert cert.raw is None and cert.value == lp_lower_bound(p, res.state.Z).value
+        assert cert.value != math.ceil(cert.value)
+
+    @pytest.mark.parametrize("density, seed", [(0.2, 3), (0.8, 2)])
+    def test_rounded_bound_proves_optimality(self, density, seed):
+        g, spec = gen_gpkc_instance(7, density, 7, seed)
+        p = build_gpkc_dnn(g, spec)
+        cert = certify_bound(p, solve(p))
+        opt = oracle.brute_force_gpkc(g, spec.a, spec.W).opt
+        assert cert.method == "eig" and cert.raw < opt
+        assert cert.value == opt
 
 
 class TestLpBoundAgainstIndependentFormulation:

@@ -131,6 +131,19 @@ class TestSolve:
         trace = reports.read_rows(tmp_path / "trace_dnn+met.csv")
         assert [t.iter for t in trace] == [r.iterations for r in met]
 
+    def test_cert_out_reads_converged_for_a_bound_stop(self, tmp_path):
+        # the column means "stopped by a test": the residual test or the bound test
+        main(["gen", "--n", "10", "--density", "0.5", "--seed", "3", "--outdir", str(tmp_path)])
+        base = ["solve", "--instance", str(tmp_path / "rand50_n10_s3.gp"), "--problem", "keq",
+                "--k", "2", "--relaxation", "sdp"]
+        assert main([*base, "--out", str(tmp_path / "solve.csv"),
+                     "--cert-out", str(tmp_path / "cert.csv")]) == 0
+        assert main([*base, "--max-iter", "20", "--cert-out", str(tmp_path / "cert.csv")]) == 0
+        [row] = reports.read_rows(tmp_path / "solve.csv")
+        stopped, capped = reports.read_rows(tmp_path / "cert.csv")
+        assert row.status == "bound" and stopped.converged
+        assert not capped.converged
+
     @pytest.mark.parametrize("rounds", ["0", "-2"])
     def test_met_rejects_fewer_than_one_round(self, k8_file, tmp_path, rounds, capsys):
         out = tmp_path / "met.csv"

@@ -3,7 +3,7 @@ and at the default one.
 
 A certificate must be a bound at any iterate, so every relaxation is solved for
 only 5, 20 or 50 sweeps and certified by every route; at the default cap every
-round must also converge, which checks the bound where a converged solve stops.
+round must also stop by a test, which checks the bound where such a solve stops.
 The instance grid and its seeds are fixed; each case prints its seed.
 """
 from functools import lru_cache
@@ -11,7 +11,7 @@ from functools import lru_cache
 import pytest
 
 from gpbound import oracle
-from gpbound.admm import AdmmParams
+from gpbound.admm import STOPPED, AdmmParams
 from gpbound.certify import cutting_loop
 from gpbound.graphs import KEquipartition, cut_value, gen_gpkc_instance, gen_rand_graph
 from gpbound.rounding import vc_plus_two_opt
@@ -52,7 +52,7 @@ def test_lb_opt_ub(case, relaxation, method, cap):
     for rnd in rounds:
         assert rnd.bound <= opt + tol, (case, relaxation, method, cap, rnd)
         if cap == AdmmParams().max_iter:
-            assert rnd.status == "converged", (case, relaxation, method, rnd)
+            assert rnd.status in STOPPED, (case, relaxation, method, rnd)
     heur = vc_plus_two_opt(g, last["X"], spec, samples=20, seed=case[4])
     assert heur.partition.feasible_for(spec)
     assert heur.ub == pytest.approx(cut_value(g, heur.partition))
