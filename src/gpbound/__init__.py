@@ -54,7 +54,6 @@ from .rounding import (
     vc_round_gpkc,
     vc_round_keq,
 )
-from .simplex import LpResult, solve_dense_lp
 
 __version__ = "0.1.0"
 
@@ -69,7 +68,6 @@ __all__ = [
     "HeuristicResult",
     "InstanceFormatError",
     "KEquipartition",
-    "LpResult",
     "OracleResult",
     "Partition",
     "PartitionSpec",
@@ -99,7 +97,6 @@ __all__ = [
     "read_instance",
     "separate_met",
     "solve",
-    "solve_dense_lp",
     "two_opt_bisection",
     "two_opt_multi",
     "vc_plus_two_opt",

@@ -35,11 +35,13 @@ is caught by the sweep itself before its eigendecomposition.
 The eigenvalue bound of :mod:`gpbound.eigbound` is valid at every iterate, and the
 product of a solve is that bound. So on the same check sweeps :func:`solve` also
 certifies the iterate (about 8 ms at n = 300, against about 13 ms per sweep), keeps
-the best-certified state by reference (sweeps rebind the state's arrays and never
-write into them), and stops once the best bound meets the primal objective within
-``BOUND_STOP`` * eps_tol relative and has stopped rising by that much. The residual
-test still runs first. Keq-eig bench solves end after 60 instead of 80-90 sweeps,
-with bounds lower by under 1e-4 relative (BENCH_certified_stop.json).
+the best certificate and its state by reference (sweeps rebind the state's arrays
+and never write into them), and stops once the best bound meets the primal
+objective within ``BOUND_STOP`` * eps_tol relative and has stopped rising by that
+much. The residual test still runs first. Keq-eig bench solves end after 60
+instead of 80-90 sweeps, with bounds lower by under 1e-4 relative
+(BENCH_certified_stop.json). The best certificate is returned as
+``AdmmResult.certificate``, and :func:`gpbound.certify.certify_bound` reports it.
 
 One stepsize rule serves every problem; it never looks at the problem's
 structure. A cold start begins at sigma 1 and sets sigma to the norm ratio
@@ -60,7 +62,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .eigbound import dual_objective, eig_lower_bound, xbar_for
+from .eigbound import BoundCertificate, dual_objective, eig_lower_bound, xbar_for
 from .model import SdpProblem
 from .symm import psd_split
 
@@ -328,7 +330,7 @@ class AdmmResult:
     dual_obj: float
     iterations: int                # sweeps run; state.iter is the returned state's sweep
     elapsed: float
-    eps_tol: float
+    certificate: BoundCertificate | None   # eigenvalue bound of ``state``; None without xbar
 
 
 def pad_state(state: AdmmState, problem: SdpProblem) -> AdmmState:
@@ -395,12 +397,14 @@ def solve(
     (status ``"iter_limit"``).
 
     With an ``xbar``, every check sweep's state is certified, and the state with the
-    best bound is returned, with its own residual record; a warm start's own
-    certificate is the first to beat, so a solve never certifies below its start.
-    Without one, the state of the last check sweep is returned. So the returned
-    state comes from a check sweep or is the start, ``state.iter`` names its sweep,
-    ``iterations`` counts the sweeps run, and ``residuals`` describes the returned
-    state; ``max_iter=0`` returns the start state with its record.
+    best bound is returned, with its own residual record and that bound as
+    ``certificate``; a warm start's own certificate is the first to beat, so a solve
+    never certifies below its start, and a cold start that no check sweep certified
+    is certified once, at return. Without one, the state of the last check sweep is
+    returned, and ``certificate`` is None. So the returned state comes from a check
+    sweep or is the start, ``state.iter`` names its sweep, ``iterations`` counts the
+    sweeps run, and ``residuals`` describes the returned state; ``max_iter=0``
+    returns the start state with its record.
     ``callback(iteration, state, record, primal, dual)`` fires after every sweep when
     provided, with a record formed for it; it does not change where the loop stops.
     Identical inputs produce an identical iterate stream. A start state with a
@@ -440,15 +444,16 @@ def solve(
             Z=state.Z, S=state.S, v=state.v / d_in, sigma=state.sigma, iter=state.iter,
         )
 
-    def certified(view: AdmmState) -> float:
-        return eig_lower_bound(problem, view, xbar, trace=problem.n).value
+    def certified(view: AdmmState) -> BoundCertificate:
+        return eig_lower_bound(problem, view, xbar, trace=problem.n)
 
     C = problem.C
     status = "iter_limit"
     view = unscaled_view()
     rec = residuals(view, problem)
     best, best_rec = view, rec
-    best_lb = certified(view) if start is not None and xbar is not None else -np.inf
+    cert = certified(view) if start is not None and xbar is not None else None
+    best_lb = cert.value if cert is not None else -np.inf
     last_lb = best_lb
     sweeps = 0
 
@@ -471,8 +476,8 @@ def solve(
                 best, best_rec = view, rec
             else:
                 lb = certified(view)
-                if lb > best_lb:
-                    best, best_rec, best_lb = view, rec, lb
+                if lb.value > best_lb:
+                    best, best_rec, cert, best_lb = view, rec, lb, lb.value
             if rec.max_residual <= prm.eps_tol:
                 status = "converged"
                 break
@@ -492,11 +497,13 @@ def solve(
         elif k % CHECK_EVERY == 0:
             state.sigma = classic_sigma(state, rec)
 
+    if cert is None and xbar is not None:
+        cert = certified(best)   # a cold start that no check sweep certified (max_iter=0)
     primal = float((C * best.X).sum())
     dual, _ = dual_objective(problem, best.y, best.v, best.S)
     return AdmmResult(
         state=best, residuals=best_rec, status=status,
         primal_obj=primal, dual_obj=dual,
         iterations=sweeps, elapsed=time.perf_counter() - t0,
-        eps_tol=prm.eps_tol,
+        certificate=cert,
     )

@@ -1,20 +1,21 @@
 """Safe lower bounds from approximate solver output.
 
-Two post-processing routes turn a near-optimal iterate into a bound that is
-valid no matter how early the solver stopped:
+Two post-processing routes turn a near-optimal iterate into a bound, and
+``certify_bound`` takes exactly the one it is asked for:
 
-* eigenvalue route (:mod:`gpbound.eigbound`): evaluate the dual objective at
+* ``"eig"``, the default (:mod:`gpbound.eigbound`): evaluate the dual objective at
   sign-feasible multipliers and pay for the dual-equality violation through the
-  negative spectrum of the rebuilt slack matrix, with margins for every rounding;
-* LP route: freeze the solver's PSD dual block Z as it is and re-optimize the
-  remaining multipliers exactly with the bundled dense simplex.
+  negative spectrum of the rebuilt slack matrix, with margins for every rounding
+  (xbar = group size m for the equipartition DNN, n - m for its SDP,
+  min(n, W / min(a)) for the knapsack DNN and n for the knapsack SDP). It is valid
+  in floating point no matter how early the solver stopped, and
+  :func:`gpbound.admm.solve` already returns its best one. With integral edge
+  weights every cut is an integer, so this route reports its bound rounded up;
+* ``"lp"``: freeze the solver's PSD dual block Z as it is and re-optimize the
+  remaining multipliers with the bundled dense simplex. Its value is the
+  simplex's primal objective, with no rounding margin, so it is not a
+  floating-point-safe bound.
 
-``certify_bound``'s ``auto`` route is the eigenvalue route for every relaxation
-(xbar = group size m for the equipartition DNN, n - m for its SDP,
-min(n, W / min(a)) for the knapsack DNN and n for the knapsack SDP). A knapsack
-DNN solve that did not stop by a test at ``GPKC_EIG_ACCURACY`` falls back to the
-LP route, which is much stronger at loose caps. With integral edge weights every
-cut is an integer, so the eigenvalue route reports its bound rounded up.
 ``cutting_loop`` is the one solve-then-certify loop: one round for the SDP and
 the DNN, rounds of violated triangle cuts for DNN+MET.
 """
@@ -27,15 +28,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import STOPPED, AdmmParams, AdmmResult, pad_state, solve
+from .admm import AdmmParams, AdmmResult, pad_state, solve
 from .eigbound import BoundCertificate, eig_lower_bound, xbar_for
 from .graphs import GraphInstance, PartitionSpec
 from .model import SdpProblem, add_cuts, build, separate_met
-from .simplex import LpResult, solve_dense_lp  # re-exported: the LP oracle lives here
+from .simplex import solve_dense_lp
 
 log = logging.getLogger(__name__)
-
-GPKC_EIG_ACCURACY = 1e-5
 
 __all__ = [
     "BoundCertificate",
@@ -45,8 +44,6 @@ __all__ = [
     "certify_bound",
     "CutRound",
     "cutting_loop",
-    "solve_dense_lp",
-    "LpResult",
 ]
 
 
@@ -120,30 +117,21 @@ def lp_lower_bound(p: SdpProblem, Z: np.ndarray) -> BoundCertificate:
     return BoundCertificate(value=-np.inf, method="lp", feasible=False)
 
 
-def certify_bound(p: SdpProblem, result: AdmmResult, method: str = "auto") -> BoundCertificate:
-    """Certify a solver result: ``"auto"`` and ``"eig"`` take the eigenvalue route.
+def certify_bound(p: SdpProblem, result: AdmmResult, method: str = "eig") -> BoundCertificate:
+    """Certify ``result``, which must come from ``solve(p, ...)``, by ``method``.
 
-    Every builder emits the rows diag(X) = e, so the eigenvalue bound is charged
-    with trace n and ``xbar_for(p)``. When the problem's tag says its edge weights
-    are integral, the optimum is an integer, so the certificate reports the bound
-    rounded up and keeps the unrounded one in ``raw``. A knapsack DNN (or DNN+MET)
-    solve that did not stop by a test (status ``"converged"`` or ``"bound"``) at
-    ``GPKC_EIG_ACCURACY`` goes to the LP route instead, which is much stronger at
-    loose caps. ``"lp"`` always takes the LP route; its value carries no rounding
-    margin, so it is not rounded up.
+    ``"eig"`` reports the solver's own certificate, ``result.certificate``: the best
+    eigenvalue bound of the solve, charged with trace n (every builder emits the
+    rows diag(X) = e) and ``xbar_for(p)``. Only a result that carries none is
+    certified here, on its state. When the problem's tag says its edge weights are
+    integral, the optimum is an integer, so the certificate reports the bound
+    rounded up and keeps the unrounded one in ``raw``. ``"lp"`` takes the LP route;
+    its value carries no rounding margin, so it is not rounded up.
     """
-    if method == "auto":
-        method = "eig"
-    if method == "eig" and p.tag.problem == "gpkc" and p.tag.relaxation != "sdp":
-        accurate = result.status in STOPPED and result.eps_tol <= GPKC_EIG_ACCURACY
-        if not accurate:
-            log.warning(
-                "eigenvalue bound for a knapsack DNN needs an accurate solve; "
-                "falling back to the LP bound"
-            )
-            method = "lp"
     if method == "eig":
-        cert = eig_lower_bound(p, result.state, xbar_for(p), trace=p.n)
+        cert = result.certificate
+        if cert is None:
+            cert = eig_lower_bound(p, result.state, xbar_for(p), trace=p.n)
         if p.tag.integral and math.isfinite(cert.value):
             cert = replace(cert, value=float(math.ceil(cert.value)))
         return cert
@@ -173,7 +161,7 @@ def cutting_loop(
     params: AdmmParams | None = None,
     max_rounds: int = 10,
     m_met: int | None = None,
-    method: str = "auto",
+    method: str = "eig",
     callback=None,
 ) -> list[CutRound]:
     """Solve a relaxation and certify a safe bound, round by round.

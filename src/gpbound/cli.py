@@ -276,7 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relaxation", choices=["sdp", "dnn", "dnn+met"], default="dnn")
     p.add_argument("--eps-tol", dest="eps_tol", type=float, default=1e-5)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=20000)
-    p.add_argument("--certify", choices=["auto", "eig", "lp"], default="auto")
+    p.add_argument("--certify", choices=["eig", "lp"], default="eig",
+                   help="eig: the solver's eigenvalue bound, safe in floating point; "
+                        "lp: the frozen-Z LP bound, which carries no rounding margin")
     p.add_argument("--m-met", dest="m_met", type=int, default=None)
     p.add_argument("--max-rounds", dest="max_rounds", type=int, default=10)
     p.add_argument("--out", help="append the result row to this CSV")

@@ -12,9 +12,9 @@ less a bound on their own summation error, so the bound holds in floating point
 (Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 2007).
 
 The bound holds for any multipliers, so :func:`gpbound.admm.solve` evaluates it on
-its check sweeps to stop once it meets the primal objective, and
-:func:`gpbound.certify.certify_bound` evaluates it on the returned state. This
-module imports no solver code, so both can call it.
+its check sweeps, stops once it meets the primal objective and returns the best
+one, which :func:`gpbound.certify.certify_bound` reports. This module imports no
+solver code, so both can call it.
 """
 from __future__ import annotations
 

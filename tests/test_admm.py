@@ -417,7 +417,7 @@ class TestSolve:
         for p in cases:
             res = solve(untagged(p))
             assert res.status == "converged"
-            slack = 10 * res.eps_tol * (1.0 + abs(res.primal_obj))
+            slack = 10 * AdmmParams().eps_tol * (1.0 + abs(res.primal_obj))
             assert res.dual_obj <= res.primal_obj + slack
 
     def test_complementarity_every_iteration(self):
@@ -560,7 +560,7 @@ class TestCheckCadence:
             res = solve(p)
             assert res.status == "converged"
             assert res.iterations % admm.CHECK_EVERY == 0
-            assert res.residuals.max_residual <= res.eps_tol
+            assert res.residuals.max_residual <= AdmmParams().eps_tol
             assert res.residuals == residuals(res.state, p)
         capped = solve(cadence_problems()["keq"], AdmmParams(max_iter=23))
         assert capped.status == "iter_limit" and capped.iterations == 23
@@ -651,6 +651,19 @@ class TestCertifiedStop:
         assert tagged.status == "bound" and plain.status == "converged"
         assert plain.iterations > tagged.iterations
         assert plain.state.iter == plain.iterations
+
+    @pytest.mark.parametrize("name", ["keq", "gpkc", "warm"])
+    def test_certificate_is_the_returned_states_bound(self, name):
+        p, start = cadence_case(name, tagged=True)
+        res = solve(p, start=start)
+        assert res.certificate == eig_lower_bound(p, res.state, xbar_for(p), trace=p.n)
+        assert solve(untagged(p), start=start).certificate is None
+
+    def test_cold_start_without_sweeps_certifies_its_start(self):
+        p = build_keq_dnn(gen_rand_graph(12, 0.5, 3), 4)
+        res = solve(p, AdmmParams(max_iter=0))
+        assert res.iterations == 0 and res.state.iter == 0
+        assert res.certificate == eig_lower_bound(p, res.state, xbar_for(p), trace=p.n)
 
     def test_warm_start_never_certifies_below_its_start(self):
         # no sweep of the second round certifies above its start, which comes back

@@ -176,8 +176,8 @@ class TestSolve:
         assert not out.exists() and not trace.exists()
 
     @pytest.mark.parametrize("flags", [["--rule", "auto"], ["--sigma0", "1"],
-                                       ["--config", "f.json"]],
-                             ids=["rule", "sigma0", "config"])
+                                       ["--config", "f.json"], ["--certify", "auto"]],
+                             ids=["rule", "sigma0", "config", "certify-auto"])
     def test_removed_flags_are_unknown(self, k8_file, flags):
         with pytest.raises(SystemExit) as info:
             main(["solve", "--instance", str(k8_file), "--problem", "keq", "--k", "2",

@@ -2,7 +2,7 @@
 and at the default one.
 
 A certificate must be a bound at any iterate, so every relaxation is solved for
-only 5, 20 or 50 sweeps and certified by every route; at the default cap every
+only 5, 20 or 50 sweeps and certified by both routes; at the default cap every
 round must also stop by a test, which checks the bound where such a solve stops.
 The instance grid and its seeds are fixed; each case prints its seed.
 """
@@ -21,7 +21,7 @@ from gpbound.rounding import vc_plus_two_opt
 CASES = (("keq", 10, 2, 0.5, 21), ("keq", 9, 3, 0.5, 22), ("gpkc", 9, 3, 0.5, 23),
          ("gpkc", 7, 7, 0.2, 3))
 RELAXATIONS = ("sdp", "dnn", "dnn+met")
-METHODS = ("auto", "eig", "lp")
+METHODS = ("eig", "lp")
 CAPS = (5, 20, 50, AdmmParams().max_iter)
 TOL = 1e-9
 
