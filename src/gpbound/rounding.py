@@ -5,11 +5,15 @@ or generator, and ties break toward the lowest vertex index. Samplers draw label
 vectors (``labels[v]`` is the group of v, -1 while unassigned) in chunks, one
 ``(c, n)`` label matrix at a time, and score each chunk with one matrix product;
 only the best sample becomes a validated ``Partition``. The first chunk holds one
-sample, later ones at most ``CHUNK_BUDGET`` label-by-group entries (or one
-sample's, if that is more). A chunk draws the same random stream, in the same
-order, as drawing its samples one by one, so results do not depend on the chunk
-size. Time limits are only checked between chunks or pairwise passes, never
-inside one.
+sample. Later equipartition chunks hold at most ``CHUNK_BUDGET`` label-by-group
+entries (or one sample's, if that is more). Knapsack vector clustering draws one
+row of n uniforms per sample and packs a whole chunk at once; its draw arrays are
+(c, n), so its later chunks hold ``CHUNK_BUDGET // n`` samples, scored in
+label-by-group slices within the budget. A chunk draws the same random stream, in
+the same order, as drawing its samples one by one, so results do not depend on
+the chunk size. A relaxation solution with a non-finite entry is refused before
+anything is drawn. Time limits are only checked between chunks or pairwise
+passes, never inside one.
 """
 from __future__ import annotations
 
@@ -57,18 +61,26 @@ def _twice_cuts(W: np.ndarray, total: float, labels: np.ndarray, groups: int) ->
     return total - (W @ onehot)[rows, cols].sum(axis=1)
 
 
+def _finite(M: np.ndarray) -> np.ndarray:
+    """M itself, refused if any entry is not finite."""
+    if not np.isfinite(M).all():   # non-finite keys tie with assigned vertices or stall eigh
+        raise ValueError("relaxation solution gives non-finite similarities")
+    return M
+
+
 def _best_of_samples(g: GraphInstance, draw, samples: int, time_limit: float | None,
-                     t0: float, method: str) -> HeuristicResult:
+                     t0: float, method: str, draw_width: int | None = None) -> HeuristicResult:
     """Lowest-cut partition over up to ``samples`` label vectors from ``draw(c)``.
 
     ``draw(c)`` returns the next c samples as a ``(c, n)`` label matrix. The first
-    chunk holds one sample; later ones hold as many as keep the scoring arrays
-    within ``CHUNK_BUDGET`` entries for the group count last drawn, and a chunk
-    that drew more groups is scored in slices that do. Samples are scored by
-    ``_twice_cuts``; the first strict minimum wins and is the one sample turned
-    into a ``Partition``, whose ``cut_value`` is the reported ub. The time limit
-    counts from ``t0`` and is checked between chunks, after the first one, so at
-    least one sample is always drawn.
+    chunk holds one sample. Later ones hold ``CHUNK_BUDGET // draw_width`` samples
+    when the draw's arrays take ``draw_width`` entries per sample, and otherwise as
+    many as keep the scoring arrays within ``CHUNK_BUDGET`` entries for the group
+    count last drawn. Every chunk is scored in slices of that many label-by-group
+    entries. Samples are scored by ``_twice_cuts``; the first strict minimum wins and
+    is the one sample turned into a ``Partition``, whose ``cut_value`` is the
+    reported ub. The time limit counts from ``t0`` and is checked between chunks,
+    after the first one, so at least one sample is always drawn.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -80,9 +92,10 @@ def _best_of_samples(g: GraphInstance, draw, samples: int, time_limit: float | N
             break
         labels = draw(min(chunk, samples - used))
         groups = int(labels.max()) + 1
-        chunk = max(1, CHUNK_BUDGET // (g.n * groups))
-        for lo in range(0, len(labels), chunk):
-            vals = _twice_cuts(W, total, labels[lo:lo + chunk], groups)
+        scored = max(1, CHUNK_BUDGET // (g.n * groups))
+        chunk = scored if draw_width is None else max(1, CHUNK_BUDGET // draw_width)
+        for lo in range(0, len(labels), scored):
+            vals = _twice_cuts(W, total, labels[lo:lo + scored], groups)
             i = int(np.argmin(vals))
             if vals[i] < best_val:
                 best, best_val = labels[lo + i].copy(), vals[i]
@@ -140,7 +153,7 @@ def hyperplane_round(
         raise ValueError("distribution must be 'uniform' or 'gaussian'")
     rng = _rng(seed)
     t0 = time.perf_counter()
-    V = gram_factor(hyperplane_transform(X, k))
+    V = gram_factor(_finite(hyperplane_transform(X, k)))
 
     def draw(c: int) -> np.ndarray:
         shape = (c, n, k)
@@ -178,9 +191,7 @@ def vc_round_keq(
         raise ValueError("group shape must satisfy k * m = n with k >= 2")
     rng = _rng(seed)
     t0 = time.perf_counter()
-    sim = X @ X
-    if not np.isfinite(sim).all():   # a non-finite key would tie with assigned vertices
-        raise ValueError("relaxation solution gives non-finite similarities")
+    sim = _finite(X @ X)
     highs = n - m * np.arange(k)
 
     def draw(c: int) -> np.ndarray:
@@ -209,40 +220,55 @@ def vc_round_gpkc(
 ) -> HeuristicResult:
     """Capacity-aware vector clustering; the group count is an output.
 
-    Groups open at a random unassigned vertex and scan the remaining vertices in
-    decreasing similarity order, keeping every one whose weight still fits. Each
-    sample's draws depend on its own packing, so samples are drawn one at a time
-    and stacked into chunks; the similarity orders (stable, so ties keep the
-    lowest index first) are sorted once per call and filtered to the unassigned
-    vertices.
+    Each sample draws one row u of n uniforms. Its group t opens at the
+    floor(u_t count)-th of the count unassigned vertices in index order, then scans
+    the other unassigned vertices in decreasing similarity order (stable, so ties
+    keep the lowest index first), keeping every one whose weight still fits. A
+    chunk of c samples draws u as one (c, n) array, the same stream as c draws of
+    n, and packs its samples side by side: for every group it opens, one
+    first-fit step per similarity position across all samples still unassigned.
+    Its draw arrays are (c, n), so a chunk after the first holds
+    ``CHUNK_BUDGET // n`` samples; the time limit is checked between chunks.
     """
     n = g.n
     a = np.asarray(a, dtype=float)
     rng = _rng(seed)
     t0 = time.perf_counter()
-    order = np.argsort(-(X @ X), axis=1, kind="stable")
+    order = np.argsort(-_finite(X @ X), axis=1, kind="stable")
 
-    def draw_one() -> np.ndarray:
-        labels = np.full(n, -1)
+    def draw(c: int) -> np.ndarray:
+        u = rng.random((c, n))
+        labels = np.full((c, n), -1)
+        live = np.arange(c)
         t = 0
-        while (unassigned := np.flatnonzero(labels < 0)).size:
-            i = unassigned[rng.integers(unassigned.size)]
-            labels[i] = t
-            rest = order[i][labels[order[i]] < 0]
-            group = [i]
-            weight = float(a[i])
-            for j, aj in zip(rest.tolist(), a[rest].tolist()):
-                if weight + aj <= W_cap:
-                    group.append(j)
-                    weight += aj
-            labels[group] = t
+        while live.size:
+            free = labels[live] < 0
+            ranks = np.cumsum(free, axis=1)
+            count = ranks[:, -1]
+            pick = np.minimum((u[live, t] * count).astype(np.int64), count - 1)
+            opener = np.argmax(ranks > pick[:, None], axis=1)
+            cols = np.arange(live.size)
+            free[cols, opener] = False
+            # position j of every live sample's similarity order, one row per j;
+            # the scan assigns only positions it has passed, so `fits` stays valid
+            seq = order[opener].T
+            fits = free[cols, seq]
+            steps = a[seq]
+            weight = a[opener]
+            packed = np.empty_like(weight)
+            for j in np.flatnonzero(fits.any(axis=1)):
+                take = fits[j]
+                np.add(weight, steps[j], out=packed)
+                take &= packed <= W_cap
+                np.copyto(weight, packed, where=take)
+            pos, col = np.nonzero(fits)
+            labels[live[col], seq[pos, col]] = t
+            labels[live, opener] = t
+            live = live[(labels[live] < 0).any(axis=1)]
             t += 1
         return labels
 
-    def draw(c: int) -> np.ndarray:
-        return np.stack([draw_one() for _ in range(c)])
-
-    return _best_of_samples(g, draw, samples, time_limit, t0, "Vc")
+    return _best_of_samples(g, draw, samples, time_limit, t0, "Vc", draw_width=n)
 
 
 def two_opt_bisection(

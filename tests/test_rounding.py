@@ -340,10 +340,11 @@ def reference_vc_gpkc(g, X, a, W_cap, samples, rng):
     sim = X @ X
 
     def draw():
+        u = rng.random(n)
         unassigned = np.arange(n)
         groups = []
         while unassigned.size:
-            i = int(unassigned[rng.integers(unassigned.size)])
+            i = int(unassigned[int(u[len(groups)] * unassigned.size)])
             rest = unassigned[unassigned != i]
             group, weight = [i], a[i]
             for j in rest[np.argsort(-sim[i][rest], kind="stable")]:
@@ -475,6 +476,20 @@ class TestLabelVectorSampling:
             assert res.samples_used == 1
             assert res.ub == cut_value(g, res.partition)
 
+    @pytest.mark.parametrize("sampler", ["hyp", "vc-keq", "vc-gpkc"])
+    def test_non_finite_relaxation_refused_before_drawing(self, sampler):
+        g, spec = gen_gpkc_instance(9, 0.5, 3, 2)
+        X = np.eye(9)
+        X[0, 1] = X[1, 0] = np.nan
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        call = {"hyp": lambda: hyperplane_round(g, X, 3, samples=5, seed=rng),
+                "vc-keq": lambda: vc_round_keq(g, X, 3, samples=5, seed=rng),
+                "vc-gpkc": lambda: vc_round_gpkc(g, X, spec.a, spec.W, samples=5, seed=rng)}
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            call[sampler]()
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("samples", [0, -1])
     def test_rejects_fewer_than_one_sample(self, samples):
         g, spec = gen_gpkc_instance(9, 0.5, 3, 2)
@@ -539,8 +554,16 @@ class TestChunkedSampling:
         patch_budget(monkeypatch, 24, 3)
         assert_matches(keq_cases(g, X, KEquipartition.for_graph(24, 3), samples, samples))
         g, spec = gen_gpkc_instance(24, 0.5, 3, samples)
-        patch_budget(monkeypatch, 24, 4)
+        patch_budget(monkeypatch, 24, 1)   # knapsack draws hold CHUNK_BUDGET // n samples
         assert_matches(gpkc_cases(g, X, spec, samples, samples))
+
+    @pytest.mark.parametrize("chunk", [1, 3, SAMPLES])
+    def test_knapsack_draws_of_any_size_match_reference(self, monkeypatch, chunk):
+        # draws of 1, 3 and all samples; (10, 0.5, 5, 2) has conflict pairs
+        for g, spec in (gen_gpkc_instance(24, 0.5, 3, chunk), gen_gpkc_instance(10, 0.5, 5, 2)):
+            X = tied_relaxation(g.n, chunk) + np.eye(g.n)
+            monkeypatch.setattr(rounding, "CHUNK_BUDGET", chunk * g.n)
+            assert_matches(gpkc_cases(g, X, spec, SAMPLES, chunk))
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_singleton_groups(self, monkeypatch, chunk):
@@ -580,19 +603,20 @@ class TestChunkedSampling:
 
     @pytest.mark.parametrize("per_sample", [0.5, 5.3])
     def test_chunk_arrays_stay_within_the_budget(self, monkeypatch, per_sample):
-        # a budget of half a sample's n * groups entries, and of a few samples
+        # a budget of half a sample's n * groups entries, and of a few samples;
+        # knapsack draws hold (c, n) arrays, equipartition draws (c, n, groups) ones
         n, k = 24, 3
         budget = int(per_sample * n * k)
         monkeypatch.setattr(rounding, "CHUNK_BUDGET", budget)
         drawn, scored = [], []
         best_of_samples, twice_cuts = rounding._best_of_samples, rounding._twice_cuts
 
-        def spy_best(g, draw, *args):
+        def spy_best(g, draw, *args, **kwargs):
             def spied(c):
                 labels = draw(c)
                 drawn.append((labels.shape, int(labels.max()) + 1))
                 return labels
-            return best_of_samples(g, spied, *args)
+            return best_of_samples(g, spied, *args, **kwargs)
 
         def spy_cuts(W, total, labels, groups):
             scored.append((labels.shape, groups))
@@ -603,9 +627,10 @@ class TestChunkedSampling:
         g = gen_rand_graph(n, 0.5, 5)
         X = tied_relaxation(n, 5)
         gk, spec = gen_gpkc_instance(n, 0.5, 3, 5)
-        for call in (lambda: hyperplane_round(g, X, k, samples=30, seed=2),
-                     lambda: vc_round_keq(g, X, k, samples=30, seed=2),
-                     lambda: vc_round_gpkc(gk, X, spec.a, spec.W, samples=30, seed=2)):
+        for knapsack, call in (
+                (False, lambda: hyperplane_round(g, X, k, samples=30, seed=2)),
+                (False, lambda: vc_round_keq(g, X, k, samples=30, seed=2)),
+                (True, lambda: vc_round_gpkc(gk, X, spec.a, spec.W, samples=30, seed=2))):
             drawn.clear()
             scored.clear()
             assert call().samples_used == 30
@@ -614,7 +639,15 @@ class TestChunkedSampling:
             for (c, width), groups in scored:
                 assert c * width * groups <= max(budget, width * groups)
             for (c, width), groups in drawn[1:]:
-                # a chunk is sized from the groups of the chunk before it
-                assert c * width <= max(budget, width * groups)
+                if knapsack:
+                    assert c * width <= max(budget, width)
+                else:
+                    # a chunk is sized from the groups of the chunk before it
+                    assert c * width <= max(budget, width * groups)
+            if knapsack:
+                # CHUNK_BUDGET // n samples per draw after the first, whatever the groups
+                per_draw = max(1, budget // n)
+                full, rest = divmod(29, per_draw)
+                assert [c for (c, _), _ in drawn] == [1] + [per_draw] * full + [rest] * (rest > 0)
             if per_sample < 1:
                 assert len(drawn) == 30

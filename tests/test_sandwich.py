@@ -17,9 +17,9 @@ from gpbound.graphs import KEquipartition, cut_value, gen_gpkc_instance, gen_ran
 from gpbound.rounding import vc_plus_two_opt
 
 # (problem, n, k, density, instance seed)
-# the last gpkc instance has conflict pairs (two vertices heavier together than W)
+# the last two gpkc instances have conflict pairs (two vertices heavier together than W)
 CASES = (("keq", 10, 2, 0.5, 21), ("keq", 9, 3, 0.5, 22), ("gpkc", 9, 3, 0.5, 23),
-         ("gpkc", 7, 7, 0.2, 3))
+         ("gpkc", 7, 7, 0.2, 3), ("gpkc", 10, 5, 0.5, 2))
 RELAXATIONS = ("sdp", "dnn", "dnn+met")
 METHODS = ("eig", "lp")
 CAPS = (5, 20, 50, AdmmParams().max_iter)
