@@ -1,7 +1,7 @@
 """Certified bounds for k-equipartition and knapsack-constrained graph partition.
 
 Lower bounds come from doubly nonnegative relaxations solved by a three-block
-alternating-direction sweep and made safe by spectral or LP post-processing;
+alternating-direction sweep and made safe by an eigenvalue certificate;
 upper bounds come from hyperplane or vector-clustering rounding with pairwise
 swap refinement. Tiny instances can be brute-forced to close the sandwich
 lb <= opt <= ub end to end.
@@ -14,7 +14,6 @@ from .certify import (
     certify_bound,
     cutting_loop,
     eig_lower_bound,
-    lp_lower_bound,
     xbar_for,
 )
 from .graphs import (
@@ -93,7 +92,6 @@ __all__ = [
     "hyp_plus_two_opt",
     "hyperplane_round",
     "laplacian",
-    "lp_lower_bound",
     "read_instance",
     "separate_met",
     "solve",

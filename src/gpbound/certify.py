@@ -1,20 +1,20 @@
 """Safe lower bounds from approximate solver output.
 
-Two post-processing routes turn a near-optimal iterate into a bound, and
-``certify_bound`` takes exactly the one it is asked for:
+``certify_bound`` turns a solve into a bound by one of two routes:
 
-* ``"eig"``, the default (:mod:`gpbound.eigbound`): evaluate the dual objective at
-  sign-feasible multipliers and pay for the dual-equality violation through the
-  negative spectrum of the rebuilt slack matrix, with margins for every rounding
+* ``"eig"``, the default and the bound that ``cutting_loop`` and the command line
+  report (:mod:`gpbound.eigbound`): evaluate the dual objective at sign-feasible
+  multipliers and pay for the dual-equality violation through the negative
+  spectrum of the rebuilt slack matrix, with margins for every rounding
   (xbar = group size m for the equipartition DNN, n - m for its SDP,
   min(n, W / min(a)) for the knapsack DNN and n for the knapsack SDP). It is valid
   in floating point no matter how early the solver stopped, and
   :func:`gpbound.admm.solve` already returns its best one. With integral edge
   weights every cut is an integer, so this route reports its bound rounded up;
-* ``"lp"``: freeze the solver's PSD dual block Z as it is and re-optimize the
-  remaining multipliers with the bundled dense simplex. Its value is the
-  simplex's primal objective, with no rounding margin, so it is not a
-  floating-point-safe bound.
+* ``"lp"``, a cross-check for the benchmark gate and the tests: freeze the
+  solver's PSD dual block Z as it is and re-optimize the remaining multipliers
+  with the bundled dense simplex. Its value is the simplex's primal objective,
+  with no rounding margin, so it is not a floating-point-safe bound.
 
 ``cutting_loop`` is the one solve-then-certify loop: one round for the SDP and
 the DNN, rounds of violated triangle cuts for DNN+MET.
@@ -161,7 +161,6 @@ def cutting_loop(
     params: AdmmParams | None = None,
     max_rounds: int = 10,
     m_met: int | None = None,
-    method: str = "eig",
     callback=None,
 ) -> list[CutRound]:
     """Solve a relaxation and certify a safe bound, round by round.
@@ -170,8 +169,8 @@ def cutting_loop(
     DNN; each later round appends at most ``m_met`` (default 2n) most violated
     triangle inequalities not yet present and re-solves warm-started. It stops
     after ``max_rounds`` rounds or as soon as separation comes back empty. Every
-    round is certified by ``certify_bound(..., method)``, and ``callback`` goes
-    to every ``solve``.
+    round reports its eigenvalue certificate, ``certify_bound(problem, result)``,
+    and ``callback`` goes to every ``solve``.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
@@ -187,7 +186,7 @@ def cutting_loop(
     for rnd in range(max_rounds):
         t0 = time.process_time()
         result = solve(problem, params, start=start, callback=callback)
-        cert = certify_bound(problem, result, method)
+        cert = certify_bound(problem, result)
         rounds.append(CutRound(rnd, cert, len(problem.met_cuts), result.iterations,
                                result.status, time.process_time() - t0))
         if rnd == max_rounds - 1:

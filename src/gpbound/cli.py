@@ -70,15 +70,15 @@ def _k_or_w(spec) -> str:
 
 
 def _read_lb(args, g, spec) -> float | None:
-    """``--lb``, else the last solve row of ``--lb-csv`` for this instance and k or W."""
+    """``--lb``, else the largest lb among the solve rows of ``--lb-csv`` for this
+    instance and k or W."""
     if args.lb is not None:
         return args.lb
     if args.lb_csv:
         key = (g.name, _k_or_w(spec))
-        rows = [r for r in reports.read_rows(args.lb_csv)
-                if isinstance(r, reports.SolveRow) and (r.instance, r.k_or_w) == key]
-        if rows:
-            return rows[-1].lb
+        return max((r.lb for r in reports.read_rows(args.lb_csv)
+                    if isinstance(r, reports.SolveRow) and (r.instance, r.k_or_w) == key),
+                   default=None)
     return None
 
 
@@ -118,7 +118,6 @@ def _solve_one(args, g, spec) -> list[reports.SolveRow]:
     params = admm.AdmmParams(eps_tol=args.eps_tol, max_iter=args.max_iter)
     rounds = certify.cutting_loop(g, spec, args.relaxation, params,
                                   max_rounds=args.max_rounds, m_met=args.m_met,
-                                  method=args.certify,
                                   callback=callback if args.trace else None)
     if args.trace:
         keep_latest()
@@ -138,6 +137,9 @@ def _solve_one(args, g, spec) -> list[reports.SolveRow]:
 def cmd_solve(args) -> int:
     if args.trace_every < 1:
         raise ValueError(f"--trace-every must be at least 1, got {args.trace_every}")
+    if len(args.instance) > 1 and (args.cuts_out or args.trace):
+        raise ValueError("--cuts-out and --trace rows carry no instance column; "
+                         "give one --instance with them")
     all_rows = []
     for instance in args.instance:
         args_one = argparse.Namespace(**vars(args))
@@ -276,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relaxation", choices=["sdp", "dnn", "dnn+met"], default="dnn")
     p.add_argument("--eps-tol", dest="eps_tol", type=float, default=1e-5)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=20000)
-    p.add_argument("--certify", choices=["eig", "lp"], default="eig",
-                   help="eig: the solver's eigenvalue bound, safe in floating point; "
-                        "lp: the frozen-Z LP bound, which carries no rounding margin")
     p.add_argument("--m-met", dest="m_met", type=int, default=None)
     p.add_argument("--max-rounds", dest="max_rounds", type=int, default=10)
     p.add_argument("--out", help="append the result row to this CSV")

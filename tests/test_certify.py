@@ -659,9 +659,11 @@ class TestSafetyCrossProduct:
 
 
 def test_simplex_not_reexported():
-    # the LP route is the simplex's one caller; the package does not export it
-    for name in ("solve_dense_lp", "LpResult"):
+    # the LP route is the simplex's one caller; the package does not export it, and
+    # the route itself is a cross-check importable from gpbound.certify only
+    for name in ("solve_dense_lp", "LpResult", "lp_lower_bound"):
         assert name not in gpbound.__all__ and not hasattr(gpbound, name)
+    for name in ("solve_dense_lp", "LpResult"):
         assert name not in certify.__all__
 
 

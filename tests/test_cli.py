@@ -1,4 +1,5 @@
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from gpbound import reports
 from gpbound.admm import AdmmParams, solve
 from gpbound.cli import build_parser, main
-from gpbound.graphs import (GraphInstance, KEquipartition, gen_gpkc_instance, read_instance,
-                            write_instance)
+from gpbound.graphs import (GraphInstance, KEquipartition, format_number, gen_gpkc_instance,
+                            read_instance, write_instance)
 from gpbound.model import build_keq_dnn
 from gpbound.rounding import vc_plus_two_opt
 
@@ -113,7 +114,7 @@ class TestSolve:
     def test_met_honours_certificate_and_trace_flags(self, tmp_path):
         main(["gen", "--n", "12", "--density", "0.5", "--seed", "1", "--outdir", str(tmp_path)])
         base = ["solve", "--instance", str(tmp_path / "rand50_n12_s1.gp"), "--problem", "keq",
-                "--k", "3", "--certify", "lp", "--trace-every", "100000"]
+                "--k", "3", "--trace-every", "100000"]
         for relax in ("dnn", "dnn+met"):
             code = main([*base, "--relaxation", relax, "--max-rounds", "3",
                          "--out", str(tmp_path / f"{relax}.csv"),
@@ -125,7 +126,7 @@ class TestSolve:
         assert len(dnn) == 1 and len(met) > 1
         assert (met[0].lb, met[0].iterations) == (dnn[0].lb, dnn[0].iterations)
         certs = reports.read_rows(tmp_path / "cert_dnn+met.csv")
-        assert [c.method for c in certs] == ["lp"] * len(met)
+        assert [c.method for c in certs] == ["eig"] * len(met)
         assert [c.bound for c in certs] == [r.lb for r in met]
         # one trace row per round: the final sweep of each
         trace = reports.read_rows(tmp_path / "trace_dnn+met.csv")
@@ -176,13 +177,31 @@ class TestSolve:
         assert not out.exists() and not trace.exists()
 
     @pytest.mark.parametrize("flags", [["--rule", "auto"], ["--sigma0", "1"],
-                                       ["--config", "f.json"], ["--certify", "auto"]],
-                             ids=["rule", "sigma0", "config", "certify-auto"])
-    def test_removed_flags_are_unknown(self, k8_file, flags):
+                                       ["--config", "f.json"], ["--certify", "auto"],
+                                       ["--certify", "lp"], ["--certify", "eig"]],
+                             ids=["rule", "sigma0", "config", "certify-auto", "certify-lp",
+                                  "certify-eig"])
+    def test_removed_flags_are_unknown(self, k8_file, tmp_path, flags):
+        out = tmp_path / "solve.csv"
         with pytest.raises(SystemExit) as info:
             main(["solve", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
-                  *flags])
+                  *flags, "--out", str(out), "--cert-out", str(tmp_path / "cert.csv")])
         assert info.value.code == 2
+        assert not out.exists() and not (tmp_path / "cert.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--cuts-out", "--trace"])
+    def test_per_round_files_refuse_several_instances(self, tmp_path, flag, capsys):
+        # neither row type has an instance column; each instance used to rewrite the file
+        main(["gen", "--n", "12", "--density", "0.2", "0.8", "--seed", "1",
+              "--outdir", str(tmp_path)])
+        out, rows = tmp_path / "solve.csv", tmp_path / "rows.csv"
+        code = main(["solve", "--instance", str(tmp_path / "rand20_n12_s1.gp"),
+                     str(tmp_path / "rand80_n12_s1.gp"), "--problem", "keq", "--k", "3",
+                     "--relaxation", "dnn+met", "--max-rounds", "3",
+                     flag, str(rows), "--out", str(out)])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists() and not rows.exists()
 
     def test_overflowing_instance_exits_diverged(self, tmp_path, capsys):
         big = tmp_path / "big.gp"
@@ -221,7 +240,8 @@ class TestSolve:
         assert not out.exists()
 
     def test_knapsack_sdp_bounds_are_finite(self, tmp_path):
-        # the frozen-Z LP of the knapsack SDP is unbounded; its lbs read -inf
+        # the frozen-Z LP of the knapsack SDP is unbounded (-inf); the reported
+        # eigenvalue bound is not
         main(["gen", "--n", "12", "--seed", "3", "--gpkc", "--k", "3",
               "--outdir", str(tmp_path)])
         out = tmp_path / "solve.csv"
@@ -396,6 +416,24 @@ class TestOracle:
                          "--problem", "keq", "--k", k, "--lb-csv", str(solve_csv),
                          "--ub-csv", str(heur_csv)]) == 0, (name, k)
 
+    def test_lb_csv_checks_every_solve_row(self, tmp_path, capsys):
+        # an unsafe sdp row followed by a safe dnn row: the oracle checked only the last
+        main(["gen", "--n", "8", "--density", "0.5", "--seed", "1", "--outdir", str(tmp_path)])
+        base = ["--instance", str(tmp_path / "rand50_n8_s1.gp"), "--problem", "keq", "--k", "2"]
+        lb_csv = tmp_path / "lb.csv"
+        for relax in ("sdp", "dnn"):
+            assert main(["solve", *base, "--relaxation", relax, "--out", str(lb_csv)]) == 0
+        assert main(["oracle", *base, "--lb-csv", str(lb_csv)]) == 0
+        sdp, dnn = reports.read_rows(lb_csv)
+        reports.write_rows(lb_csv, [replace(sdp, lb=1e9), dnn])
+        capsys.readouterr()
+        assert main(["oracle", *base, "--lb-csv", str(lb_csv)]) == 5
+        assert "lb 1000000000.0 exceeds optimum 244" in capsys.readouterr().err
+        # heur's gap is taken against the same, largest, lb
+        assert main(["heur", *base, "--samples", "20", "--lb-csv", str(lb_csv)]) == 0
+        _, _, ub, gap = capsys.readouterr().out.strip().split(",")
+        assert float(gap) == pytest.approx(100.0 * (float(ub) - 1e9) / 1e9, abs=1e-4)
+
     def test_gpkc_oracle(self, gpkc_file, tmp_path):
         code = main(["oracle", "--instance", str(gpkc_file)])
         assert code == 0
@@ -471,16 +509,16 @@ class TestReport:
         assert not summary.exists()
 
     def test_infinite_lb_leaves_percentages_empty(self, tmp_path, capsys):
-        # the LP certificate of the knapsack SDP reads -inf; gaps and improvements
-        # over it once printed nan
+        # a solve CSV is outside input and may hold a -inf lb (the LP cross-check of
+        # the knapsack SDP reads -inf); gaps and improvements over it once printed nan
         main(["gen", "--n", "12", "--seed", "3", "--gpkc", "--k", "3", "--density", "0.5",
               "--outdir", str(tmp_path)])
         base = ["--instance", str(tmp_path / "GPKCrand50_n12_s3.gp")]
         solve_csv, heur_csv = tmp_path / "solve.csv", tmp_path / "heur.csv"
         summary = tmp_path / "summary.csv"
-        assert main(["solve", *base, "--relaxation", "sdp", "--certify", "lp",
-                     "--out", str(solve_csv)]) == 0
-        assert reports.read_rows(solve_csv)[0].lb == -np.inf
+        g, spec = read_instance(tmp_path / "GPKCrand50_n12_s3.gp")
+        reports.write_rows(solve_csv, [reports.SolveRow(g.name, g.n, format_number(spec.W),
+                                                        "sdp", -np.inf, 5, 0.0, "bound")])
         capsys.readouterr()
         assert main(["heur", *base, "--samples", "20", "--lb-csv", str(solve_csv),
                      "--out", str(heur_csv)]) == 0
