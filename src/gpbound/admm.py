@@ -19,6 +19,20 @@ DNNs save less (BENCH_relaxed_step.json). Stepping the slack s too saved 0.2% of
 the sweeps, and stepping X in place would leave it neither PSD nor
 complementary to Z.
 
+That eigendecomposition is most of a sweep (about 0.21 of 0.27 s at keq n = 1000),
+so :func:`solve` runs it in single precision on the sweeps that need no exact split
+(see :func:`gpbound.symm.psd_split`): every sweep that is not a check sweep, until a
+residual record (the start's or a check sweep's) has its largest residual within
+``DOUBLE_WITHIN`` * eps_tol. From then on every sweep runs in double, and check
+sweeps and the sweep at ``max_iter`` always do. So every state that is certified,
+residual-tested, returned, warm-started from or rounded comes from a
+double-precision split. A single-precision sweep keeps X / sigma - Z = N and
+<X, Z> = 0 to double rounding, as a double one does, but whichever of X and Z is the
+difference side of the split is semidefinite only to float32 accuracy. The split
+runs 18-35% faster on bench sweep matrices at n = 80-300, keq-eig solves keep their
+sweeps and bounds (BENCH_single_sweeps.json), and ``AdmmResult.single_sweeps``
+counts the sweeps that ran it.
+
 Apart from that eigendecomposition, a sweep is kept to a few passes over n x n
 arrays. It forms Xt / sigma once for both the multiplier right-hand side and
 the matrix that is split, and it forms the adjoint A*(y) + B*(ybar) once. The
@@ -34,7 +48,8 @@ is caught by the sweep itself before its eigendecomposition.
 
 The eigenvalue bound of :mod:`gpbound.eigbound` is valid at every iterate, and the
 product of a solve is that bound. So on the same check sweeps :func:`solve` also
-certifies the iterate (about 8 ms at n = 300, against about 13 ms per sweep), keeps
+certifies the iterate (about 8 ms at n = 300, against about 13 ms per sweep; their
+sum is ``AdmmResult.certify_s``), keeps
 the best certificate and its state by reference (sweeps rebind the state's arrays
 and never write into them), and stops once the best bound meets the primal
 objective within ``BOUND_STOP`` * eps_tol relative and has stopped rising by that
@@ -64,7 +79,7 @@ import scipy.sparse as sp
 
 from .eigbound import BoundCertificate, dual_objective, eig_lower_bound, xbar_for
 from .model import SdpProblem
-from .symm import psd_split
+from .symm import precision_split
 
 SIGMA_LO = 1e-6
 SIGMA_HI = 1e6
@@ -84,6 +99,10 @@ OPENING_SWEEPS = 100
 # BOUND_STOP * eps_tol (relative) of the primal objective and rose by less than that
 # since the previous check sweep (module docstring)
 BOUND_STOP = 10
+# ``solve`` runs the sweeps that are not check sweeps in single precision until a
+# residual record, the start's or a check sweep's, has its largest residual within
+# DOUBLE_WITHIN * eps_tol; every later sweep runs in double (module docstring)
+DOUBLE_WITHIN = 10
 # the statuses of a solve that a stopping test ended; the other one is "iter_limit"
 STOPPED = ("converged", "bound")
 
@@ -213,7 +232,8 @@ def update_y(state: AdmmState, factor: NormalFactor, problem: SdpProblem,
     return yy[: factor.m], yy[factor.m :]
 
 
-def sweep(state: AdmmState, factor: NormalFactor, problem: SdpProblem) -> None:
+def sweep(state: AdmmState, factor: NormalFactor, problem: SdpProblem,
+          single: bool = False) -> bool:
     """One three-block sweep, in place: (y, ybar), then S, then Z, v, X, Xt and s.
 
     S is the box-dual interval projection, Z and X come from one eigenvalue
@@ -221,8 +241,11 @@ def sweep(state: AdmmState, factor: NormalFactor, problem: SdpProblem) -> None:
     Z = -P_nsd(N)), the stepped multiplier is Xt <- (1 - PRIMAL_STEP) Xt +
     PRIMAL_STEP X, and the slack s and its dual v come from clipping
     t = s - sigma * ybar to the slack interval. X stays PSD with <X, Z> = 0; only
-    the next sweep reads Xt. Raises :class:`SolverDivergedError` before the
-    eigendecomposition if N is not finite, and if the eigendecomposition fails.
+    the next sweep reads Xt. ``single`` runs the split in single precision (see
+    :func:`gpbound.symm.psd_split`), which leaves one of X and Z semidefinite only to
+    float32 accuracy; returns whether it did. Raises :class:`SolverDivergedError`
+    before the eigendecomposition if N is not finite, and if the eigendecomposition
+    fails.
     """
     sigma = state.sigma
     x_sigma = state.Xt / sigma
@@ -243,7 +266,7 @@ def sweep(state: AdmmState, factor: NormalFactor, problem: SdpProblem) -> None:
     if not np.isfinite(N).all():
         raise SolverDivergedError(state.iter + 1, f"sigma={sigma:.3e}")
     try:
-        pos, neg = psd_split(N)
+        pos, neg, single = precision_split(N, single)
     except np.linalg.LinAlgError:   # finite N whose symmetrization overflows
         raise SolverDivergedError(state.iter + 1, f"eigh failed, sigma={sigma:.3e}") from None
     state.Z = np.negative(neg, out=neg)
@@ -257,6 +280,7 @@ def sweep(state: AdmmState, factor: NormalFactor, problem: SdpProblem) -> None:
     t = state.s - sigma * state.ybar
     state.s = problem.clip_slack(t)
     state.v = (state.s - t) / sigma
+    return single
 
 
 def residuals(state: AdmmState, problem: SdpProblem) -> ResidualRecord:
@@ -331,6 +355,8 @@ class AdmmResult:
     iterations: int                # sweeps run; state.iter is the returned state's sweep
     elapsed: float
     certificate: BoundCertificate | None   # eigenvalue bound of ``state``; None without xbar
+    single_sweeps: int             # sweeps whose split ran in single precision
+    certify_s: float               # seconds of ``elapsed`` spent in eigenvalue certificates
 
 
 def pad_state(state: AdmmState, problem: SdpProblem) -> AdmmState:
@@ -444,8 +470,14 @@ def solve(
             Z=state.Z, S=state.S, v=state.v / d_in, sigma=state.sigma, iter=state.iter,
         )
 
+    certify_s = 0.0
+
     def certified(view: AdmmState) -> BoundCertificate:
-        return eig_lower_bound(problem, view, xbar, trace=problem.n)
+        nonlocal certify_s
+        t = time.perf_counter()
+        cert = eig_lower_bound(problem, view, xbar, trace=problem.n)
+        certify_s += time.perf_counter() - t
+        return cert
 
     C = problem.C
     status = "iter_limit"
@@ -455,18 +487,21 @@ def solve(
     cert = certified(view) if start is not None and xbar is not None else None
     best_lb = cert.value if cert is not None else -np.inf
     last_lb = best_lb
-    sweeps = 0
+    sweeps = single_sweeps = 0
+    single = rec.max_residual > DOUBLE_WITHIN * prm.eps_tol
 
     for k in range(1, prm.max_iter + 1):
-        sweep(state, factor, work)
-        state.iter = sweeps = k
         check = k % CHECK_EVERY == 0 or k == prm.max_iter
+        single_sweeps += sweep(state, factor, work, single and not check)
+        state.iter = sweeps = k
         if check or callback is not None:
             view = unscaled_view()
             rec = residuals(view, problem)
             # every part of the state enters the numerator of some residual
             if check and not np.isfinite(rec.as_tuple()).all():
                 raise SolverDivergedError(k, f"sigma={state.sigma:.3e}")
+            if check and rec.max_residual <= DOUBLE_WITHIN * prm.eps_tol:
+                single = False
             primal = float((C * view.X).sum())
         if callback is not None:
             dual, _ = dual_objective(problem, view.y, view.v, view.S)
@@ -505,5 +540,5 @@ def solve(
         state=best, residuals=best_rec, status=status,
         primal_obj=primal, dual_obj=dual,
         iterations=sweeps, elapsed=time.perf_counter() - t0,
-        certificate=cert,
+        certificate=cert, single_sweeps=single_sweeps, certify_s=certify_s,
     )

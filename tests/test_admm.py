@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gpbound import admm
+from gpbound import admm, symm
 from gpbound.admm import (
     AdmmParams,
     AdmmState,
@@ -20,11 +20,12 @@ from gpbound.admm import (
     update_y,
 )
 from gpbound.graphs import GraphInstance, gen_gpkc_instance, gen_rand_graph
-from gpbound.certify import certify_bound
+from gpbound.certify import certify_bound, cutting_loop
 from gpbound.eigbound import box_support_value, eig_lower_bound, xbar_for
 from gpbound.model import (ProblemTag, SdpProblem, add_cuts, build_gpkc_dnn, build_gpkc_sdp,
                            build_keq_dnn, build_keq_sdp, separate_met)
-from gpbound.symm import psd_split
+from gpbound.graphs import KEquipartition
+from gpbound.symm import precision_split, psd_split
 
 
 def diag_problem(c_diag, box_lo=None):
@@ -863,6 +864,175 @@ class TestPsdSplit:
             nrm = max(1.0, np.linalg.norm(M))
             assert np.linalg.eigvalsh(pos)[0] >= -1e-12 * nrm, name
             assert np.linalg.eigvalsh(neg)[-1] <= 1e-12 * nrm, name
+
+
+def split_spectra():
+    """TestPsdSplit's spectra (n = 40), one with eigenvalues of either sign far below
+    float32's resolution, and random symmetric matrices up to n = 300."""
+    rng = np.random.default_rng(14)
+    n = 40
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    spectra = [np.concatenate([rng.uniform(0.1, 5, 30), -rng.uniform(0.1, 5, 10)]),
+               np.concatenate([rng.uniform(0.1, 5, 10), -rng.uniform(0.1, 5, 30)]),
+               np.zeros(n), rng.uniform(0.1, 5, n), -rng.uniform(0.1, 5, n),
+               np.concatenate([rng.uniform(1, 5, 10), 1e-10 * rng.normal(size=20),
+                               -rng.uniform(1, 5, 10)])]
+    mats = [(Q * lam) @ Q.T for lam in spectra]
+    for n in (2, 3, 7, 20, 60, 150, 300):
+        for _ in range(2):
+            A = rng.normal(size=(n, n))
+            mats.append(A + A.T + rng.normal(size=(n, n)))   # not symmetric
+    return mats
+
+
+class TestSinglePrecisionSplit:
+    """psd_split(M, single=True): float32 eigenvectors of the smaller side, refined in
+    double by Cholesky-QR and Rayleigh quotients."""
+
+    def test_invariants(self):
+        u32 = np.finfo(np.float32).eps
+        for M in split_spectra():
+            n = M.shape[0]
+            sym = 0.5 * (M + M.T)
+            nrm = max(np.linalg.norm(M), 1e-300)
+            pos, neg = psd_split(M, single=True)
+            # one side is the product and semidefinite to double rounding; the other is
+            # its exact difference from sym, of the right sign to float32 accuracy
+            few_positive = np.array_equal(neg, sym - pos)
+            assert few_positive or np.array_equal(pos, sym - neg)
+            prod, rest = (pos, -neg) if few_positive else (-neg, pos)
+            assert np.array_equal(prod, prod.T)
+            assert np.linalg.eigvalsh(prod)[0] >= -1e-12 * nrm
+            assert np.linalg.eigvalsh(rest)[0] >= -n * u32 * nrm
+            assert abs((pos * neg).sum()) <= 1e-12 * np.linalg.norm(pos) * nrm
+            # Davis-Kahan: the vectors move by about u32 ||M|| / gap
+            gap = np.abs(np.linalg.eigvalsh(sym)).min()
+            if gap > 0:
+                ref, _ = psd_split(M)
+                assert np.linalg.norm(pos - ref) <= u32 * nrm ** 2 / gap
+
+    def test_runs_in_single_precision(self):
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(30, 30))
+        assert precision_split(A, True)[2] and not precision_split(A, False)[2]
+
+    def test_out_of_range_falls_back_to_double(self):
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(12, 12))
+        for M in (1e39 * (A + A.T), 1e-39 * (A + A.T), np.zeros((12, 12))):
+            pos, neg, single = precision_split(M, True)
+            ref = psd_split(M)
+            assert not single
+            assert np.array_equal(pos, ref[0]) and np.array_equal(neg, ref[1])
+
+    def test_lapack_failure_falls_back_to_double(self, monkeypatch):
+        real = symm.lapack.get_lapack_funcs
+
+        def failing(names, arrays):
+            syevd = real(names, arrays)
+            if arrays[0].dtype != np.float32:
+                return syevd
+            return lambda a, **kw: (*syevd(a, **kw)[:2], 1)
+
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(20, 20))
+        ref = psd_split(A)
+        monkeypatch.setattr(symm.lapack, "get_lapack_funcs", failing)
+        pos, neg, single = precision_split(A, True)
+        assert not single
+        assert np.array_equal(pos, ref[0]) and np.array_equal(neg, ref[1])
+
+    def test_failed_cholesky_qr_falls_back_to_double(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        A = rng.normal(size=(20, 20))
+        ref = psd_split(A)
+        monkeypatch.setattr(symm.lapack, "dpotrf", lambda G: (G, 1))
+        pos, neg, single = precision_split(A, True)
+        assert not single
+        assert np.array_equal(pos, ref[0]) and np.array_equal(neg, ref[1])
+
+    def test_double_failure_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            psd_split(np.full((3, 3), np.inf), single=True)
+
+
+def all_double(monkeypatch):
+    monkeypatch.setattr(admm, "DOUBLE_WITHIN", np.inf)
+
+
+class TestSinglePrecisionSweeps:
+    """solve runs its non-check sweeps in single precision until a record is within
+    DOUBLE_WITHIN * eps_tol; the result matches an all-double run."""
+
+    @pytest.mark.parametrize("family", ["keq", "gpkc"])
+    @pytest.mark.parametrize("relaxation", ["sdp", "dnn"])
+    def test_matches_all_double(self, family, relaxation, monkeypatch):
+        if family == "keq":
+            g = gen_rand_graph(24, 0.5, 3)
+            p = (build_keq_sdp if relaxation == "sdp" else build_keq_dnn)(g, 3)
+        else:
+            g, spec = gen_gpkc_instance(20, 0.5, 4, 3)
+            p = (build_gpkc_sdp if relaxation == "sdp" else build_gpkc_dnn)(g, spec)
+        mixed = solve(p)
+        all_double(monkeypatch)
+        double = solve(p)
+        assert mixed.single_sweeps > 0 and double.single_sweeps == 0
+        assert mixed.status == double.status
+        assert mixed.certificate.value == pytest.approx(double.certificate.value, rel=1e-6)
+
+    def test_cut_loop_matches_all_double(self, monkeypatch):
+        g = gen_rand_graph(24, 0.8, 4)
+        spec = KEquipartition.for_graph(24, 3)
+        mixed = cutting_loop(g, spec, "dnn+met", max_rounds=3)
+        all_double(monkeypatch)
+        double = cutting_loop(g, spec, "dnn+met", max_rounds=3)
+        assert len(mixed) == len(double) == 3
+        for a, b in zip(mixed, double):
+            assert (a.status, a.cuts) == (b.status, b.cuts)
+            assert a.bound == pytest.approx(b.bound, rel=1e-6)
+
+    @pytest.mark.parametrize("name", ["keq", "gpkc", "warm"])
+    def test_counts_the_non_check_sweeps_before_the_switch(self, name):
+        p, start = cadence_case(name)
+        prm = AdmmParams()
+        worst = {}
+        res = solve(p, prm, start=start,
+                    callback=lambda k, st, rec, pr, du: worst.__setitem__(k, rec.max_residual))
+        checks = [k for k in worst if k % admm.CHECK_EVERY == 0 or k == prm.max_iter]
+        switch = next((k for k in checks if worst[k] <= admm.DOUBLE_WITHIN * prm.eps_tol),
+                      res.iterations)
+        assert switch < res.iterations   # the switch happens before the stop
+        assert res.single_sweeps == switch - switch // admm.CHECK_EVERY
+
+    def test_check_sweeps_run_in_double(self, monkeypatch):
+        asked = []
+
+        def spy(N, single):
+            asked.append(single)
+            return precision_split(N, single)
+
+        monkeypatch.setattr(admm, "precision_split", spy)
+        p = build_keq_dnn(gen_rand_graph(20, 0.5, 2), 2)
+        res = solve(p, AdmmParams(max_iter=35))
+        assert res.iterations == len(asked) == 35
+        assert [k for k in range(1, 36) if not asked[k - 1]] == [10, 20, 30, 35]
+        assert res.single_sweeps == 31
+
+    def test_identical_runs_are_equal(self):
+        p = build_gpkc_dnn(*gen_gpkc_instance(20, 0.5, 4, 5))
+        a, b = solve(p), solve(p)
+        assert (a.iterations, a.status, a.single_sweeps) == (b.iterations, b.status,
+                                                               b.single_sweeps)
+        assert a.certificate.value == b.certificate.value
+        for field in ("X", "y", "ybar", "S", "Z", "v", "s"):
+            assert np.array_equal(getattr(a.state, field), getattr(b.state, field)), field
+
+    def test_certify_s_times_the_certificates(self):
+        p = build_keq_dnn(gen_rand_graph(20, 0.5, 2), 2)
+        res = solve(p)
+        assert 0.0 < res.certify_s < res.elapsed
+        bare = solve(untagged(p))
+        assert bare.certificate is None and bare.certify_s == 0.0
 
 
 class TestDualObjective:

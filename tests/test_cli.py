@@ -508,6 +508,21 @@ class TestReport:
         assert "certificate violation" in capsys.readouterr().err
         assert not summary.exists()
 
+    def test_ub_below_an_earlier_row_exits_5(self, tmp_path, capsys):
+        # the summary shows the last row per relaxation, but the ub is checked against
+        # every row: dnn rows lb 1e9 then 15 with ub 16 once exited 0
+        solve_csv, heur_csv = tmp_path / "solve.csv", tmp_path / "heur.csv"
+        reports.write_rows(solve_csv, [
+            reports.SolveRow("a", 8, "2", "dnn", 1e9, 10, 0.1, "converged"),
+            reports.SolveRow("a", 8, "2", "dnn", 15.0, 10, 0.1, "converged"),
+        ])
+        reports.write_rows(heur_csv, [reports.HeurRow("a", "2", "Vc", 16.0)])
+        summary = tmp_path / "summary.csv"
+        assert main(["report", "--solve-csv", str(solve_csv), "--heur-csv", str(heur_csv),
+                     "--out", str(summary)]) == 5
+        assert "lb 1000000000.0" in capsys.readouterr().err
+        assert not summary.exists()
+
     def test_infinite_lb_leaves_percentages_empty(self, tmp_path, capsys):
         # a solve CSV is outside input and may hold a -inf lb (the LP cross-check of
         # the knapsack SDP reads -inf); gaps and improvements over it once printed nan
