@@ -243,9 +243,10 @@ def sweep(state: AdmmState, factor: NormalFactor, problem: SdpProblem,
     t = s - sigma * ybar to the slack interval. X stays PSD with <X, Z> = 0; only
     the next sweep reads Xt. ``single`` runs the split in single precision (see
     :func:`gpbound.symm.psd_split`), which leaves one of X and Z semidefinite only to
-    float32 accuracy; returns whether it did. Raises :class:`SolverDivergedError`
-    before the eigendecomposition if N is not finite, and if the eigendecomposition
-    fails.
+    float32 accuracy; returns whether it did. N is symmetric bit for bit when Xt and Z
+    are, since C, the adjoint and the box are, so the split takes it as it is. Raises
+    :class:`SolverDivergedError` before the eigendecomposition if N is not finite, and
+    if the eigendecomposition fails.
     """
     sigma = state.sigma
     x_sigma = state.Xt / sigma
@@ -267,7 +268,7 @@ def sweep(state: AdmmState, factor: NormalFactor, problem: SdpProblem,
         raise SolverDivergedError(state.iter + 1, f"sigma={sigma:.3e}")
     try:
         pos, neg, single = precision_split(N, single)
-    except np.linalg.LinAlgError:   # finite N whose symmetrization overflows
+    except np.linalg.LinAlgError:   # finite N whose spectrum overflows
         raise SolverDivergedError(state.iter + 1, f"eigh failed, sigma={sigma:.3e}") from None
     state.Z = np.negative(neg, out=neg)
     pos *= sigma
@@ -433,9 +434,10 @@ def solve(
     returns the start state with its record.
     ``callback(iteration, state, record, primal, dual)`` fires after every sweep when
     provided, with a record formed for it; it does not change where the loop stops.
-    Identical inputs produce an identical iterate stream. A start state with a
-    non-finite entry raises ``ValueError``, and a sweep that produces one raises
-    :class:`SolverDivergedError`.
+    Identical inputs produce an identical iterate stream. A start state's X, Xt, Z
+    and S are symmetrized once, so a start and its symmetrized copy give the same
+    result. A start state with a non-finite entry raises ``ValueError``, and a sweep
+    that produces one raises :class:`SolverDivergedError`.
 
     The stepsize rule is the same for every problem (module docstring): a cold start
     opens at sigma 1 with ``OPENING_SWEEPS`` norm-ratio sweeps, and a warm start
@@ -455,6 +457,10 @@ def solve(
         _check_start(start)
         state = start.copy()
         state.iter = 0
+        # sweeps keep the iterate symmetric bit for bit and split N as it is
+        for name in ("X", "Xt", "Z", "S"):
+            mat = getattr(state, name)
+            setattr(state, name, 0.5 * (mat + mat.T))
         state.y = state.y * d_eq
         state.ybar = state.ybar * d_in
         state.v = state.v * d_in

@@ -148,6 +148,8 @@ class CutRound:
     iterations: int
     status: str
     seconds: float                 # CPU time of this round's solve and certificate
+    single_sweeps: int             # the solve's sweeps split in single precision
+    certify_s: float               # wall seconds of the solve's eigenvalue certificates
 
     @property
     def bound(self) -> float:
@@ -188,7 +190,8 @@ def cutting_loop(
         result = solve(problem, params, start=start, callback=callback)
         cert = certify_bound(problem, result)
         rounds.append(CutRound(rnd, cert, len(problem.met_cuts), result.iterations,
-                               result.status, time.process_time() - t0))
+                               result.status, time.process_time() - t0,
+                               result.single_sweeps, result.certify_s))
         if rnd == max_rounds - 1:
             break
         # a loosely solved round can still violate its own cuts; skip those

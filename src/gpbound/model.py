@@ -66,7 +66,9 @@ class SdpProblem:
 
     ``A`` and ``B`` are scipy sparse matrices with n^2 columns whose rows are
     symmetric n x n matrices flattened row-major (see the module docstring); a
-    problem without inequality rows has a 0 x n^2 ``B``, which is the default.
+    problem without inequality rows has a 0 x n^2 ``B``, which is the default. ``C``
+    and the box are stored symmetric bit for bit: ``C`` as 0.5 C + 0.5 C', the box as
+    its intersection with its transpose, the box a symmetric X lies in.
     """
 
     n: int
@@ -97,6 +99,10 @@ class SdpProblem:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
         lo = np.full((n, n), -np.inf) if self.box_lo is None else np.asarray(self.box_lo, float)
         hi = np.full((n, n), np.inf) if self.box_hi is None else np.asarray(self.box_hi, float)
+        # a symmetric box stays as given: a builder's untouched np.zeros box costs no
+        # resident memory until something writes it
+        if not (np.array_equal(lo, lo.T) and np.array_equal(hi, hi.T)):
+            lo, hi = np.maximum(lo, lo.T), np.minimum(hi, hi.T)
         object.__setattr__(self, "box_lo", lo)
         object.__setattr__(self, "box_hi", hi)
         if self.b.size != self.m:

@@ -20,8 +20,8 @@ Only the sign of the difference side is accurate to float32 alone: its extreme
 eigenvalue is of order n * u32 * ||sym||, and the split moves by about
 u32 * ||sym|| / gap from the double one, where gap is the distance of the spectrum
 from 0. A single-precision split falls back to double when float32 cannot handle
-the matrix: an entry outside float32's normal range, a nonzero LAPACK ``info`` or a
-failed Cholesky-QR.
+the matrix: an entry outside float32's normal range, a nonzero LAPACK ``info``, an
+eigenvalue that overflows or a failed Cholesky-QR.
 """
 from __future__ import annotations
 
@@ -37,16 +37,17 @@ def psd_split(mat: np.ndarray, single: bool = False) -> tuple[np.ndarray, np.nda
     Returns ``(pos, neg)`` with ``pos + neg == sym(mat)``, ``pos`` PSD, ``neg`` NSD,
     and ``<pos, neg> == 0`` up to round-off; ``single`` computes the eigenvectors in
     single precision (module docstring). Raises ``np.linalg.LinAlgError`` when the
-    double-precision eigendecomposition fails, as it does on a non-finite matrix.
+    double-precision eigendecomposition fails, as it does on a non-finite matrix or
+    one whose spectrum overflows.
     """
-    pos, neg, _ = precision_split(mat, single)
+    pos, neg, _ = precision_split(0.5 * (mat + mat.T), single)
     return pos, neg
 
 
-def precision_split(mat: np.ndarray, single: bool) -> tuple[np.ndarray, np.ndarray, bool]:
-    """:func:`psd_split`, and whether its eigenvectors came from single precision
-    (False when ``single`` fell back to double)."""
-    sym = 0.5 * (mat + mat.T)
+def precision_split(sym: np.ndarray, single: bool) -> tuple[np.ndarray, np.ndarray, bool]:
+    """:func:`psd_split` of a matrix that is symmetric bit for bit, as every sweep's is,
+    so it is not symmetrized again; and whether the eigenvectors came from single
+    precision (False when ``single`` fell back to double)."""
     side = _single_side(sym) if single else None
     ran_single = side is not None
     if side is None:
@@ -65,11 +66,11 @@ def precision_split(mat: np.ndarray, single: bool) -> tuple[np.ndarray, np.ndarr
 
 def _syevd(sym: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray] | None:
     """Ascending eigenvalues and eigenvectors of ``sym`` in ``dtype`` by ?syevd; None
-    when LAPACK reports failure."""
+    when LAPACK reports failure or an eigenvalue overflows."""
     # sym' is sym in Fortran order, so the copy is one LAPACK may overwrite in place
     a = sym.T.astype(dtype)
     vals, vecs, info = lapack.get_lapack_funcs("syevd", (a,))(a, lower=1, overwrite_a=1)
-    return None if info else (vals, vecs)
+    return None if info or not np.isfinite(vals).all() else (vals, vecs)
 
 
 def _smaller_side(vals: np.ndarray, vecs: np.ndarray):

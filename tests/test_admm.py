@@ -820,6 +820,52 @@ class TestWarmStart:
         assert warm.primal_obj == pytest.approx(cold.primal_obj, rel=1e-4)
         assert warm.iterations < cold.iterations
 
+    def test_non_symmetric_start_runs_as_its_symmetrized_copy(self):
+        p, start = warm_round()
+        rng = np.random.default_rng(4)
+        skewed, symmetrized = start.copy(), start.copy()
+        for name in ("X", "Xt", "Z", "S"):
+            M = getattr(start, name) + 1e-3 * rng.normal(size=(p.n, p.n))
+            setattr(skewed, name, M)
+            setattr(symmetrized, name, 0.5 * (M + M.T))
+        assert not np.array_equal(skewed.X, skewed.X.T)
+        a = solve(p, start=skewed)
+        b = solve(p, start=symmetrized)
+        assert (a.iterations, a.status, a.single_sweeps) == (b.iterations, b.status,
+                                                               b.single_sweeps)
+        assert a.certificate.value == b.certificate.value
+        for field in ("X", "y", "ybar", "S", "Z", "v", "s"):
+            assert np.array_equal(getattr(a.state, field), getattr(b.state, field)), field
+
+    def test_every_split_matrix_is_symmetric(self, monkeypatch):
+        # the sweep splits N as it is, so every term of N must keep it symmetric bit
+        # for bit: a keq SDP, a knapsack DNN with a non-uniform box, and a warm round
+        g, spec = gen_gpkc_instance(10, 0.5, 5, 2)
+        conflict = build_gpkc_dnn(g, spec)
+        assert not np.isscalar(conflict._box_bounds[1])
+        p, start = warm_round()
+        seen = []
+
+        def spy(N, single):
+            seen.append(np.array_equal(N, N.T))
+            return precision_split(N, single)
+
+        monkeypatch.setattr(admm, "precision_split", spy)
+        for problem, st in ((build_keq_sdp(gen_rand_graph(21, 0.5, 3), 3), None),
+                            (conflict, None), (p, start)):
+            solve(problem, AdmmParams(max_iter=60), start=st)
+        assert len(seen) == 180 and all(seen)
+
+    def test_box_is_read_as_its_symmetric_intersection(self):
+        lo = np.array([[0.0, -1.0], [0.5, 0.0]])
+        hi = np.array([[9.0, 3.0], [2.0, 9.0]])
+        p = diag_problem([1.0, 2.0])
+        q = SdpProblem(n=2, C=p.C, A=p.A, b=p.b, box_lo=lo, box_hi=hi)
+        assert np.array_equal(q.box_lo, [[0.0, 0.5], [0.5, 0.0]])
+        assert np.array_equal(q.box_hi, [[9.0, 2.0], [2.0, 9.0]])
+        with pytest.raises(ValueError, match="lo <= hi"):
+            SdpProblem(n=2, C=p.C, A=p.A, b=p.b, box_lo=lo, box_hi=np.where(hi == 2, 0.2, hi))
+
 
 class TestPsdSplit:
     def test_split_properties_random(self):
@@ -938,7 +984,7 @@ class TestSinglePrecisionSplit:
         A = rng.normal(size=(20, 20))
         ref = psd_split(A)
         monkeypatch.setattr(symm.lapack, "get_lapack_funcs", failing)
-        pos, neg, single = precision_split(A, True)
+        pos, neg, single = precision_split(0.5 * (A + A.T), True)   # psd_split symmetrizes
         assert not single
         assert np.array_equal(pos, ref[0]) and np.array_equal(neg, ref[1])
 
@@ -947,7 +993,7 @@ class TestSinglePrecisionSplit:
         A = rng.normal(size=(20, 20))
         ref = psd_split(A)
         monkeypatch.setattr(symm.lapack, "dpotrf", lambda G: (G, 1))
-        pos, neg, single = precision_split(A, True)
+        pos, neg, single = precision_split(0.5 * (A + A.T), True)
         assert not single
         assert np.array_equal(pos, ref[0]) and np.array_equal(neg, ref[1])
 

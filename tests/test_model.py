@@ -361,6 +361,24 @@ class TestCuttingLoop:
         assert rounds[0].bound == cert.value
         assert (rounds[0].iterations, rounds[0].status) == (result.iterations, result.status)
 
+    def test_rounds_carry_their_solves_sweep_and_certificate_counts(self, monkeypatch):
+        from gpbound import certify
+        from gpbound.graphs import KEquipartition
+
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(admm.solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(certify, "solve", spy)
+        rounds = certify.cutting_loop(gen_rand_graph(12, 0.8, 0),
+                                      KEquipartition.for_graph(12, 3), max_rounds=3)
+        assert len(rounds) == len(results) > 1
+        assert any(r.single_sweeps for r in rounds)
+        for r, res in zip(rounds, results):
+            assert (r.single_sweeps, r.certify_s) == (res.single_sweeps, res.certify_s)
+
     def test_callback_sees_every_sweep_of_every_round(self):
         from gpbound.certify import cutting_loop
         from gpbound.graphs import KEquipartition

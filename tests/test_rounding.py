@@ -64,6 +64,22 @@ class TestGramFactor:
         V = gram_factor(X)
         assert np.allclose(V @ V.T, np.diag([1.0, 0.0]), atol=1e-12)
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_partition_matrix_keeps_its_rank(self, k):
+        # the columns of the noise around a low-rank X are dropped, and V V' is the
+        # PSD part within n * eps * ||X||
+        n = 60
+        assign = np.random.default_rng(k).permutation(np.arange(n) % k)
+        p = Partition.from_assignment(assign)
+        X = indicator_gram(p)
+        for M, rank in ((X, k), (hyperplane_transform(X, k), k - 1)):
+            V = gram_factor(M)
+            assert V.shape == (n, rank)
+            vals, vecs = np.linalg.eigh(M)
+            psd = (vecs * np.maximum(vals, 0.0)) @ vecs.T
+            tol = n * np.finfo(float).eps * np.linalg.norm(M, 2)
+            assert np.linalg.norm(V @ V.T - psd, 2) <= tol
+
 
 class TestHyperplane:
     def test_transform_maps_01_to_pm1(self):
@@ -301,11 +317,11 @@ def _reference_best(g, draw, samples):
 
 def reference_hyperplane(g, X, k, samples, rng, distribution="uniform"):
     n, m = g.n, g.n // k
-    V = gram_factor(hyperplane_transform(X, k))
+    V = gram_factor(hyperplane_transform(X, k))   # the library's truncated factor
 
     def draw():
         r = rng.random((n, k)) if distribution == "uniform" else rng.normal(size=(n, k))
-        scores = V @ r
+        scores = V @ r[n - V.shape[1]:]   # the rows that meet V's columns
         unassigned = np.arange(n)
         groups = []
         for t in range(k):
@@ -466,6 +482,29 @@ class TestLabelVectorSampling:
             res = vc_round_keq(g, X, 3, samples=SAMPLES, seed=seed)
             _, ub, _ = reference_vc_keq(g, X, 3, SAMPLES, _rng(seed))
             assert res.ub == pytest.approx(ub, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scoring_precision_keeps_every_sample_exact(self, monkeypatch, seed):
+        # float32 scores only integral W with row sums below 2^24, whose partial sums
+        # float32 holds exactly; heavy integral and non-integral W score in float64
+        light = gen_rand_graph(30, 0.5, seed)
+        heavy = GraphInstance(n=30, W_adj=light.W_adj * (2 ** 18 + 1), name="heavy")
+        assert heavy.W_adj.sum(axis=1).max() >= 2 ** 24
+        dtypes = []
+        twice_cuts = rounding._twice_cuts
+
+        def spy(W, total, labels, groups):
+            dtypes.append(W.dtype)
+            return twice_cuts(W, total, labels, groups)
+
+        monkeypatch.setattr(rounding, "_twice_cuts", spy)
+        X = tied_relaxation(30, seed) + np.eye(30)
+        spec = KEquipartition.for_graph(30, 3)
+        for g, dtype in ((light, np.float32), (heavy, np.float64),
+                         (weighted_graph(30, seed), np.float64)):
+            dtypes.clear()
+            assert_matches(keq_cases(g, X, spec, SAMPLES, seed))
+            assert set(dtypes) == {np.dtype(dtype)}
 
     def test_zero_time_limit_draws_one_sample(self):
         g, spec = gen_gpkc_instance(12, 0.5, 3, 4)
