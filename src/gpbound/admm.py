@@ -71,7 +71,7 @@ reaches from 1 only after hundreds; a warm start already carries such a sigma.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -188,9 +188,13 @@ class NormalFactor:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         # R' is the upper factor and, as the transpose of a C-ordered R, already in
         # Fortran order, so LAPACK reads the factor in place; cho_solve((R, True), .)
-        # would copy and scan all of it. A non-finite rhs gives a non-finite solution,
+        # would copy and scan all of it. dpotrs is what cho_solve((R', False), .) calls,
+        # without its argument handling. A non-finite rhs gives a non-finite solution,
         # which the sweep catches before its eigendecomposition.
-        return scipy.linalg.cho_solve((self.R.T, False), rhs, check_finite=False)
+        x, info = scipy.linalg.lapack.dpotrs(self.R.T, rhs, lower=0)
+        if info:
+            raise ValueError(f"dpotrs: illegal value in argument {-info}")
+        return x
 
 
 def factor_normal_matrix(problem: SdpProblem) -> NormalFactor:
@@ -388,8 +392,8 @@ def _equilibrated(problem: SdpProblem):
     magnitudes leave the slack block orders of magnitude off the matrix block.
     """
     d_eq, d_in = _row_scales(problem)
-    scaled = replace(
-        problem,
+    # scaled rows stay symmetric, so the copy skips the problem's row check
+    scaled = problem._derived(
         A=sp.diags(1.0 / d_eq) @ problem.A, b=problem.b / d_eq,
         B=sp.diags(1.0 / d_in) @ problem.B, l=problem.l / d_in, u=problem.u / d_in,
     )

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -271,118 +272,208 @@ def format_number(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
+def _records(kind: str, table: np.ndarray, values: np.ndarray) -> str:
+    """One line '<kind> <row of table> <value>' per row of the integer ``table``, each
+    value written by :func:`format_number`, built by a single %-format."""
+    if (values == np.trunc(values)).all() and (np.abs(values) < 2.0 ** 63).all():
+        values = values.astype(np.int64)   # "%s" of int(x) is format_number(x) here
+    else:
+        values = [format_number(x) for x in values.tolist()]
+    fields = np.empty((table.shape[0], table.shape[1] + 1), dtype=object)
+    fields[:, :-1] = table
+    fields[:, -1] = values
+    line = kind + " %s" * fields.shape[1] + "\n"
+    return (line * fields.shape[0]) % tuple(fields.ravel().tolist())
+
+
 def write_instance(path, g: GraphInstance, spec: Gpkc | None = None) -> None:
     """Write the text instance format; see the package README for the grammar."""
     path = Path(path)
+    if spec is not None and spec.n != g.n:
+        raise ValueError("vertex weight vector length does not match the graph")
     rows, cols = np.triu_indices(g.n, k=1)
     mask = g.W_adj[rows, cols] != 0
     rows, cols = rows[mask], cols[mask]
-    lines = [f"# name: {g.name}", f"gp {g.n} {rows.size}"]
-    for i, j in zip(rows, cols):
-        lines.append(f"e {i + 1} {j + 1} {format_number(g.W_adj[i, j])}")
+    text = f"# name: {g.name}\ngp {g.n} {rows.size}\n"
+    text += _records("e", np.column_stack([rows + 1, cols + 1]), g.W_adj[rows, cols])
     if spec is not None:
-        if spec.n != g.n:
-            raise ValueError("vertex weight vector length does not match the graph")
-        lines.append(f"k {format_number(spec.W)}")
-        for i in range(g.n):
-            lines.append(f"v {i + 1} {format_number(spec.a[i])}")
-    path.write_text("\n".join(lines) + "\n")
+        text += f"k {format_number(spec.W)}\n"
+        text += _records("v", np.arange(1, g.n + 1)[:, None], spec.a)
+    path.write_text(text)
+
+
+def _number(tok: str, lineno: int, what: str) -> float:
+    try:
+        val = float(tok)
+    except ValueError:
+        raise InstanceFormatError(f"bad {what} {tok!r}", lineno) from None
+    if not math.isfinite(val):
+        raise InstanceFormatError(f"{what} must be finite, got {tok!r}", lineno)
+    return val
+
+
+def _integer(tok: str, lineno: int, what: str) -> int:
+    val = _number(tok, lineno, what)
+    if not val.is_integer():
+        raise InstanceFormatError(f"{what} must be an integer, got {tok!r}", lineno)
+    return int(val)
+
+
+def _edge(line: str, lineno: int, n: int | None) -> tuple[int, int, float]:
+    """The endpoints and weight of one edge record, with every check of the grammar;
+    ``n`` is None when no header precedes the line."""
+    toks = line.split()
+    if n is None:
+        raise InstanceFormatError("edge before header", lineno)
+    if len(toks) != 4:
+        raise InstanceFormatError("edge line must be 'e <i> <j> <w>'", lineno)
+    i = _integer(toks[1], lineno, "endpoint")
+    j = _integer(toks[2], lineno, "endpoint")
+    w = _number(toks[3], lineno, "edge weight")
+    if not (1 <= i < j <= n):
+        raise InstanceFormatError(f"endpoints must satisfy 1 <= i < j <= {n}", lineno)
+    if w < 0:
+        raise InstanceFormatError("negative edge weight", lineno)
+    return i, j, w
+
+
+def _edge_block(lines: list[str], linenos: np.ndarray, n: int | None, header: int):
+    """(i, j, w) rows of the edge records ``lines``, each 'e' and its fields, and the
+    first of them that fails a check as an InstanceFormatError, or None; rows from
+    that line on are dropped. ``header`` is the header's line number.
+
+    The records are converted by one ``np.loadtxt``, whose number syntax is a subset
+    of ``float``'s, and checked as arrays. A record the arrays flag, or every record if
+    the conversion fails, runs through :func:`_edge`, which raises with its message.
+    """
+    if not lines:
+        return np.empty((0, 3)), None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # records that are all blank read as no data
+            # a generator: no second string per record is held beside the lines
+            vals = np.loadtxt((ln[2:] for ln in lines), dtype=float, comments=None, ndmin=2)
+        if vals.shape != (len(lines), 3):
+            raise ValueError("a record without three fields")
+        i, j, w = vals.T
+        ok = (linenos > header) & np.isfinite(vals).all(axis=1)
+        ok &= (i == np.floor(i)) & (j == np.floor(j)) & (1 <= i) & (i < j) & (j <= (n or 0))
+        ok &= w >= 0
+    except ValueError:
+        vals = np.empty((len(lines), 3))
+        ok = np.zeros(len(lines), dtype=bool)
+    for t in np.flatnonzero(~ok).tolist():
+        lineno = int(linenos[t])
+        try:
+            vals[t] = _edge(lines[t], lineno, n if lineno > header else None)
+        except InstanceFormatError as exc:
+            return vals[:t], exc
+    return vals, None
 
 
 def read_instance(path) -> tuple[GraphInstance, Gpkc | None]:
-    """Parse an instance file; returns the graph and the knapsack block when present."""
+    """Parse an instance file; returns the graph and the knapsack block when present.
+
+    Edge records are read in bulk (:func:`_edge_block`) and every other line on its
+    own. A malformed file raises :class:`InstanceFormatError` for its first bad line,
+    with that line's number, after the duplicate-edge warnings of the lines before it.
+    """
     path = Path(path)
     name = path.stem
+    lines = path.read_text().splitlines()
+    in_block = [ln.startswith("e ") for ln in lines]
     n = None
+    header = len(lines) + 1     # the header's line number
     declared_edges = 0
-    edge_lines = 0
-    W = None
     capacity = None
     a = None
     seen_vertex = None
+    error = None
+    try:
+        for t in np.flatnonzero(np.logical_not(in_block)).tolist():
+            lineno = t + 1
+            line = lines[t].strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("name:"):
+                    name = body[len("name:"):].strip()
+                continue
+            toks = line.split()
+            kind = toks[0]
+            if kind == "gp":
+                if n is not None:
+                    raise InstanceFormatError("duplicate header", lineno)
+                if len(toks) != 3:
+                    raise InstanceFormatError("header must be 'gp <n> <edges>'", lineno)
+                n = _integer(toks[1], lineno, "vertex count")
+                declared_edges = _integer(toks[2], lineno, "edge count")
+                if n < 2:
+                    raise InstanceFormatError("need at least 2 vertices", lineno)
+                header = lineno
+            elif kind == "e":   # spaced otherwise: joins the block as 'e <fields>'
+                lines[t] = " ".join(toks)
+                in_block[t] = True
+            elif kind == "k":
+                if n is None:
+                    raise InstanceFormatError("capacity before header", lineno)
+                if capacity is not None:
+                    raise InstanceFormatError("duplicate capacity line", lineno)
+                if len(toks) != 2:
+                    raise InstanceFormatError("capacity line must be 'k <W>'", lineno)
+                capacity = _number(toks[1], lineno, "capacity")
+                a = np.zeros(n)
+                seen_vertex = np.zeros(n, dtype=bool)
+            elif kind == "v":
+                if a is None:
+                    raise InstanceFormatError("vertex weight before capacity line", lineno)
+                if len(toks) != 3:
+                    raise InstanceFormatError("vertex line must be 'v <i> <a_i>'", lineno)
+                i = _integer(toks[1], lineno, "vertex index")
+                if not 1 <= i <= n:
+                    raise InstanceFormatError(f"vertex index out of range 1..{n}", lineno)
+                if seen_vertex[i - 1]:
+                    raise InstanceFormatError(f"duplicate vertex weight for {i}", lineno)
+                a[i - 1] = _number(toks[2], lineno, "vertex weight")
+                seen_vertex[i - 1] = True
+            else:
+                raise InstanceFormatError(f"unknown record {kind!r}", lineno)
+    except InstanceFormatError as exc:
+        error = exc
 
-    def _num(tok: str, lineno: int, what: str) -> float:
-        try:
-            val = float(tok)
-        except ValueError:
-            raise InstanceFormatError(f"bad {what} {tok!r}", lineno) from None
-        if not math.isfinite(val):
-            raise InstanceFormatError(f"{what} must be finite, got {tok!r}", lineno)
-        return val
-
-    def _int(tok: str, lineno: int, what: str) -> int:
-        val = _num(tok, lineno, what)
-        if not val.is_integer():
-            raise InstanceFormatError(f"{what} must be an integer, got {tok!r}", lineno)
-        return int(val)
-
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("name:"):
-                name = body[len("name:"):].strip()
-            continue
-        toks = line.split()
-        kind = toks[0]
-        if kind == "gp":
-            if n is not None:
-                raise InstanceFormatError("duplicate header", lineno)
-            if len(toks) != 3:
-                raise InstanceFormatError("header must be 'gp <n> <edges>'", lineno)
-            n = _int(toks[1], lineno, "vertex count")
-            declared_edges = _int(toks[2], lineno, "edge count")
-            if n < 2:
-                raise InstanceFormatError("need at least 2 vertices", lineno)
-            W = np.zeros((n, n))
-        elif kind == "e":
-            if W is None:
-                raise InstanceFormatError("edge before header", lineno)
-            if len(toks) != 4:
-                raise InstanceFormatError("edge line must be 'e <i> <j> <w>'", lineno)
-            i = _int(toks[1], lineno, "endpoint")
-            j = _int(toks[2], lineno, "endpoint")
-            w = _num(toks[3], lineno, "edge weight")
-            if not (1 <= i < j <= n):
-                raise InstanceFormatError(f"endpoints must satisfy 1 <= i < j <= {n}", lineno)
-            if w < 0:
-                raise InstanceFormatError("negative edge weight", lineno)
-            if W[i - 1, j - 1] != 0:
-                warnings.warn(f"{path.name}:{lineno}: duplicate edge ({i},{j}), last value wins")
-            W[i - 1, j - 1] = w
-            W[j - 1, i - 1] = w
-            edge_lines += 1
-        elif kind == "k":
-            if W is None:
-                raise InstanceFormatError("capacity before header", lineno)
-            if len(toks) != 2:
-                raise InstanceFormatError("capacity line must be 'k <W>'", lineno)
-            capacity = _num(toks[1], lineno, "capacity")
-            a = np.zeros(n)
-            seen_vertex = np.zeros(n, dtype=bool)
-        elif kind == "v":
-            if a is None:
-                raise InstanceFormatError("vertex weight before capacity line", lineno)
-            if len(toks) != 3:
-                raise InstanceFormatError("vertex line must be 'v <i> <a_i>'", lineno)
-            i = _int(toks[1], lineno, "vertex index")
-            if not 1 <= i <= n:
-                raise InstanceFormatError(f"vertex index out of range 1..{n}", lineno)
-            if seen_vertex[i - 1]:
-                raise InstanceFormatError(f"duplicate vertex weight for {i}", lineno)
-            a[i - 1] = _num(toks[2], lineno, "vertex weight")
-            seen_vertex[i - 1] = True
-        else:
-            raise InstanceFormatError(f"unknown record {kind!r}", lineno)
-
+    # the block's records before the first bad line of the other lines
+    linenos = np.flatnonzero(in_block) + 1
+    if error is not None:
+        linenos = linenos[linenos < error.line]
+    vals, block_error = _edge_block(list(compress(lines, in_block))[:linenos.size],
+                                    linenos, n, header)
+    del lines, in_block   # the text is read; free it before W and its copies exist
+    if block_error is not None:
+        error = block_error
+        linenos = linenos[:vals.shape[0]]
+    ends = vals[:, :2].astype(np.int64) - 1
+    # every record of a pair after its first warns; the last one's weight stands
+    key = ends[:, 0] * (n or 0) + ends[:, 1]
+    order = np.argsort(key, kind="stable")
+    same = key[order[1:]] == key[order[:-1]]
+    for t in np.sort(order[1:][same]).tolist():
+        i, j = ends[t] + 1
+        warnings.warn(f"{path.name}:{linenos[t]}: duplicate edge ({i},{j}), last value wins")
+    if error is not None:
+        raise error
     if n is None:
         raise InstanceFormatError("missing 'gp' header")
-    if edge_lines != declared_edges:
+    if vals.shape[0] != declared_edges:
         raise InstanceFormatError(
-            f"header declares {declared_edges} edges but {edge_lines} edge lines found"
+            f"header declares {declared_edges} edges but {vals.shape[0]} edge lines found"
         )
+    last = np.ones(key.size, dtype=bool)
+    last[order[:-1][same]] = False
+    W = np.zeros((n, n))
+    flat = W.ravel()
+    flat[key[last]] = vals[last, 2]
+    flat[(ends[:, 1] * n + ends[:, 0])[last]] = vals[last, 2]
     # the relaxations' objective is the Laplacian of W / 2 (model.build)
     with np.errstate(over="ignore"):
         overflow = np.flatnonzero(~np.isfinite((0.5 * W).sum(axis=1)))

@@ -15,7 +15,7 @@ certifies and tightens them with cuts, ``cutting_loop``, lives in
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -68,7 +68,9 @@ class SdpProblem:
     symmetric n x n matrices flattened row-major (see the module docstring); a
     problem without inequality rows has a 0 x n^2 ``B``, which is the default. ``C``
     and the box are stored symmetric bit for bit: ``C`` as 0.5 C + 0.5 C', the box as
-    its intersection with its transpose, the box a symmetric X lies in.
+    its intersection with its transpose, the box a symmetric X lies in. The rows are
+    checked when a problem is constructed; the problems the solver and ``add_cuts``
+    derive from it (``_derived``) do not check them again.
     """
 
     n: int
@@ -94,9 +96,7 @@ class SdpProblem:
         B = sp.csr_matrix((0, n * n)) if self.B is None else self.B
         object.__setattr__(self, "A", _checked_rows(self.A, n, "equality"))
         object.__setattr__(self, "B", _checked_rows(B, n, "inequality"))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        object.__setattr__(self, "l", np.asarray(self.l, dtype=float))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
+        self._check_vectors()
         lo = np.full((n, n), -np.inf) if self.box_lo is None else np.asarray(self.box_lo, float)
         hi = np.full((n, n), np.inf) if self.box_hi is None else np.asarray(self.box_hi, float)
         # a symmetric box stays as given: a builder's untouched np.zeros box costs no
@@ -105,19 +105,40 @@ class SdpProblem:
             lo, hi = np.maximum(lo, lo.T), np.minimum(hi, hi.T)
         object.__setattr__(self, "box_lo", lo)
         object.__setattr__(self, "box_hi", hi)
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("box bounds must not be NaN; infinite ones are allowed")
+        if np.any(lo > hi):
+            raise ValueError("box bounds must satisfy lo <= hi")
+
+    def _derived(self, **changes) -> "SdpProblem":
+        """``dataclasses.replace(self, **changes)`` for new rows that are symmetric by
+        construction, such as these rows scaled or with symmetric rows appended, given
+        as CSR over n^2 columns. They skip the constructor's O(nnz) symmetry test, and
+        C and the box, which may not change, keep their checked values; the
+        right-hand sides and bounds are checked as in the constructor."""
+        if changes.keys() & {"n", "C", "box_lo", "box_hi"}:
+            raise ValueError("a derived problem keeps n, C and the box")
+        p = object.__new__(SdpProblem)
+        for f in fields(SdpProblem):
+            object.__setattr__(p, f.name, changes.get(f.name, getattr(self, f.name)))
+        p._check_vectors()
+        return p
+
+    def _check_vectors(self) -> None:
+        """Store b, l and u as float arrays and check them against the rows."""
+        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        object.__setattr__(self, "l", np.asarray(self.l, dtype=float))
+        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
         if self.b.size != self.m:
             raise ValueError("equality right-hand side does not match row count")
         if not np.isfinite(self.b).all():
             raise ValueError("equality right-hand side must be finite")
-        for name, vals in (("inequality", (self.l, self.u)), ("box", (lo, hi))):
-            if any(np.isnan(v).any() for v in vals):
-                raise ValueError(f"{name} bounds must not be NaN; infinite ones are allowed")
+        if np.isnan(self.l).any() or np.isnan(self.u).any():
+            raise ValueError("inequality bounds must not be NaN; infinite ones are allowed")
         if self.l.size != self.q or self.u.size != self.q:
             raise ValueError("inequality bounds do not match row count")
         if np.any(self.l > self.u):
             raise ValueError("inequality bounds must satisfy l <= u")
-        if np.any(lo > hi):
-            raise ValueError("box bounds must satisfy lo <= hi")
 
     @property
     def m(self) -> int:
@@ -211,13 +232,21 @@ def _integral(g: GraphInstance) -> bool:
 
 
 def _keq_base(g: GraphInstance, k: int):
-    # rows e_i e_i' (diag(X) = e), then (e_i e' + e e_i')/2 ((X e)_i = m)
+    # rows e_i e_i' (diag(X) = e), then (e_i e' + e e_i')/2 ((X e)_i = m), written in
+    # CSR order: the 2n - 1 entries of row n + i are column i of rows 0..i-1, row i, then
+    # column i of rows i+1..n-1 of the n x n pattern, each 1/2 but 1 at (i, i); the
+    # arrays are those _sym_rows builds, without its sort
     spec = KEquipartition.for_graph(g.n, k)
     n = g.n
-    v = np.arange(n)
-    i, j = np.divmod(np.arange(n * n), n)
-    A = _sym_rows(2 * n, n, np.concatenate([v, n + i]), np.concatenate([v, i]),
-                  np.concatenate([v, j]), 1.0)
+    i = np.arange(n)[:, None]
+    p = np.arange(2 * n - 1)
+    cols = np.where(p < i, p * n + i, np.where(p < i + n, i * (n - 1) + p, (p - n + 1) * n + i))
+    A = sp.csr_matrix(
+        (np.concatenate([np.ones(n), np.where(p == 2 * i, 1.0, 0.5).ravel()]),
+         np.concatenate([np.arange(n) * (n + 1), cols.ravel()]),
+         np.concatenate([np.arange(n), n + (2 * n - 1) * np.arange(n + 1)])),
+        shape=(2 * n, n * n),
+    )
     b = np.concatenate([np.ones(n), np.full(n, float(spec.m))])
     return spec, A, b
 
@@ -368,7 +397,8 @@ def add_cuts(p: SdpProblem, cuts) -> SdpProblem:
     new_l = np.concatenate([p.l, np.full(len(fresh), -np.inf)])
     new_u = np.concatenate([p.u, np.ones(len(fresh))])
     tag = replace(p.tag, relaxation="dnn+met") if p.tag.relaxation.startswith("dnn") else p.tag
-    return replace(
-        p, B=sp.vstack([p.B, rows], format="csr"), l=new_l, u=new_u, tag=tag,
+    # the cut rows are symmetric by construction, so the grown problem skips the row check
+    return p._derived(
+        B=sp.vstack([p.B, rows], format="csr"), l=new_l, u=new_u, tag=tag,
         met_cuts=p.met_cuts + tuple(fresh),
     )

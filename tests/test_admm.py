@@ -501,6 +501,73 @@ class TestSolve:
         assert res.status == "iter_limit"
         assert res.iterations == 3
 
+    def test_solve_matches_cho_solve_bit_for_bit(self):
+        # the direct dpotrs call is the LAPACK call scipy.linalg.cho_solve makes, on the
+        # factors solve uses: a keq DNN, a knapsack DNN and a DNN+MET round
+        import scipy.linalg
+
+        g, spec = gen_gpkc_instance(30, 0.5, 3, 2)
+        met, _ = warm_round()
+        rng = np.random.default_rng(3)
+        for p in (build_keq_dnn(gen_rand_graph(30, 0.5, 1), 3), build_gpkc_dnn(g, spec), met):
+            fac = factor_normal_matrix(admm._equilibrated(p)[0])
+            for rhs in (rng.normal(size=fac.m + fac.q), 1e6 * rng.normal(size=fac.m + fac.q)):
+                want = scipy.linalg.cho_solve((fac.R.T, False), rhs, check_finite=False)
+                assert fac.solve(rhs).tobytes() == want.tobytes()
+
+
+class TestRowsCheckedOnce:
+    """Constraint rows are checked when a problem is built, not again for the copies
+    derived from it: solve's row-scaled working copy and add_cuts' grown problem."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        from gpbound import model
+
+        calls = []
+
+        def spy(M, n, kind):
+            calls.append(kind)
+            return checked(M, n, kind)
+
+        checked = model._checked_rows
+        monkeypatch.setattr(model, "_checked_rows", spy)
+        return calls
+
+    def test_solve_and_add_cuts_check_no_row_again(self, checks):
+        p = build_keq_dnn(gen_rand_graph(30, 0.5, 1), 3)
+        assert checks == ["equality", "inequality"]
+        res = solve(p, AdmmParams(max_iter=20))
+        met = add_cuts(p, separate_met(res.state.X, 40))
+        solve(met, AdmmParams(max_iter=20), start=admm.pad_state(res.state, met))
+        assert checks == ["equality", "inequality"]
+
+    def test_derived_problems_equal_their_checked_copies(self):
+        # the fields that a replace() through the constructor would give, bit for bit
+        g, spec = gen_gpkc_instance(30, 0.5, 3, 2)
+        met, _ = warm_round()
+        for p in (build_gpkc_dnn(g, spec), met):
+            work, d_eq, d_in = admm._equilibrated(p)
+            full = dataclasses.replace(p, A=work.A, b=work.b, B=work.B, l=work.l, u=work.u)
+            for name in ("A", "B"):
+                a, b = getattr(work, name), getattr(full, name)
+                assert a.format == b.format == "csr"
+                for part in ("indptr", "indices", "data"):
+                    assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
+            for name in ("C", "b", "l", "u", "box_lo", "box_hi"):
+                assert getattr(work, name).tobytes() == getattr(full, name).tobytes()
+            assert work.tag == full.tag and work.met_cuts == full.met_cuts
+
+    def test_derived_problem_still_checks_its_vectors(self):
+        # a zero equality row scales its right-hand side to a non-finite value
+        p = diag_problem([1.0, 2.0])
+        zero = SdpProblem(n=2, C=p.C, A=sp.vstack([p.A, sp.csr_matrix((1, 4))]),
+                          b=np.append(p.b, 1.0))
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="must be finite"):
+            solve(zero)
+        with pytest.raises(ValueError, match="keeps n, C and the box"):
+            p._derived(C=2 * p.C)
+
 
 def cadence_problems(tagged=False):
     """A keq DNN and a gpkc DNN that converge; untagged unless ``tagged``, so that only

@@ -239,6 +239,15 @@ class TestSolve:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_duplicate_capacity_line_exits_malformed(self, tmp_path, capsys):
+        bad = tmp_path / "twok.gp"
+        bad.write_text("gp 2 1\ne 1 2 5\nk 10\nv 1 3\nv 2 4\nk 20\nv 1 3\nv 2 4\n")
+        out = tmp_path / "solve.csv"
+        code = main(["solve", "--instance", str(bad), "--out", str(out)])
+        assert code == 3
+        assert "line 6: duplicate capacity line" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_knapsack_sdp_bounds_are_finite(self, tmp_path):
         # the frozen-Z LP of the knapsack SDP is unbounded (-inf); the reported
         # eigenvalue bound is not

@@ -1,3 +1,7 @@
+import math
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from gpbound.graphs import (
     Partition,
     SpecValidationError,
     cut_value,
+    format_number,
     gen_gpkc_instance,
     gen_rand_graph,
     laplacian,
@@ -222,6 +227,24 @@ class TestInstanceIO:
             g, _ = read_instance(f)
         assert g.W_adj[0, 1] == 7
 
+    def test_duplicate_of_a_zero_weight_edge_warns(self, tmp_path):
+        f = tmp_path / "dup0.gp"
+        f.write_text("gp 3 2\ne 1 2 0\ne 1 2 5\n")
+        with pytest.warns(UserWarning, match=r"dup0.gp:3: duplicate edge \(1,2\)"):
+            g, _ = read_instance(f)
+        assert g.W_adj[0, 1] == 5
+
+    @pytest.mark.parametrize("body, line", [
+        ("gp 2 1\ne 1 2 5\nk 10\nv 1 3\nv 2 4\nk 20\nv 1 3\nv 2 4\n", 6),
+        ("gp 2 1\ne 1 2 5\nk 10\nv 1 3\nk 20\nv 1 3\nv 2 4\n", 5),
+    ], ids=["after-the-block", "inside-the-block"])
+    def test_duplicate_capacity_line_rejected(self, tmp_path, body, line):
+        f = tmp_path / "twok.gp"
+        f.write_text(body)
+        with pytest.raises(InstanceFormatError, match="duplicate capacity line") as err:
+            read_instance(f)
+        assert err.value.line == line
+
     def test_parse_error_carries_line_number(self, tmp_path):
         f = tmp_path / "bad.gp"
         f.write_text("gp 3 1\ne 2 1 5\n")
@@ -301,3 +324,290 @@ class TestSpecTypes:
         W[0, 1] = W[1, 0] = w
         with pytest.raises(ValueError, match="finite"):
             GraphInstance(n=3, W_adj=W)
+
+
+# ---------------------------------------------------------------- per-line references
+
+def reference_write_instance(path, g, spec=None):
+    """The instance writer one edge line at a time: the specification of the bytes."""
+    path = Path(path)
+    rows, cols = np.triu_indices(g.n, k=1)
+    mask = g.W_adj[rows, cols] != 0
+    rows, cols = rows[mask], cols[mask]
+    lines = [f"# name: {g.name}", f"gp {g.n} {rows.size}"]
+    for i, j in zip(rows, cols):
+        lines.append(f"e {i + 1} {j + 1} {format_number(g.W_adj[i, j])}")
+    if spec is not None:
+        if spec.n != g.n:
+            raise ValueError("vertex weight vector length does not match the graph")
+        lines.append(f"k {format_number(spec.W)}")
+        for i in range(g.n):
+            lines.append(f"v {i + 1} {format_number(spec.a[i])}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def reference_read_instance(path):
+    """The instance reader one line at a time: the specification of the grammar, its
+    messages and line numbers. It warns on every repeated edge pair and rejects a
+    second capacity line."""
+    path = Path(path)
+    name = path.stem
+    n = None
+    declared_edges = 0
+    edge_lines = 0
+    W = None
+    capacity = None
+    a = None
+    seen_vertex = None
+    seen_edge = set()
+
+    def _num(tok, lineno, what):
+        try:
+            val = float(tok)
+        except ValueError:
+            raise InstanceFormatError(f"bad {what} {tok!r}", lineno) from None
+        if not math.isfinite(val):
+            raise InstanceFormatError(f"{what} must be finite, got {tok!r}", lineno)
+        return val
+
+    def _int(tok, lineno, what):
+        val = _num(tok, lineno, what)
+        if not val.is_integer():
+            raise InstanceFormatError(f"{what} must be an integer, got {tok!r}", lineno)
+        return int(val)
+
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("name:"):
+                name = body[len("name:"):].strip()
+            continue
+        toks = line.split()
+        kind = toks[0]
+        if kind == "gp":
+            if n is not None:
+                raise InstanceFormatError("duplicate header", lineno)
+            if len(toks) != 3:
+                raise InstanceFormatError("header must be 'gp <n> <edges>'", lineno)
+            n = _int(toks[1], lineno, "vertex count")
+            declared_edges = _int(toks[2], lineno, "edge count")
+            if n < 2:
+                raise InstanceFormatError("need at least 2 vertices", lineno)
+            W = np.zeros((n, n))
+        elif kind == "e":
+            if W is None:
+                raise InstanceFormatError("edge before header", lineno)
+            if len(toks) != 4:
+                raise InstanceFormatError("edge line must be 'e <i> <j> <w>'", lineno)
+            i = _int(toks[1], lineno, "endpoint")
+            j = _int(toks[2], lineno, "endpoint")
+            w = _num(toks[3], lineno, "edge weight")
+            if not (1 <= i < j <= n):
+                raise InstanceFormatError(f"endpoints must satisfy 1 <= i < j <= {n}", lineno)
+            if w < 0:
+                raise InstanceFormatError("negative edge weight", lineno)
+            if (i, j) in seen_edge:
+                warnings.warn(f"{path.name}:{lineno}: duplicate edge ({i},{j}), last value wins")
+            seen_edge.add((i, j))
+            W[i - 1, j - 1] = w
+            W[j - 1, i - 1] = w
+            edge_lines += 1
+        elif kind == "k":
+            if W is None:
+                raise InstanceFormatError("capacity before header", lineno)
+            if capacity is not None:
+                raise InstanceFormatError("duplicate capacity line", lineno)
+            if len(toks) != 2:
+                raise InstanceFormatError("capacity line must be 'k <W>'", lineno)
+            capacity = _num(toks[1], lineno, "capacity")
+            a = np.zeros(n)
+            seen_vertex = np.zeros(n, dtype=bool)
+        elif kind == "v":
+            if a is None:
+                raise InstanceFormatError("vertex weight before capacity line", lineno)
+            if len(toks) != 3:
+                raise InstanceFormatError("vertex line must be 'v <i> <a_i>'", lineno)
+            i = _int(toks[1], lineno, "vertex index")
+            if not 1 <= i <= n:
+                raise InstanceFormatError(f"vertex index out of range 1..{n}", lineno)
+            if seen_vertex[i - 1]:
+                raise InstanceFormatError(f"duplicate vertex weight for {i}", lineno)
+            a[i - 1] = _num(toks[2], lineno, "vertex weight")
+            seen_vertex[i - 1] = True
+        else:
+            raise InstanceFormatError(f"unknown record {kind!r}", lineno)
+
+    if n is None:
+        raise InstanceFormatError("missing 'gp' header")
+    if edge_lines != declared_edges:
+        raise InstanceFormatError(
+            f"header declares {declared_edges} edges but {edge_lines} edge lines found"
+        )
+    with np.errstate(over="ignore"):
+        overflow = np.flatnonzero(~np.isfinite((0.5 * W).sum(axis=1)))
+    if overflow.size:
+        raise InstanceFormatError(f"weighted degree of vertex {overflow[0] + 1} overflows")
+    g = GraphInstance(n=n, W_adj=W, name=name)
+    if capacity is None:
+        return g, None
+    if not seen_vertex.all():
+        missing = int(np.flatnonzero(~seen_vertex)[0]) + 1
+        raise InstanceFormatError(f"missing vertex weight for {missing}")
+    return g, Gpkc(a=a, W=capacity)
+
+
+def outcome(reader, path):
+    """What reading ``path`` gives: the result or the exception's type, text and line,
+    with the warnings issued on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("ok", *reader(path))
+        except (InstanceFormatError, SpecValidationError) as exc:
+            result = (type(exc).__name__, str(exc), getattr(exc, "line", None))
+    return result, [str(w.message) for w in caught]
+
+
+def assert_same_outcome(path):
+    (got, got_warnings), (want, want_warnings) = (
+        outcome(read_instance, path), outcome(reference_read_instance, path))
+    assert got_warnings == want_warnings
+    assert got[0] == want[0], (got, want)
+    if got[0] != "ok":
+        assert got == want
+        return
+    g, spec = got[1:]
+    g_ref, spec_ref = want[1:]
+    assert g == g_ref
+    assert g.W_adj.tobytes() == g_ref.W_adj.tobytes()   # bit for bit, signed zeros too
+    assert spec == spec_ref
+
+
+def fractional_graph(n, seed):
+    rng = np.random.default_rng(seed)
+    W = np.triu(rng.random((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n)), k=1)
+    W[rng.random((n, n)) < 0.3] = 0.0
+    W[0, 1:4] = [0.1, 5e-324, 7.0]
+    W = np.triu(W, k=1)
+    return GraphInstance(n=n, W_adj=W + W.T, name=f"frac{n}")
+
+
+class TestBulkInstanceIO:
+    """The bulk writer and reader against the per-line references above."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: (gen_rand_graph(2, 1.0, 0), None),
+        lambda: (gen_rand_graph(9, 0.0, 1), None),
+        lambda: (gen_rand_graph(60, 0.5, 2), None),
+        lambda: (gen_rand_graph(300, 0.5, 3), None),
+        lambda: gen_gpkc_instance(12, 0.8, 3, 4),
+        lambda: gen_gpkc_instance(80, 0.2, 4, 5),
+        lambda: (fractional_graph(40, 6), None),
+        lambda: (fractional_graph(40, 7), Gpkc(a=np.linspace(0.5, 3.0, 40) / 3.0, W=7.25)),
+        lambda: (GraphInstance(n=3, W_adj=np.array(
+            [[0.0, 2.0 ** 63, 1e20], [2.0 ** 63, 0.0, 2.0 ** 62], [1e20, 2.0 ** 62, 0.0]])),
+            Gpkc(a=np.array([1.0, 2.0, 3.0]), W=2.0 ** 70)),
+    ], ids=["n2", "empty", "keq60", "keq300", "gpkc12", "gpkc80", "fractional",
+            "fractional-gpkc", "huge-integral"])
+    def test_files_match_the_reference_byte_for_byte(self, tmp_path, make):
+        g, spec = make()
+        write_instance(tmp_path / "bulk.gp", g, spec)
+        reference_write_instance(tmp_path / "ref.gp", g, spec)
+        assert (tmp_path / "bulk.gp").read_bytes() == (tmp_path / "ref.gp").read_bytes()
+        assert_same_outcome(tmp_path / "bulk.gp")
+        back, spec_back = read_instance(tmp_path / "bulk.gp")
+        assert back.W_adj.tobytes() == g.W_adj.tobytes()
+        assert spec_back == spec
+
+    def test_writer_checks_the_weight_vector_first(self, tmp_path):
+        g = gen_rand_graph(5, 0.5, 0)
+        with pytest.raises(ValueError, match="does not match"):
+            write_instance(tmp_path / "x.gp", g, Gpkc(a=np.ones(4), W=2.0))
+        assert not (tmp_path / "x.gp").exists()
+
+    @pytest.mark.parametrize("body", [
+        "# a comment\n\n# name: hand\ngp 4 3\ne 1 2 5\n\n# middle\ne 2 3 1.5\ne 3 4 7\n",
+        "  gp 4 2\n\te 1 2 5\n   e 2 4 3\n#name: spaced  \n",
+        "gp\t4\t2\ne\t1\t2\t5\ne 1  3   4  \n",
+        "gp 4 3\ne 1 2 5\nk 10\nv 1 3\nv 2 4\ne 2 3 1\nv 3 1\nv 4 2\ne 3 4 2\n",
+        "gp 3 4\ne 1 2 5\ne 2 3 1\n e 1 2 7\ne 1 2 0\n",
+        "gp 3 2\ne 1 2 0\ne 1 2 5\n",
+        "gp 3 3\ne 1 2 -0\ne 1 3 1e0\ne 2 3 +2.50\n",
+        "gp 3 2\ne 1 2 1_0\ne 2 3 \u0661\n",
+        "gp 3 1\ne 1 2 5\u00a0\n",
+        "gp 3 1\r\ne 1 2 5\r\n",
+        "# name: first\n# name: second\ngp 2 0\n",
+        "gp 3 1\nv 1 2\n",
+        "gp 3 1\ne 1 2 1.5e308\ne 1 3 1.5e308\n",
+    ], ids=["comments", "whitespace", "tabs", "edges-after-knapsack", "duplicates",
+            "duplicate-after-zero", "number-spellings", "float-only-spellings", "nbsp",
+            "crlf", "two-names", "vertex-before-capacity", "count-mismatch"])
+    def test_hand_written_files_read_as_the_reference(self, tmp_path, body):
+        f = tmp_path / "hand.gp"
+        f.write_text(body)
+        assert_same_outcome(f)
+
+    @pytest.mark.parametrize("body", [
+        "",
+        "e 1 2 3\n",
+        "e 1 2 3\ngp 3 1\n",
+        "gp 3 1\ngp 3 1\n",
+        "gp 3\n",
+        "gp 1 0\n",
+        "gp 3.5 0\n",
+        "gp x 0\n",
+        "gp 3 1\ne 1 2\n",
+        "gp 3 1\ne 1 2 3 4\n",
+        "gp 3 1\ne\n",
+        "gp 3 1\ne \n",
+        "gp 3 1\ne 1 2 3 # note\n",
+        "gp 3 1\ne 2 1 5\n",
+        "gp 3 1\ne 1 4 5\n",
+        "gp 3 1\ne 0 2 5\n",
+        "gp 3 1\ne 1 1 5\n",
+        "gp 3 1\ne 1.5 2 4\n",
+        "gp 3 1\ne 1 2.5 4\n",
+        "gp 3 1\ne 1 inf 4\n",
+        "gp 3 1\ne x 2 4\n",
+        "gp 3 1\ne 1 2 w\n",
+        "gp 3 1\ne 1 2 -4\n",
+        "gp 3 1\ne 1 2 -inf\n",
+        "gp 3 1\ne 1 2 nan\n",
+        "gp 3 1\ne 2 3 inf\n",
+        "gp 3 1\ne 1 2 1e400\n",
+        "gp 3 1\ne 1e300 2 4\n",
+        "gp 3 1\ne 2.5 1 -4\n",
+        "gp 3 2\ne 1 2 5\nfoo 1\ne 2 3 -1\n",
+        "gp 3 3\ne 1 2 5\ne 1 2 6\ne 2 3 -1\n",
+        "gp 3 3\ne 1 2 5\n e 1 2 6\n  e 2 3 x\ne 1 3 -1\n",
+        "gp 3 3\ne 1 2 5\ne 1 3 x\n  e 2 3 -1\n",
+        "gp 3 2\ne 1 2 5\ne 1 2 6\nk\n",
+        "gp 3 2\ne 1 2 1_0\ne 2 3 -1\n",
+        "gp 3 2\ne 1 2 1_0\ne 2 x 1\n",
+        "gp 3 1\ne 1 2 5\nx 1\n",
+        "gp 3 1\ne 1 2 5\nk 3\nk 4\n",
+        "gp 2 1\ne 1 2 5\nk 10\nv 1 3\nk 20\nv 1 3\nv 2 4\n",
+        "gp 2 1\ne 1 2 5\nk 10\nv 1 3\nv 2 4\nk 20\nv 1 3\nv 2 4\n",
+        "k 3\ngp 2 1\n",
+        "gp 2 1\ne 1 2 5\nk 3 4\n",
+        "gp 2 1\ne 1 2 5\nk nan\nv 1 1\nv 2 1\n",
+        "gp 2 1\ne 1 2 5\nk inf\nv 1 1\nv 2 1\n",
+        "gp 2 1\ne 1 2 5\nk 3\nv 1 inf\nv 2 1\n",
+        "gp 2 1\ne 1 2 5\nk 3\nv 1 1\nv 2 nan\n",
+        "gp 2 1\ne 1 2 5\nk 3\nv 3 1\n",
+        "gp 2 1\ne 1 2 5\nk 3\nv 1 1\nv 1 2\n",
+        "gp 2 1\ne 1 2 5\nk 3\nv 1\n",
+        "gp 2 1\ne 1 2 5\nk 3\nv 1 1\n",
+        "gp 2 1\ne 1 2 5\nk 3\nv 1 4\nv 2 1\n",
+        "gp 2 1\ne 1 2 5\nk 3\nv 1 0\nv 2 1\n",
+        "gp 3 2\ne 1 2 5\n",
+        "gp 3 1\ne 1 2 5\ne 2 3 5\n",
+        "gp 4 3\ne 1 2 1.5e308\ne 1 3 1.5e308\ne 1 4 1.5e308\n",
+    ])
+    def test_malformed_files_fail_as_the_reference(self, tmp_path, body):
+        f = tmp_path / "bad.gp"
+        f.write_text(body)
+        assert_same_outcome(f)

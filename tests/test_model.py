@@ -514,6 +514,22 @@ class TestConstraintRows:
                               + [rowsum_ref(n, i) for i in range(n)])
             assert p.B.shape == (0, n * n) and p.q == 0
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 60])
+    def test_keq_rows_are_the_generic_builders_arrays(self, n):
+        # the keq rows are written in CSR order directly; _sym_rows, which sorts, is
+        # the reference down to the index dtype and the canonical format
+        from gpbound.model import _sym_rows
+
+        v = np.arange(n)
+        i, j = np.divmod(np.arange(n * n), n)
+        want = _sym_rows(2 * n, n, np.concatenate([v, n + i]), np.concatenate([v, i]),
+                         np.concatenate([v, j]), 1.0)
+        got = build_keq_dnn(gen_rand_graph(n, 0.5, n), n).A
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.has_canonical_format
+
     @pytest.mark.parametrize("n", [5, 8])
     def test_gpkc_rows(self, n):
         g, spec = weighted_instance(n)
