@@ -20,10 +20,10 @@ the sweeps, and stepping X in place would leave it neither PSD nor
 complementary to Z.
 
 That eigendecomposition is most of a sweep (about 0.21 of 0.27 s at keq n = 1000),
-so :func:`solve` runs it in single precision on the sweeps that need no exact split
-(see :func:`gpbound.symm.psd_split`): every sweep that is not a check sweep, until a
-residual record (the start's or a check sweep's) has its largest residual within
-``DOUBLE_WITHIN`` * eps_tol. From then on every sweep runs in double, and check
+so :func:`solve` runs it in single precision on the sweeps that need no exact
+split (see :func:`gpbound.symm.precision_split`): every sweep that is not a check
+sweep, until a residual record (the start's or a check sweep's) has its largest
+residual within ``DOUBLE_WITHIN`` * eps_tol. From then on every sweep runs in double, and check
 sweeps and the sweep at ``max_iter`` always do. So every state that is certified,
 residual-tested, returned, warm-started from or rounded comes from a
 double-precision split. A single-precision sweep keeps X / sigma - Z = N and
@@ -37,9 +37,9 @@ Apart from that eigendecomposition, a sweep is kept to a few passes over n x n
 arrays. It forms Xt / sigma once for both the multiplier right-hand side and
 the matrix that is split, and it forms the adjoint A*(y) + B*(ybar) once. The
 triangular solves read the cached factor in place. The PSD/NSD product is formed
-from the smaller side of the spectrum (see :func:`gpbound.symm.psd_split`). Box
-clips use scalar bounds when the box is uniform, as every builder's box is except
-a knapsack DNN with conflict pairs.
+from the smaller side of the spectrum (see :func:`gpbound.symm.precision_split`).
+Box clips use scalar bounds when the box is uniform, as every builder's box is
+except a knapsack DNN with conflict pairs.
 
 The five residuals cost about as much as the multiplier solve, and the stepsize
 rule does not need them after every sweep, so :func:`solve` evaluates them only
@@ -246,11 +246,11 @@ def sweep(state: AdmmState, factor: NormalFactor, problem: SdpProblem,
     PRIMAL_STEP X, and the slack s and its dual v come from clipping
     t = s - sigma * ybar to the slack interval. X stays PSD with <X, Z> = 0; only
     the next sweep reads Xt. ``single`` runs the split in single precision (see
-    :func:`gpbound.symm.psd_split`), which leaves one of X and Z semidefinite only to
-    float32 accuracy; returns whether it did. N is symmetric bit for bit when Xt and Z
-    are, since C, the adjoint and the box are, so the split takes it as it is. Raises
-    :class:`SolverDivergedError` before the eigendecomposition if N is not finite, and
-    if the eigendecomposition fails.
+    :func:`gpbound.symm.precision_split`), which leaves one of X and Z semidefinite
+    only to float32 accuracy; returns whether it did. N is symmetric bit for bit when
+    Xt and Z are, since C, the adjoint and the box are, so the split takes it as it
+    is. Raises :class:`SolverDivergedError` before the eigendecomposition if N is not
+    finite, and if the eigendecomposition fails.
     """
     sigma = state.sigma
     x_sigma = state.Xt / sigma

@@ -44,8 +44,8 @@ def _out_path(name) -> Path:
     return path
 
 
-def _load_problem(args):
-    g, spec = read_instance(args.instance)
+def _load_problem(path, args):
+    g, spec = read_instance(path)
     problem = args.problem
     if problem is None:
         problem = "gpkc" if spec is not None else "keq"
@@ -53,9 +53,16 @@ def _load_problem(args):
         if args.k is None:
             raise SystemExit("--k is required for equipartition runs")
         return g, KEquipartition.for_graph(g.n, args.k)
+    if args.k is not None:
+        raise ValueError(f"--k applies to equipartition runs, and {path} is solved as a "
+                         "knapsack problem; give --problem keq to partition it into k groups")
     if spec is None:
-        raise SpecValidationError(f"{args.instance} carries no capacity block")
+        raise SpecValidationError(f"{path} carries no capacity block")
     return g, spec
+
+
+def _solver_params(args) -> admm.AdmmParams:
+    return admm.AdmmParams(eps_tol=args.eps_tol, max_iter=args.max_iter)
 
 
 def _pct(new, base) -> float | None:
@@ -69,22 +76,25 @@ def _k_or_w(spec) -> str:
     return str(spec.k) if isinstance(spec, KEquipartition) else format_number(spec.W)
 
 
-def _read_lb(args, g, spec) -> float | None:
-    """``--lb``, else the largest lb among the solve rows of ``--lb-csv`` for this
-    instance and k or W."""
-    if args.lb is not None:
-        return args.lb
-    if args.lb_csv:
-        key = (g.name, _k_or_w(spec))
-        return max((r.lb for r in reports.read_rows(args.lb_csv)
-                    if isinstance(r, reports.SolveRow) and (r.instance, r.k_or_w) == key),
-                   default=None)
-    return None
+def _read_bound(args, g, spec, side: str) -> float | None:
+    """``--lb`` (``side`` "lb"), else the largest lb among the solve rows of ``--lb-csv``
+    for this instance and k or W; ``--ub`` ("ub"), else the smallest ub among the
+    heuristic rows of ``--ub-csv`` for them."""
+    value, path = getattr(args, side), getattr(args, f"{side}_csv")
+    if value is not None or not path:
+        return value
+    kinds, pick = (((reports.SolveRow,), max) if side == "lb"
+                   else ((reports.HeurRow, reports.HeurDetailRow), min))
+    key = (g.name, _k_or_w(spec))
+    return pick((getattr(r, side) for r in reports.read_rows(path)
+                 if isinstance(r, kinds) and (r.instance, r.k_or_w) == key), default=None)
 
 
 def cmd_gen(args) -> int:
     if args.gpkc and args.k is None:
         raise SystemExit("--k is required when generating capacity instances")
+    if args.k is not None and not args.gpkc:
+        raise ValueError("--k calibrates the capacity of --gpkc instances; give --gpkc too")
     # draw every instance before writing any, so a bad value leaves no directory behind
     drawn = [gen_gpkc_instance(args.n, density, args.k, args.seed) if args.gpkc
              else (gen_rand_graph(args.n, density, args.seed), None)
@@ -115,8 +125,7 @@ def _solve_one(args, g, spec) -> list[reports.SolveRow]:
         if k % args.trace_every == 0:
             trace_rows.append(latest[0])
 
-    params = admm.AdmmParams(eps_tol=args.eps_tol, max_iter=args.max_iter)
-    rounds = certify.cutting_loop(g, spec, args.relaxation, params,
+    rounds = certify.cutting_loop(g, spec, args.relaxation, _solver_params(args),
                                   max_rounds=args.max_rounds, m_met=args.m_met,
                                   callback=callback if args.trace else None)
     if args.trace:
@@ -142,10 +151,8 @@ def cmd_solve(args) -> int:
                          "give one --instance with them")
     all_rows = []
     for instance in args.instance:
-        args_one = argparse.Namespace(**vars(args))
-        args_one.instance = instance
-        g, spec = _load_problem(args_one)
-        rows = _solve_one(args_one, g, spec)
+        g, spec = _load_problem(instance, args)
+        rows = _solve_one(args, g, spec)
         all_rows.extend(rows)
         for row in rows:
             print(f"{row.n},{row.k_or_w},{row.relaxation},{row.lb:.6f},"
@@ -160,15 +167,17 @@ def cmd_heur(args) -> int:
         raise ValueError("samples must be at least 1")
     if not args.time_limit >= 0:   # inf is no limit; NaN compares false
         raise ValueError(f"--time-limit must be nonnegative, got {args.time_limit}")
-    g, spec = _load_problem(args)
+    if args.distribution != "uniform" and not args.method.startswith("hyp"):
+        raise ValueError(f"--distribution {args.distribution} applies to the hyperplane "
+                         f"methods only, not --method {args.method}")
+    g, spec = _load_problem(args.instance, args)
     problem = model.build(g, spec, args.relaxation)
-    result = admm.solve(problem, admm.AdmmParams(eps_tol=args.eps_tol,
-                                                 max_iter=args.max_iter))
+    result = admm.solve(problem, _solver_params(args))
     heur = rounding.round_relaxation(g, result.state.X, spec, args.method,
                                      samples=args.samples, time_limit=args.time_limit,
                                      seed=args.seed, distribution=args.distribution)
     heur.partition.validate_for(spec)
-    gap = _pct(heur.ub, _read_lb(args, g, spec))
+    gap = _pct(heur.ub, _read_bound(args, g, spec, "lb"))
     row = reports.HeurRow(g.name, _k_or_w(spec), heur.method, heur.ub, gap)
     print(f"{row.instance},{row.method},{row.ub:.6f}," +
           ("" if gap is None else f"{gap:.4f}"))
@@ -182,7 +191,7 @@ def cmd_heur(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g, spec = _load_problem(args)
+    g, spec = _load_problem(args.instance, args)
     if isinstance(spec, KEquipartition):
         res = oracle.brute_force_keq(g, spec.k)
     else:
@@ -192,15 +201,7 @@ def cmd_oracle(args) -> int:
     if args.out:
         reports.write_rows(_out_path(args.out), [row], append=True)
 
-    lb = _read_lb(args, g, spec)
-    ub = args.ub
-    if ub is None and args.ub_csv:
-        key = (g.name, _k_or_w(spec))
-        hrows = [r for r in reports.read_rows(args.ub_csv)
-                 if isinstance(r, (reports.HeurRow, reports.HeurDetailRow))
-                 and (r.instance, r.k_or_w) == key]
-        if hrows:
-            ub = min(r.ub for r in hrows)
+    lb, ub = _read_bound(args, g, spec, "lb"), _read_bound(args, g, spec, "ub")
     violated = False
     if lb is not None and lb > res.opt + 1e-9:
         print(f"certificate violation: lb {lb} exceeds optimum {res.opt}", file=sys.stderr)
@@ -265,6 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by several commands, declared once
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--problem", choices=["keq", "gpkc"])
+    problem.add_argument("--k", type=int, help="group count (equipartition)")
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--eps-tol", dest="eps_tol", type=float,
+                        default=admm.AdmmParams.eps_tol)
+    solver.add_argument("--max-iter", dest="max_iter", type=int,
+                        default=admm.AdmmParams.max_iter)
+    lower = argparse.ArgumentParser(add_help=False)
+    lower.add_argument("--lb", type=float, help="lower bound for the gap or sandwich")
+    lower.add_argument("--lb-csv", dest="lb_csv", help="read the lower bound from a solve CSV")
 
     p = sub.add_parser("gen", help="generate random instances")
     p.add_argument("--n", type=int, required=True)
@@ -275,13 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default=".")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solve", help="solve a relaxation and certify a lower bound")
+    p = sub.add_parser("solve", parents=[problem, solver],
+                       help="solve a relaxation and certify a lower bound")
     p.add_argument("--instance", nargs="+", required=True)
-    p.add_argument("--problem", choices=["keq", "gpkc"])
-    p.add_argument("--k", type=int, help="group count (equipartition)")
     p.add_argument("--relaxation", choices=["sdp", "dnn", "dnn+met"], default="dnn")
-    p.add_argument("--eps-tol", dest="eps_tol", type=float, default=1e-5)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=20000)
     p.add_argument("--m-met", dest="m_met", type=int, default=None)
     p.add_argument("--max-rounds", dest="max_rounds", type=int, default=10)
     p.add_argument("--out", help="append the result row to this CSV")
@@ -291,32 +301,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-every", dest="trace_every", type=int, default=100)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("heur", help="round a relaxation solution to a feasible partition")
+    p = sub.add_parser("heur", parents=[problem, solver, lower],
+                       help="round a relaxation solution to a feasible partition")
     p.add_argument("--instance", required=True)
-    p.add_argument("--problem", choices=["keq", "gpkc"])
-    p.add_argument("--k", type=int)
     p.add_argument("--method", choices=rounding.ROUNDING_METHODS, default="vc+2opt")
     p.add_argument("--distribution", choices=["uniform", "gaussian"], default="uniform",
                    help="direction sampling for hyperplane rounding")
     p.add_argument("--relaxation", choices=["sdp", "dnn"], default="dnn")
-    p.add_argument("--eps-tol", dest="eps_tol", type=float, default=1e-5)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=20000)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--time-limit", dest="time_limit", type=float, default=5.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lb", type=float, help="lower bound for the gap column")
-    p.add_argument("--lb-csv", dest="lb_csv", help="read the lower bound from a solve CSV")
     p.add_argument("--out", help="append the result row to this CSV")
     p.add_argument("--detail-out", dest="detail_out",
                    help="append the samples/elapsed detail row here")
     p.set_defaults(func=cmd_heur)
 
-    p = sub.add_parser("oracle", help="brute-force an instance; check a bound sandwich")
+    p = sub.add_parser("oracle", parents=[problem, lower],
+                       help="brute-force an instance; check a bound sandwich")
     p.add_argument("--instance", required=True)
-    p.add_argument("--problem", choices=["keq", "gpkc"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--lb", type=float)
-    p.add_argument("--lb-csv", dest="lb_csv")
     p.add_argument("--ub", type=float)
     p.add_argument("--ub-csv", dest="ub_csv")
     p.add_argument("--out", help="append the oracle row to this CSV")

@@ -40,42 +40,26 @@ class BoundCertificate:
     raw: float | None = None         # eig route: the bound before rounding up to an integer
 
 
-def box_support_value(M: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """inf{<M, W> : lo <= W <= hi}; -inf when a nonzero entry pairs an infinite bound."""
-    pos = M > 0
-    neg = M < 0
-    if np.any(pos & np.isinf(lo)) or np.any(neg & np.isinf(hi)):
-        return -np.inf
-    total = 0.0
-    if pos.any():
-        total += float((M[pos] * lo[pos]).sum())
-    if neg.any():
-        total += float((M[neg] * hi[neg]).sum())
-    return total
+def _box_support(M: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """A multiplier block met with its bounds lo <= W <= hi, in one pass over them.
 
-
-def clamp_unbounded(M: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Zero the entries whose support pairing is infinite; returns (clamped, magnitude)."""
-    bad = ((M > 0) & np.isinf(lo)) | ((M < 0) & np.isinf(hi))
-    if not bad.any():
-        return M, 0.0
-    out = M.copy()
-    out[bad] = 0.0
-    return out, float(np.linalg.norm(M[bad]))
-
-
-def _clamped(problem: SdpProblem, v, S):
-    """(v, S) sign-clamped against the slack interval and the box, and the clamp magnitude."""
-    S, m1 = clamp_unbounded(S, problem.box_lo, problem.box_hi)
-    v, m2 = clamp_unbounded(v, problem.l, problem.u)
-    return v, S, m1 + m2
-
-
-def _dual_value(problem: SdpProblem, y, v, S) -> float:
-    """b'y + F1(S) + F2(v) at multipliers that are already sign-clamped."""
-    val = float(problem.b @ y) + box_support_value(S, problem.box_lo, problem.box_hi)
-    val += box_support_value(v, problem.l, problem.u)
-    return val
+    Entries whose support pairing is infinite (M > 0 against lo = -inf, M < 0 against
+    hi = +inf) are zeroed. Returns (that clamped block, the norm of what was zeroed,
+    inf{<M, W> : lo <= W <= hi} of the clamped block, and the sum of the absolute
+    products that infimum adds up).
+    """
+    pos, neg = M > 0, M < 0
+    bad = (pos & np.isinf(lo)) | (neg & np.isinf(hi))
+    mag = 0.0
+    if bad.any():
+        mag = float(np.linalg.norm(M[bad]))
+        M = M.copy()
+        M[bad] = 0.0
+        pos &= ~bad
+        neg &= ~bad
+    low, high = M[pos] * lo[pos], M[neg] * hi[neg]
+    value = 0.0 + float(low.sum()) + float(high.sum())   # 0.0 + maps a -0.0 sum to 0.0
+    return M, mag, value, float(np.abs(low).sum() + np.abs(high).sum())
 
 
 def dual_objective(problem: SdpProblem, y, v, S):
@@ -83,8 +67,9 @@ def dual_objective(problem: SdpProblem, y, v, S):
 
     Returns (value, clamp magnitude).
     """
-    v, S, mag = _clamped(problem, v, S)
-    return _dual_value(problem, y, v, S), mag
+    _, mag_s, f1, _ = _box_support(S, problem.box_lo, problem.box_hi)
+    _, mag_v, f2, _ = _box_support(v, problem.l, problem.u)
+    return float(problem.b @ y) + f1 + f2, mag_s + mag_v
 
 
 def xbar_for(p: SdpProblem) -> float:
@@ -114,14 +99,10 @@ def _gamma(k: int) -> float:
     return ku / (1.0 - ku)
 
 
-def _support_abs(M: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Sum of the absolute products that ``box_support_value(M, lo, hi)`` adds up."""
-    pos, neg = M > 0, M < 0
-    return float(np.abs(M[pos] * lo[pos]).sum() + np.abs(M[neg] * hi[neg]).sum())
-
-
-def _rounding_margins(p: SdpProblem, y, v, S) -> tuple[float, float]:
-    """Error bounds for forming Zc = C - A*(y) - B*(v) - S and d0 = b'y + F1(S) + F2(v).
+def _rounding_margins(p: SdpProblem, y, v, S, abs_s: float, abs_v: float
+                      ) -> tuple[float, float]:
+    """Error bounds for forming Zc = C - A*(y) - B*(v) - S and d0 = b'y + F1(S) + F2(v),
+    given the absolute terms ``abs_s`` of F1(S) and ``abs_v`` of F2(v).
 
     An entry of Zc sums at most c + 2 terms, c the largest column count of the
     stacked rows, so |fl(Zc) - Zc| <= gamma_{c+2} (|C| + |A|'|y| + |B|'|v| + |S|)
@@ -135,8 +116,7 @@ def _rounding_margins(p: SdpProblem, y, v, S) -> tuple[float, float]:
     abs_At, abs_Bt, c = p.row_magnitudes
     T = np.abs(p.C) + (abs_At @ np.abs(y) + abs_Bt @ np.abs(v)).reshape(n, n) + np.abs(S)
     zc = 2.0 * _gamma(c + 3) * float(np.linalg.norm(T))
-    terms = float(np.abs(p.b) @ np.abs(y)) + _support_abs(S, p.box_lo, p.box_hi)
-    terms += _support_abs(v, p.l, p.u)
+    terms = float(np.abs(p.b) @ np.abs(y)) + abs_s + abs_v
     return zc, 2.0 * _gamma(p.m + p.q + n * n) * terms
 
 
@@ -180,12 +160,14 @@ def eig_lower_bound(p: SdpProblem, approx, xbar: float,
     if xbar <= 0:
         raise ValueError("xbar must be positive")
     y = approx.y
-    v_c, S_c, mag = _clamped(p, approx.v, approx.S)
+    S_c, mag_s, f1, abs_s = _box_support(approx.S, p.box_lo, p.box_hi)
+    v_c, mag_v, f2, abs_v = _box_support(approx.v, p.l, p.u)
+    mag = mag_s + mag_v
     if mag:
         log.debug("eig bound clamped multiplier mass %.3e", mag)
-    d0 = _dual_value(p, y, v_c, S_c)
+    d0 = float(p.b @ y) + f1 + f2
     Zc = p.C - p.adjoint(y, v_c) - S_c
-    zc_err, d0_err = _rounding_margins(p, y, v_c, S_c)
+    zc_err, d0_err = _rounding_margins(p, y, v_c, S_c, abs_s, abs_v)
     margin = p.n * np.finfo(float).eps * np.linalg.norm(Zc) + zc_err
     evals = np.linalg.eigvalsh(0.5 * (Zc + Zc.T)) - margin
     charge = _spectral_charge(evals, xbar, trace)

@@ -31,23 +31,18 @@ from scipy.linalg import blas, lapack
 _F32 = np.finfo(np.float32)
 
 
-def psd_split(mat: np.ndarray, single: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def precision_split(sym: np.ndarray, single: bool) -> tuple[np.ndarray, np.ndarray, bool]:
     """Split a symmetric matrix into its projections onto the PSD and NSD cones.
 
-    Returns ``(pos, neg)`` with ``pos + neg == sym(mat)``, ``pos`` PSD, ``neg`` NSD,
-    and ``<pos, neg> == 0`` up to round-off; ``single`` computes the eigenvectors in
-    single precision (module docstring). Raises ``np.linalg.LinAlgError`` when the
-    double-precision eigendecomposition fails, as it does on a non-finite matrix or
-    one whose spectrum overflows.
+    ``sym`` must be symmetric bit for bit, as every sweep's matrix is; it is not
+    symmetrized again. Returns ``(pos, neg, ran_single)`` with ``pos + neg == sym``,
+    ``pos`` PSD, ``neg`` NSD and ``<pos, neg> == 0`` up to round-off. ``single``
+    computes the eigenvectors in single precision (module docstring), and
+    ``ran_single`` says whether they came from it (False when ``single`` fell back
+    to double). Raises ``np.linalg.LinAlgError`` when the double-precision
+    eigendecomposition fails, as it does on a non-finite matrix or one whose
+    spectrum overflows.
     """
-    pos, neg, _ = precision_split(0.5 * (mat + mat.T), single)
-    return pos, neg
-
-
-def precision_split(sym: np.ndarray, single: bool) -> tuple[np.ndarray, np.ndarray, bool]:
-    """:func:`psd_split` of a matrix that is symmetric bit for bit, as every sweep's is,
-    so it is not symmetrized again; and whether the eigenvectors came from single
-    precision (False when ``single`` fell back to double)."""
     side = _single_side(sym) if single else None
     ran_single = side is not None
     if side is None:

@@ -16,7 +16,7 @@ import pytest
 from gpbound import admm, certify, model, oracle, rounding
 from gpbound.admm import AdmmParams, residuals, solve, update_y
 from gpbound.graphs import GraphInstance, KEquipartition, gen_gpkc_instance, gen_rand_graph
-from gpbound.symm import psd_split
+from gpbound.symm import precision_split
 
 log = logging.getLogger("acceptance")
 
@@ -191,7 +191,7 @@ class TestCriterion6SolverMicroInvariants:
             n = int(rng.integers(2, 14))
             A = rng.normal(size=(n, n))
             M = A + A.T
-            pos, neg = psd_split(M)
+            pos, neg, _ = precision_split(M, False)
             nrm = max(1.0, np.linalg.norm(M))
             assert np.linalg.norm(pos + neg - M) <= 1e-8 * nrm
             assert abs((pos * neg).sum()) <= 1e-8 * nrm * nrm

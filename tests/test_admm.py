@@ -21,11 +21,11 @@ from gpbound.admm import (
 )
 from gpbound.graphs import GraphInstance, gen_gpkc_instance, gen_rand_graph
 from gpbound.certify import certify_bound, cutting_loop
-from gpbound.eigbound import box_support_value, eig_lower_bound, xbar_for
+from gpbound.eigbound import _box_support, eig_lower_bound, xbar_for
 from gpbound.model import (ProblemTag, SdpProblem, add_cuts, build_gpkc_dnn, build_gpkc_sdp,
                            build_keq_dnn, build_keq_sdp, separate_met)
 from gpbound.graphs import KEquipartition
-from gpbound.symm import precision_split, psd_split
+from gpbound.symm import precision_split
 
 
 def diag_problem(c_diag, box_lo=None):
@@ -941,7 +941,7 @@ class TestPsdSplit:
             n = int(rng.integers(2, 12))
             A = rng.normal(size=(n, n))
             M = A + A.T
-            pos, neg = psd_split(M)
+            pos, neg, _ = precision_split(M, False)
             nrm = np.linalg.norm(M)
             assert np.linalg.norm(pos + neg - M) <= 1e-8 * max(1.0, nrm)
             assert np.allclose(pos, pos.T) and np.allclose(neg, neg.T)
@@ -968,7 +968,7 @@ class TestPsdSplit:
             vals, vecs = np.linalg.eigh(M)
             ref = (vecs * np.maximum(vals, 0.0)) @ vecs.T
             ref = 0.5 * (ref + ref.T)
-            pos, neg = psd_split(M)
+            pos, neg, _ = precision_split(M, False)
             tol = 1e-12 * max(np.linalg.norm(M), 1e-300)
             assert np.linalg.norm(pos - ref) <= tol, name
             assert np.linalg.norm(neg - (M - ref)) <= tol, name
@@ -999,7 +999,7 @@ def split_spectra():
 
 
 class TestSinglePrecisionSplit:
-    """psd_split(M, single=True): float32 eigenvectors of the smaller side, refined in
+    """precision_split(sym, True): float32 eigenvectors of the smaller side, refined in
     double by Cholesky-QR and Rayleigh quotients."""
 
     def test_invariants(self):
@@ -1008,7 +1008,7 @@ class TestSinglePrecisionSplit:
             n = M.shape[0]
             sym = 0.5 * (M + M.T)
             nrm = max(np.linalg.norm(M), 1e-300)
-            pos, neg = psd_split(M, single=True)
+            pos, neg, _ = precision_split(sym, True)
             # one side is the product and semidefinite to double rounding; the other is
             # its exact difference from sym, of the right sign to float32 accuracy
             few_positive = np.array_equal(neg, sym - pos)
@@ -1021,7 +1021,7 @@ class TestSinglePrecisionSplit:
             # Davis-Kahan: the vectors move by about u32 ||M|| / gap
             gap = np.abs(np.linalg.eigvalsh(sym)).min()
             if gap > 0:
-                ref, _ = psd_split(M)
+                ref = precision_split(sym, False)[0]
                 assert np.linalg.norm(pos - ref) <= u32 * nrm ** 2 / gap
 
     def test_runs_in_single_precision(self):
@@ -1034,7 +1034,7 @@ class TestSinglePrecisionSplit:
         A = rng.normal(size=(12, 12))
         for M in (1e39 * (A + A.T), 1e-39 * (A + A.T), np.zeros((12, 12))):
             pos, neg, single = precision_split(M, True)
-            ref = psd_split(M)
+            ref = precision_split(M, False)
             assert not single
             assert np.array_equal(pos, ref[0]) and np.array_equal(neg, ref[1])
 
@@ -1048,25 +1048,27 @@ class TestSinglePrecisionSplit:
             return lambda a, **kw: (*syevd(a, **kw)[:2], 1)
 
         rng = np.random.default_rng(8)
-        A = rng.normal(size=(20, 20))
-        ref = psd_split(A)
+        sym = rng.normal(size=(20, 20))
+        sym = 0.5 * (sym + sym.T)
+        ref = precision_split(sym, False)
         monkeypatch.setattr(symm.lapack, "get_lapack_funcs", failing)
-        pos, neg, single = precision_split(0.5 * (A + A.T), True)   # psd_split symmetrizes
+        pos, neg, single = precision_split(sym, True)
         assert not single
         assert np.array_equal(pos, ref[0]) and np.array_equal(neg, ref[1])
 
     def test_failed_cholesky_qr_falls_back_to_double(self, monkeypatch):
         rng = np.random.default_rng(9)
-        A = rng.normal(size=(20, 20))
-        ref = psd_split(A)
+        sym = rng.normal(size=(20, 20))
+        sym = 0.5 * (sym + sym.T)
+        ref = precision_split(sym, False)
         monkeypatch.setattr(symm.lapack, "dpotrf", lambda G: (G, 1))
-        pos, neg, single = precision_split(0.5 * (A + A.T), True)
+        pos, neg, single = precision_split(sym, True)
         assert not single
         assert np.array_equal(pos, ref[0]) and np.array_equal(neg, ref[1])
 
     def test_double_failure_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
-            psd_split(np.full((3, 3), np.inf), single=True)
+            precision_split(np.full((3, 3), np.inf), True)
 
 
 def all_double(monkeypatch):
@@ -1150,12 +1152,18 @@ class TestSinglePrecisionSweeps:
 
 class TestDualObjective:
     def test_support_value_signs(self):
-        lo = np.zeros((2, 2))
-        hi = np.full((2, 2), np.inf)
+        # positive entries meet lo, negative ones hi
         S = np.array([[1.0, -0.5], [-0.5, 2.0]])
-        assert box_support_value(S, lo, hi) == -np.inf
-        S2 = np.abs(S)
-        assert box_support_value(S2, lo, hi) == 0.0
+        clamped, mag, value, terms = _box_support(S, np.full((2, 2), -1.0),
+                                                  np.full((2, 2), 2.0))
+        assert clamped is S and mag == 0.0 and value == -5.0 and terms == 5.0
+        # an entry paired with an infinite bound is zeroed before the sum, and counted
+        # in the clamp norm; the block given is not written
+        lo, hi = np.zeros((2, 2)), np.full((2, 2), np.inf)
+        clamped, mag, value, terms = _box_support(S, lo, hi)
+        assert np.array_equal(clamped, np.diag([1.0, 2.0])) and S[0, 1] == -0.5
+        assert mag == np.linalg.norm([0.5, 0.5]) and value == 0.0 and terms == 0.0
+        assert _box_support(np.abs(S), lo, hi)[1:] == (0.0, 0.0, 0.0)
 
     def test_clamped_reporting(self):
         p = diag_problem([1.0, 1.0], box_lo=np.zeros((2, 2)))

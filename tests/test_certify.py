@@ -14,7 +14,7 @@ import gpbound
 from gpbound import admm, certify, eigbound, oracle
 from gpbound.admm import STOPPED, AdmmParams, AdmmState, dual_objective, solve
 from gpbound.certify import certify_bound, eig_lower_bound, lp_lower_bound, xbar_for
-from gpbound.eigbound import _spectral_charge, clamp_unbounded
+from gpbound.eigbound import _box_support, _gamma, _spectral_charge
 from gpbound.graphs import Gpkc, GraphInstance, gen_gpkc_instance, gen_rand_graph
 from gpbound.model import (ProblemTag, SdpProblem, TriangleCut, add_cuts, build_gpkc_dnn,
                            build_gpkc_sdp, build_keq_dnn, build_keq_sdp)
@@ -124,7 +124,7 @@ class TestEigBound:
         res = solve(p, AdmmParams(eps_tol=1e-4))
         xbar = xbar_for(p)
         cert = eig_lower_bound(p, res.state, xbar)
-        Zc = p.C - p.adjoint(res.state.y) - clamp_unbounded(res.state.S, p.box_lo, p.box_hi)[0]
+        Zc = p.C - p.adjoint(res.state.y) - _box_support(res.state.S, p.box_lo, p.box_hi)[0]
         evals = np.linalg.eigvalsh(0.5 * (Zc + Zc.T))
         d0 = cert.value - cert.perturbation
         unmargined = d0 + xbar * evals[evals < 0].sum()
@@ -161,6 +161,169 @@ class TestEigBound:
         b1 = eig_lower_bound(p, res.state, xbar=4.0).value
         b2 = eig_lower_bound(p, res.state, xbar=8.0).value
         assert b2 <= b1 + 1e-12
+
+
+# The five helpers that met a multiplier block with its bounds before
+# ``eigbound._box_support`` merged them, kept as references for it.
+
+def ref_box_support_value(M, lo, hi):
+    pos = M > 0
+    neg = M < 0
+    if np.any(pos & np.isinf(lo)) or np.any(neg & np.isinf(hi)):
+        return -np.inf
+    total = 0.0
+    if pos.any():
+        total += float((M[pos] * lo[pos]).sum())
+    if neg.any():
+        total += float((M[neg] * hi[neg]).sum())
+    return total
+
+
+def ref_clamp_unbounded(M, lo, hi):
+    bad = ((M > 0) & np.isinf(lo)) | ((M < 0) & np.isinf(hi))
+    if not bad.any():
+        return M, 0.0
+    out = M.copy()
+    out[bad] = 0.0
+    return out, float(np.linalg.norm(M[bad]))
+
+
+def ref_clamped(problem, v, S):
+    S, m1 = ref_clamp_unbounded(S, problem.box_lo, problem.box_hi)
+    v, m2 = ref_clamp_unbounded(v, problem.l, problem.u)
+    return v, S, m1 + m2
+
+
+def ref_dual_value(problem, y, v, S):
+    val = float(problem.b @ y) + ref_box_support_value(S, problem.box_lo, problem.box_hi)
+    val += ref_box_support_value(v, problem.l, problem.u)
+    return val
+
+
+def ref_support_abs(M, lo, hi):
+    pos, neg = M > 0, M < 0
+    return float(np.abs(M[pos] * lo[pos]).sum() + np.abs(M[neg] * hi[neg]).sum())
+
+
+def ref_dual_objective(problem, y, v, S):
+    v, S, mag = ref_clamped(problem, v, S)
+    return ref_dual_value(problem, y, v, S), mag
+
+
+def ref_rounding_margins(p, y, v, S):
+    """``_rounding_margins`` as it read on the reference helpers."""
+    n = p.n
+    abs_At, abs_Bt, c = p.row_magnitudes
+    T = np.abs(p.C) + (abs_At @ np.abs(y) + abs_Bt @ np.abs(v)).reshape(n, n) + np.abs(S)
+    zc = 2.0 * _gamma(c + 3) * float(np.linalg.norm(T))
+    terms = float(np.abs(p.b) @ np.abs(y)) + ref_support_abs(S, p.box_lo, p.box_hi)
+    terms += ref_support_abs(v, p.l, p.u)
+    return zc, 2.0 * _gamma(p.m + p.q + n * n) * terms
+
+
+def ref_eig_lower_bound(p, approx, xbar, trace=math.inf):
+    """``eig_lower_bound`` as it read on the reference helpers."""
+    y = approx.y
+    v_c, S_c, mag = ref_clamped(p, approx.v, approx.S)
+    d0 = ref_dual_value(p, y, v_c, S_c)
+    Zc = p.C - p.adjoint(y, v_c) - S_c
+    zc_err, d0_err = ref_rounding_margins(p, y, v_c, S_c)
+    margin = p.n * np.finfo(float).eps * np.linalg.norm(Zc) + zc_err
+    evals = np.linalg.eigvalsh(0.5 * (Zc + Zc.T)) - margin
+    charge = _spectral_charge(evals, xbar, trace)
+    perturbation = charge - 2.0 * _gamma(int((evals < 0).sum()) + 3) * abs(charge)
+    value = d0 - d0_err + perturbation
+    value -= 2.0 * _gamma(2) * (abs(d0) + d0_err + abs(perturbation))
+    return value, perturbation, mag
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit for bit, so -0.0 differs from 0.0 and a NaN equals the same NaN."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def builder_problems():
+    """Every builder's problem, the conflict-pair knapsack DNN and a DNN+MET round."""
+    g = gen_rand_graph(16, 0.5, 3)
+    gk, spec = gen_gpkc_instance(15, 0.5, 3, 3)
+    dnn = build_keq_dnn(g, 4)
+    met = add_cuts(dnn, [TriangleCut(0, 1, 2), TriangleCut(3, 5, 7)])
+    return {"keq-sdp": build_keq_sdp(g, 4), "keq-dnn": dnn,
+            "gpkc-sdp": build_gpkc_sdp(gk, spec), "gpkc-dnn": build_gpkc_dnn(gk, spec),
+            "conflict-dnn": build_gpkc_dnn(*gen_gpkc_instance(10, 0.5, 5, 2)), "keq-met": met}
+
+
+BUILDER_PROBLEMS = ["keq-sdp", "keq-dnn", "gpkc-sdp", "gpkc-dnn", "conflict-dnn", "keq-met"]
+
+
+def mixed_bounds(p, rng):
+    """``p`` with a box and slack interval that are infinite on either side at random
+    entries, finite elsewhere, and -0.0 on some."""
+    def bounds(shape):
+        if rng.random() < 0.2:   # the box {0}: every product in F1 and F2 is a zero
+            return np.full(shape, -0.0), np.zeros(shape)
+        lo = rng.choice([-np.inf, -1.5, 0.0, -0.0], size=shape)
+        return lo, np.maximum(lo, rng.choice([-0.0, 0.0, 2.5, np.inf], size=shape))
+
+    lo, hi = bounds((p.n, p.n))
+    lo = np.maximum(lo, lo.T)
+    hi = np.maximum(np.minimum(hi, hi.T), lo)
+    l, u = bounds(p.q)
+    return replace(p, box_lo=lo, box_hi=hi, l=l, u=u)
+
+
+class TestBoxSupport:
+    """``_box_support`` against the five helpers it replaced, bit for bit."""
+
+    @staticmethod
+    def check(p, st, xbar):
+        S_c, mag_s, f1, abs_s = _box_support(st.S, p.box_lo, p.box_hi)
+        v_c, mag_v, f2, abs_v = _box_support(st.v, p.l, p.u)
+        for M, lo, hi, (clamped, mag, value, terms) in (
+                (st.S, p.box_lo, p.box_hi, (S_c, mag_s, f1, abs_s)),
+                (st.v, p.l, p.u, (v_c, mag_v, f2, abs_v))):
+            ref, ref_mag = ref_clamp_unbounded(M, lo, hi)
+            assert same_bits(clamped, ref) and same_bits(mag, ref_mag)
+            assert same_bits(value, ref_box_support_value(ref, lo, hi))
+            assert same_bits(terms, ref_support_abs(ref, lo, hi))
+        assert all(same_bits(a, b) for a, b in zip(dual_objective(p, st.y, st.v, st.S),
+                                                   ref_dual_objective(p, st.y, st.v, st.S)))
+        margins = eigbound._rounding_margins(p, st.y, v_c, S_c, abs_s, abs_v)
+        assert all(same_bits(a, b) for a, b in zip(margins,
+                                                   ref_rounding_margins(p, st.y, v_c, S_c)))
+        cert = eig_lower_bound(p, st, xbar, trace=p.n)
+        value, perturbation, mag = ref_eig_lower_bound(p, st, xbar, trace=p.n)
+        assert same_bits(cert.value, value) and same_bits(cert.raw, value)
+        assert same_bits(cert.perturbation, perturbation) and same_bits(cert.clamp, mag)
+
+    @pytest.mark.parametrize("sweeps", [3, 20, 200])
+    @pytest.mark.parametrize("name", BUILDER_PROBLEMS)
+    def test_solver_states(self, name, sweeps):
+        # the first and last sweep's state, and the best-certified one solve returns
+        p = builder_problems()[name]
+        seen = []
+        res = solve(p, AdmmParams(max_iter=sweeps),
+                    callback=lambda k, st, *_: k in (1, sweeps) and seen.append(st.copy()))
+        for st in (*seen, res.state):
+            self.check(p, st, xbar_for(p))
+
+    @pytest.mark.parametrize("name", BUILDER_PROBLEMS)
+    def test_random_multipliers(self, name):
+        # keq-sdp has no slack rows and an all-infinite box, so every nonzero entry of
+        # S is clamped; the other problems also get boxes and slack intervals that are
+        # infinite on either side at random entries
+        rng = np.random.default_rng(21)
+        base = builder_problems()[name]
+        for trial in range(10):
+            p = base if trial < 2 or name == "keq-sdp" else mixed_bounds(base, rng)
+            st = AdmmState.zeros(p, sigma=1.0)
+            st.y = rng.normal(size=p.m)
+            S = rng.normal(size=(p.n, p.n))
+            zero = rng.random((p.n, p.n)) < 0.2
+            st.S = np.where(zero | zero.T, -0.0 if trial % 2 else 0.0, S + S.T)
+            st.v = np.where(rng.random(p.q) < 0.2, -0.0, rng.normal(size=p.q))
+            self.check(p, st, xbar_for(p))
 
 
 class TestTraceCharge:
@@ -302,7 +465,8 @@ class TestRoundingMargins:
             st = state_with(p, y=rng.normal(size=3))
             cert = eig_lower_bound(p, st, xbar=1.0, trace=3.0)
             d0, _ = dual_objective(p, st.y, st.v, st.S)
-            _, d0_err = eigbound._rounding_margins(p, st.y, st.v, st.S)
+            # S is zero and there are no slack rows, so F1 and F2 add no terms
+            _, d0_err = eigbound._rounding_margins(p, st.y, st.v, st.S, 0.0, 0.0)
             exact = Fraction(d0) - Fraction(d0_err) + Fraction(cert.perturbation)
             assert Fraction(cert.value) <= exact
             above += Fraction(d0 - d0_err + cert.perturbation) > exact

@@ -31,6 +31,24 @@ def gpkc_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Every relaxation solve a command runs, as (params, result) pairs."""
+    from gpbound import admm, certify
+
+    calls = []
+    real = admm.solve
+
+    def spy(problem, params=None, **kwargs):
+        result = real(problem, params, **kwargs)
+        calls.append((params, result))
+        return result
+
+    monkeypatch.setattr(admm, "solve", spy)
+    monkeypatch.setattr(certify, "solve", spy)
+    return calls
+
+
 class TestGen:
     def test_three_densities_three_files(self, tmp_path):
         assert main(["gen", "--n", "8", "--seed", "2", "--outdir", str(tmp_path)]) == 0
@@ -69,6 +87,47 @@ class TestGen:
         with pytest.raises(SystemExit, match="--k is required"):
             main(["gen", "--n", "8", "--gpkc", "--outdir", str(outdir)])
         assert not outdir.exists()
+
+    def test_k_without_gpkc_leaves_no_directory(self, tmp_path, capsys):
+        # --k only calibrates a capacity, so without --gpkc it would go unused
+        outdir = tmp_path / "inst"
+        assert main(["gen", "--n", "8", "--k", "2", "--outdir", str(outdir)]) == 1
+        assert "--gpkc" in capsys.readouterr().err
+        assert not outdir.exists()
+
+
+class TestKnapsackRefusesK:
+    """--k on a problem solved as knapsack (inferred from the capacity block, or
+    --problem gpkc) exits 1 before anything is solved, rather than going unused."""
+
+    @pytest.mark.parametrize("command", ["solve", "heur", "oracle"])
+    @pytest.mark.parametrize("problem", [[], ["--problem", "gpkc"]], ids=["inferred", "gpkc"])
+    def test_exits_before_solving(self, gpkc_file, tmp_path, command, problem, solves,
+                                  capsys):
+        out = tmp_path / "out.csv"
+        assert main([command, "--instance", str(gpkc_file), *problem, "--k", "2",
+                     "--out", str(out)]) == 1
+        assert "--problem keq" in capsys.readouterr().err
+        assert solves == [] and not out.exists()
+
+    def test_problem_keq_partitions_the_graph(self, gpkc_file, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["solve", "--instance", str(gpkc_file), "--problem", "keq", "--k", "2",
+                     "--out", str(out)]) == 0
+        assert reports.read_rows(out)[0].k_or_w == "2"
+
+
+def test_solve_and_heur_use_the_solver_defaults(k8_file, solves):
+    # heur rounds the X that solve certified: both read AdmmParams' defaults
+    for command in ("solve", "heur"):
+        args = build_parser().parse_args([command, "--instance", str(k8_file)])
+        assert (args.eps_tol, args.max_iter) == (AdmmParams().eps_tol, AdmmParams().max_iter)
+        assert main([command, "--instance", str(k8_file), "--problem", "keq", "--k", "2",
+                     "--relaxation", "dnn"]) == 0
+    (solve_params, solved), (heur_params, rounded) = solves
+    assert solve_params == heur_params == AdmmParams()
+    assert (solved.iterations, solved.status) == (rounded.iterations, rounded.status)
+    assert np.array_equal(solved.state.X, rounded.state.X)
 
 
 class TestSolve:
@@ -373,6 +432,24 @@ class TestHeur:
         assert code == 1
         assert "--time-limit" in capsys.readouterr().err
         assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("method", ["vc", "vc+2opt"])
+    def test_vector_clustering_refuses_gaussian(self, k8_file, tmp_path, method, solves,
+                                                capsys):
+        # vector clustering draws no directions, so the flag would go unused
+        out = tmp_path / "heur.csv"
+        code = main(["heur", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
+                     "--method", method, "--distribution", "gaussian", "--out", str(out)])
+        assert code == 1
+        assert "--distribution gaussian" in capsys.readouterr().err
+        assert solves == [] and not out.exists()
+
+    @pytest.mark.parametrize("method", ["hyp", "hyp+2opt"])
+    @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+    def test_hyperplanes_take_either_distribution(self, k8_file, method, distribution):
+        assert main(["heur", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
+                     "--method", method, "--distribution", distribution,
+                     "--samples", "5"]) == 0
 
     def test_infinite_time_limit_draws_every_sample(self, k8_file, tmp_path):
         detail = tmp_path / "detail.csv"
