@@ -150,6 +150,7 @@ class CutRound:
     seconds: float                 # CPU time of this round's solve and certificate
     single_sweeps: int             # the solve's sweeps split in single precision
     certify_s: float               # wall seconds of the solve's eigenvalue certificates
+    accelerated_sweeps: int        # the solve's sweeps run on an Anderson extrapolation
 
     @property
     def bound(self) -> float:
@@ -191,7 +192,8 @@ def cutting_loop(
         cert = certify_bound(problem, result)
         rounds.append(CutRound(rnd, cert, len(problem.met_cuts), result.iterations,
                                result.status, time.process_time() - t0,
-                               result.single_sweeps, result.certify_s))
+                               result.single_sweeps, result.certify_s,
+                               result.accelerated_sweeps))
         if rnd == max_rounds - 1:
             break
         # a loosely solved round can still violate its own cuts; skip those

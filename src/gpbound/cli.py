@@ -149,9 +149,10 @@ def cmd_solve(args) -> int:
     if len(args.instance) > 1 and (args.cuts_out or args.trace):
         raise ValueError("--cuts-out and --trace rows carry no instance column; "
                          "give one --instance with them")
+    # load and check every instance before the first solve, so a bad one leaves no rows
+    loaded = [_load_problem(instance, args) for instance in args.instance]
     all_rows = []
-    for instance in args.instance:
-        g, spec = _load_problem(instance, args)
+    for g, spec in loaded:
         rows = _solve_one(args, g, spec)
         all_rows.extend(rows)
         for row in rows:

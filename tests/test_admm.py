@@ -590,7 +590,8 @@ def warm_round():
 def assert_callback_does_not_move_the_stop(p, start):
     plain = solve(p, start=start)
     traced = solve(p, start=start, callback=lambda *a: None)
-    assert (traced.iterations, traced.status) == (plain.iterations, plain.status)
+    assert (traced.iterations, traced.status, traced.accelerated_sweeps) == \
+        (plain.iterations, plain.status, plain.accelerated_sweeps)
     for field in ("X", "y", "ybar", "S", "Z", "v", "s"):
         assert np.array_equal(getattr(traced.state, field), getattr(plain.state, field))
     assert (traced.state.sigma, traced.state.iter) == (plain.state.sigma, plain.state.iter)
@@ -676,18 +677,18 @@ class TestCertifiedStop:
     """With a provable xbar, every check sweep is certified, the best-certified state
     is returned, and the loop also stops once that bound meets the primal objective."""
 
-    @pytest.mark.parametrize("seed, density", [(1, 0.5), (4, 0.2)])
+    @pytest.mark.parametrize("seed, density", [(1, 0.5), (4, 0.2), (6, 0.8)])
     def test_returns_the_best_certified_iterate(self, seed, density):
         # the sweep where a solve stops need not certify best: the first SDP's bound
         # fell 501.19243 -> 501.18424 when its stop moved from sweep 85 to 90, and the
-        # second converges at sweep 270 after its best bound at sweep 260
+        # third converges at sweep 80 after its best bound at sweep 70
         p = build_keq_sdp(gen_rand_graph(12, density, seed), 3)
         path, res = certified_path(p)
         cert = certify_bound(p, res)
         assert cert.raw >= max(lb for _, lb, _ in path)
         assert (res.state.iter, cert.raw) in [(k, lb) for k, lb, _ in path]
         assert res.residuals == residuals(res.state, p)
-        if seed == 4:
+        if seed == 6:
             assert res.state.iter < res.iterations
 
     @pytest.mark.parametrize("name", ["keq", "gpkc", "warm"])
@@ -695,13 +696,14 @@ class TestCertifiedStop:
         p, start = cadence_case(name, tagged=True)
         prm = AdmmParams()
         path, res = certified_path(p, prm, start)
-        best = -np.inf if start is None else \
+        # a warm start stops by the bound only once it certified above its start
+        best = floor = -np.inf if start is None else \
             eig_lower_bound(p, start, xbar_for(p), trace=p.n).value
         stop = None
         for k, lb, primal in path:
             last, best = best, max(best, lb)
             slack = admm.BOUND_STOP * prm.eps_tol * abs(best)
-            if abs(primal - best) <= slack and best - last < slack:
+            if best > floor and abs(primal - best) <= slack and best - last < slack:
                 stop = k
                 break
         assert stop is not None and (res.status, res.iterations) == ("bound", stop)
@@ -734,17 +736,42 @@ class TestCertifiedStop:
         assert res.certificate == eig_lower_bound(p, res.state, xbar_for(p), trace=p.n)
 
     def test_warm_start_never_certifies_below_its_start(self):
-        # no sweep of the second round certifies above its start, which comes back
+        # a warm start stops by the bound only once a check sweep certified strictly
+        # above its start, so both rounds return a swept state with a higher bound; the
+        # second one used to stop after 20 sweeps and return its start
         p0 = build_keq_dnn(gen_rand_graph(12, 0.5, 3), 4)
         r0 = solve(p0)
         p1 = add_cuts(p0, separate_met(r0.state.X, 24))
         for p, start in (warm_round(), (p1, admm.pad_state(r0.state, p1))):
             res = solve(p, start=start)
             before = eig_lower_bound(p, start, xbar_for(p), trace=p.n).value
-            assert certify_bound(p, res).raw >= before
+            assert res.status in admm.STOPPED
+            assert certify_bound(p, res).raw > before
+            assert 0 < res.state.iter <= res.iterations
             assert res.residuals == residuals(res.state, p)
-        assert res.state.iter == 0 < res.iterations
-        assert np.array_equal(res.state.X, start.X)
+
+    @pytest.mark.parametrize("case", ["keq", "gpkc"])
+    def test_warm_start_that_cannot_rise_ends_by_the_residual_test(self, case, monkeypatch):
+        # every certificate capped at the start's: the gate never opens, and the round
+        # still ends by the residual test, long before max_iter, returning its start
+        if case == "keq":
+            p, start = warm_round()
+        else:
+            p0 = build_gpkc_dnn(*gen_gpkc_instance(15, 0.5, 3, 6))
+            r0 = solve(p0)
+            p = add_cuts(p0, separate_met(r0.state.X, 30))
+            start = admm.pad_state(r0.state, p)
+        cap = eig_lower_bound(p, start, xbar_for(p), trace=p.n).value
+        certify = admm.eig_lower_bound
+
+        def capped(*args, **kwargs):
+            cert = certify(*args, **kwargs)
+            return dataclasses.replace(cert, value=min(cert.value, cap))
+
+        monkeypatch.setattr(admm, "eig_lower_bound", capped)
+        res = solve(p, start=start)
+        assert res.status == "converged" and res.iterations <= 300
+        assert res.state.iter == 0 and res.certificate.value == cap
 
 
 def sigma_path(p, params=None):
@@ -1088,12 +1115,17 @@ class TestSinglePrecisionSweeps:
         else:
             g, spec = gen_gpkc_instance(20, 0.5, 4, 3)
             p = (build_gpkc_sdp if relaxation == "sdp" else build_gpkc_dnn)(g, spec)
-        mixed = solve(p)
-        all_double(monkeypatch)
-        double = solve(p)
-        assert mixed.single_sweeps > 0 and double.single_sweeps == 0
-        assert mixed.status == double.status
-        assert mixed.certificate.value == pytest.approx(double.certificate.value, rel=1e-6)
+        # with the Anderson steps as shipped, then without any (memory 0)
+        for memory in (admm.ANDERSON_MEMORY, 0):
+            monkeypatch.setattr(admm, "ANDERSON_MEMORY", memory)
+            mixed = solve(p)
+            all_double(monkeypatch)
+            double = solve(p)
+            monkeypatch.undo()
+            assert mixed.single_sweeps > 0 and double.single_sweeps == 0
+            assert mixed.status == double.status
+            assert mixed.certificate.value == pytest.approx(double.certificate.value,
+                                                            rel=1e-6), memory
 
     def test_cut_loop_matches_all_double(self, monkeypatch):
         g = gen_rand_graph(24, 0.8, 4)
@@ -1148,6 +1180,160 @@ class TestSinglePrecisionSweeps:
         assert 0.0 < res.certify_s < res.elapsed
         bare = solve(untagged(p))
         assert bare.certificate is None and bare.certify_s == 0.0
+
+
+def sdp_past_the_opening():
+    """A keq SDP whose cold solve outlives the norm-ratio opening (160 sweeps)."""
+    return build_keq_sdp(gen_rand_graph(30, 0.2, 2), 3)
+
+
+def anderson_log(monkeypatch):
+    """Per Anderson step: (the sweep just run, whether the next input was extrapolated,
+    whether its Xt, Z and S are symmetric bit for bit)."""
+    log = []
+    step = admm._Anderson.step
+
+    def spy(self, state):
+        extrapolated = step(self, state)
+        log.append((state.iter, extrapolated,
+                    all(np.array_equal(M, M.T) for M in (state.Xt, state.Z, state.S))))
+        return extrapolated
+
+    monkeypatch.setattr(admm._Anderson, "step", spy)
+    return log
+
+
+def iterate_with_anderson(T, u, steps, memory, inputs=None):
+    """Run u <- T(u) on 1 x 1 blocks Xt, Z and S with Anderson steps between the
+    applications; returns the residual norms ||T(u) - u|| and the step results, and
+    appends every u to ``inputs`` when given."""
+    acc = admm._Anderson(1, 0, memory)
+    state = AdmmState.zeros(diag_problem([1.0]), 1.0)
+    norms, extrapolated = [], []
+    for _ in range(steps):
+        if inputs is not None:
+            inputs.append(u)
+        g = T(u)
+        norms.append(float(np.linalg.norm(g - u)))
+        state.Xt, state.Z, state.S = (np.array([[x]]) for x in g)
+        extrapolated.append(acc.step(state))
+        u = np.array([state.Xt[0, 0], state.Z[0, 0], state.S[0, 0]])
+    return norms, extrapolated
+
+
+class TestAnderson:
+    """While sigma holds still, solve replaces each sweep's input by a type-II Anderson
+    extrapolation over the last sweep outputs; checks, certificates and the returned
+    state still come from real sweeps."""
+
+    def test_linear_map_converges_in_few_steps(self):
+        # on an affine contraction of R^3, three differences span the space, and the
+        # step solves the fixed point (plain iteration: about 0.9^k)
+        rng = np.random.default_rng(1)
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        M = Q @ np.diag([0.9, 0.5, -0.3]) @ Q.T
+        c = rng.normal(size=3)
+        norms, extrapolated = iterate_with_anderson(lambda u: M @ u + c, np.zeros(3), 8, 3)
+        assert extrapolated[:2] == [False, False] and all(extrapolated[2:5])
+        assert norms[6] <= 1e-9 * norms[0]
+
+    def test_growing_residual_restarts(self):
+        # an expansion: every residual grows, so no step is extrapolated
+        norms, extrapolated = iterate_with_anderson(lambda u: 2.0 * u + 1.0, np.zeros(3),
+                                                    10, 3)
+        assert all(b > a for a, b in zip(norms, norms[1:]))
+        assert not any(extrapolated)
+
+    def test_singular_least_squares_restarts(self):
+        # a translation: every residual is the same vector, so every difference is 0 and
+        # the least-squares system singular; no step is extrapolated, and none grew
+        norms, extrapolated = iterate_with_anderson(lambda u: u + np.array([1.0, -2.0, 3.0]),
+                                                    np.zeros(3), 10, 3)
+        assert len(set(norms)) == 1
+        assert not any(extrapolated)
+
+    def test_growth_on_an_extrapolated_input_drops_that_output(self):
+        # x -> x / 2 + 1.5 below 2.5 (fixed point 3, beyond the piece) and 100 - 30 x
+        # above: the step extrapolates to 3, where the residual jumps from 0.375 to 7, so
+        # that output is dropped and the next input is the output before it, 2.625
+        def T(u):
+            x = u[0]
+            return np.array([x / 2 + 1.5 if x < 2.5 else 100.0 - 30.0 * x, 0.0, 0.0])
+
+        inputs = []
+        norms, extrapolated = iterate_with_anderson(T, np.zeros(3), 5, 3, inputs)
+        assert [u[0] for u in inputs] == [0.0, 1.5, 2.25, 3.0, 2.625]
+        assert norms[3] == 7.0 and extrapolated[:4] == [False, False, True, False]
+
+    def test_one_difference_solves_a_scaling(self):
+        # a scaling of the distance to a fixed point: one difference spans it, and the
+        # first extrapolated input is the fixed point
+        target = np.array([1.0, -2.0, 3.0])
+        norms, extrapolated = iterate_with_anderson(
+            lambda u: target + 0.5 * (u - target), np.zeros(3), 4, 3)
+        assert extrapolated[:3] == [False, False, True]
+        assert norms[3] <= 1e-12 * norms[0]
+
+    @pytest.mark.parametrize("name", ["warm", "sdp"])
+    def test_identical_runs_are_equal(self, name):
+        p, start = warm_round() if name == "warm" else (sdp_past_the_opening(), None)
+        a, b = solve(p, start=start), solve(p, start=start)
+        assert a.accelerated_sweeps > 0
+        assert (a.iterations, a.status, a.accelerated_sweeps, a.single_sweeps) == \
+            (b.iterations, b.status, b.accelerated_sweeps, b.single_sweeps)
+        assert a.certificate == b.certificate
+        for field in ("X", "y", "ybar", "S", "Z", "v", "s"):
+            assert np.array_equal(getattr(a.state, field), getattr(b.state, field)), field
+
+    def test_cold_solve_inside_the_opening_runs_without_history(self, monkeypatch):
+        # the opening moves sigma after every sweep, so a solve that stops inside it
+        # never extrapolates, and it is the solve without any history bit for bit
+        p = cadence_problems(tagged=True)["keq"]
+        a = solve(p)
+        assert a.iterations <= admm.OPENING_SWEEPS and a.accelerated_sweeps == 0
+        monkeypatch.setattr(admm, "ANDERSON_MEMORY", 0)
+        b = solve(p)
+        assert (a.iterations, a.status, a.single_sweeps) == \
+            (b.iterations, b.status, b.single_sweeps)
+        assert a.certificate == b.certificate and a.residuals == b.residuals
+        for field in ("X", "y", "ybar", "S", "Z", "v", "s"):
+            assert np.array_equal(getattr(a.state, field), getattr(b.state, field)), field
+
+    def test_extrapolated_matrices_are_symmetric(self, monkeypatch):
+        # the sweep splits N as it is: the extrapolated Xt, Z and S of a keq SDP, a
+        # knapsack DNN with a non-uniform box and a warm round are symmetric bit for bit
+        log = anderson_log(monkeypatch)
+        g, spec = gen_gpkc_instance(10, 0.5, 5, 2)
+        p, start = warm_round()
+        for problem, st in ((sdp_past_the_opening(), None), (build_gpkc_dnn(g, spec), None),
+                            (p, start)):
+            solve(problem, start=st)
+        assert sum(extrapolated for _, extrapolated, _ in log) > 50
+        assert all(symmetric for _, extrapolated, symmetric in log if extrapolated)
+
+    def test_extrapolation_waits_for_three_sweeps_at_one_sigma(self, monkeypatch):
+        # the history restarts whenever sigma changes, and it takes two residuals: a
+        # sweep runs on an extrapolated input only when the three sweeps before it ran
+        # at its sigma, so none does in the opening
+        log = anderson_log(monkeypatch)
+        sigmas = {}
+        res = solve(sdp_past_the_opening(),
+                    callback=lambda k, st, rec, pr, du: sigmas.__setitem__(k, st.sigma))
+        assert res.iterations > admm.OPENING_SWEEPS + 10
+        accelerated = [k + 1 for k, extrapolated, _ in log if extrapolated]
+        assert len(accelerated) == res.accelerated_sweeps > 0
+        assert min(accelerated) > admm.OPENING_SWEEPS + 3
+        for k in accelerated:
+            assert len({sigmas[j] for j in range(k - 3, k + 1)}) == 1, k
+
+    def test_returned_state_comes_from_a_check_sweep(self):
+        # extrapolated inputs are never returned: the state and record are a check
+        # sweep's, and the certificate is that state's bound
+        p, start = warm_round()
+        res = solve(p, start=start)
+        assert res.state.iter % admm.CHECK_EVERY == 0
+        assert res.residuals == residuals(res.state, p)
+        assert res.certificate == eig_lower_bound(p, res.state, xbar_for(p), trace=p.n)
 
 
 class TestDualObjective:

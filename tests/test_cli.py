@@ -117,6 +117,22 @@ class TestKnapsackRefusesK:
         assert reports.read_rows(out)[0].k_or_w == "2"
 
 
+@pytest.mark.parametrize("bad", ["refused --k", "malformed"])
+def test_solve_checks_every_instance_before_the_first_solve(k8_file, gpkc_file, tmp_path, bad,
+                                                            solves, capsys):
+    # a bad later instance used to leave the earlier ones' --cert-out rows and no --out
+    if bad == "malformed":
+        later, code = tmp_path / "broken.gp", 3
+        later.write_text("gp 3 1\ne 1 4 2\n")
+    else:
+        later, code = gpkc_file, 1
+    out, cert = tmp_path / "x.csv", tmp_path / "c.csv"
+    assert main(["solve", "--instance", str(k8_file), str(later), "--k", "2",
+                 "--out", str(out), "--cert-out", str(cert)]) == code
+    assert solves == [] and not out.exists() and not cert.exists()
+    assert capsys.readouterr().out == ""
+
+
 def test_solve_and_heur_use_the_solver_defaults(k8_file, solves):
     # heur rounds the X that solve certified: both read AdmmParams' defaults
     for command in ("solve", "heur"):

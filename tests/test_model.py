@@ -376,8 +376,27 @@ class TestCuttingLoop:
                                       KEquipartition.for_graph(12, 3), max_rounds=3)
         assert len(rounds) == len(results) > 1
         assert any(r.single_sweeps for r in rounds)
+        assert any(r.accelerated_sweeps for r in rounds)
         for r, res in zip(rounds, results):
-            assert (r.single_sweeps, r.certify_s) == (res.single_sweeps, res.certify_s)
+            assert (r.single_sweeps, r.certify_s, r.accelerated_sweeps) == \
+                (res.single_sweeps, res.certify_s, res.accelerated_sweeps)
+
+    @pytest.mark.parametrize("case", ["keq", "gpkc"])
+    def test_every_warm_round_rises_above_the_round_before(self, case):
+        # a warm round stops by the bound only once it certified above its start; these
+        # loops used to end rounds 2 and 5 (keq) and round 4 (knapsack) after 20-70
+        # sweeps with the bound of the round before
+        from gpbound.certify import cutting_loop
+        from gpbound.graphs import KEquipartition, gen_gpkc_instance
+
+        if case == "keq":
+            g, spec = gen_rand_graph(36, 0.8, 1), KEquipartition.for_graph(36, 4)
+        else:
+            g, spec = gen_gpkc_instance(15, 0.5, 3, 6)
+        rounds = cutting_loop(g, spec, "dnn+met", max_rounds=6)
+        assert len(rounds) >= 5
+        for before, after in zip(rounds, rounds[1:]):
+            assert after.certificate.raw > before.certificate.raw, after.round
 
     def test_callback_sees_every_sweep_of_every_round(self):
         from gpbound.certify import cutting_loop
