@@ -47,7 +47,6 @@ from .rounding import (
     gram_factor,
     hyp_plus_two_opt,
     hyperplane_round,
-    two_opt_bisection,
     two_opt_multi,
     vc_plus_two_opt,
     vc_round_gpkc,
@@ -95,7 +94,6 @@ __all__ = [
     "read_instance",
     "separate_met",
     "solve",
-    "two_opt_bisection",
     "two_opt_multi",
     "vc_plus_two_opt",
     "vc_round_gpkc",

@@ -1,9 +1,6 @@
 """Command line front end: instance generation, solving, certification, rounding,
 oracle checks, and CSV report assembly.
 
-Output paths given as relative names resolve against the ``GPBOUND_OUTDIR``
-environment variable when it is set.
-
 Exit codes: 0 success, 1 generic failure, 2 usage, 3 infeasible or malformed
 problem data, 4 solver divergence, 5 certificate (sandwich) violation.
 """
@@ -11,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -32,17 +28,6 @@ EXIT_ERROR = 1
 EXIT_INFEASIBLE = 3
 EXIT_DIVERGED = 4
 EXIT_CERT_VIOLATION = 5
-
-OUTDIR_ENV = "GPBOUND_OUTDIR"
-
-
-def _out_path(name) -> Path:
-    path = Path(name)
-    base = os.environ.get(OUTDIR_ENV)
-    if base and not path.is_absolute():
-        return Path(base) / path
-    return path
-
 
 def _load_problem(path, args):
     g, spec = read_instance(path)
@@ -99,7 +84,7 @@ def cmd_gen(args) -> int:
     drawn = [gen_gpkc_instance(args.n, density, args.k, args.seed) if args.gpkc
              else (gen_rand_graph(args.n, density, args.seed), None)
              for density in args.density]
-    outdir = _out_path(args.outdir)
+    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for g, spec in drawn:
         path = outdir / f"{g.name}.gp"
@@ -130,14 +115,14 @@ def _solve_one(args, g, spec) -> list[reports.SolveRow]:
                                   callback=callback if args.trace else None)
     if args.trace:
         keep_latest()
-        reports.write_rows(_out_path(args.trace), trace_rows)
+        reports.write_rows(args.trace, trace_rows)
     if args.cert_out:
-        reports.write_rows(_out_path(args.cert_out), [
+        reports.write_rows(args.cert_out, [
             reports.CertRow(g.name, args.relaxation, r.certificate.method, r.bound,
                             r.certificate.perturbation, r.certificate.xbar,
                             r.status in admm.STOPPED) for r in rounds], append=True)
     if args.cuts_out:
-        reports.write_rows(_out_path(args.cuts_out),
+        reports.write_rows(args.cuts_out,
                            [reports.CutRoundRow(r.round, r.bound, r.cuts) for r in rounds])
     return [reports.SolveRow(g.name, g.n, _k_or_w(spec), args.relaxation, r.bound,
                              r.iterations, r.seconds, r.status) for r in rounds]
@@ -159,7 +144,7 @@ def cmd_solve(args) -> int:
             print(f"{row.n},{row.k_or_w},{row.relaxation},{row.lb:.6f},"
                   f"{row.iterations},{row.cpu_seconds:.3f},{row.status}")
     if args.out:
-        reports.write_rows(_out_path(args.out), all_rows, append=True)
+        reports.write_rows(args.out, all_rows, append=True)
     return EXIT_OK
 
 
@@ -183,11 +168,11 @@ def cmd_heur(args) -> int:
     print(f"{row.instance},{row.method},{row.ub:.6f}," +
           ("" if gap is None else f"{gap:.4f}"))
     if args.out:
-        reports.write_rows(_out_path(args.out), [row], append=True)
+        reports.write_rows(args.out, [row], append=True)
     if args.detail_out:
         detail = reports.HeurDetailRow(g.name, row.k_or_w, heur.method, heur.ub,
                                        heur.samples_used, heur.elapsed)
-        reports.write_rows(_out_path(args.detail_out), [detail], append=True)
+        reports.write_rows(args.detail_out, [detail], append=True)
     return EXIT_OK
 
 
@@ -200,7 +185,7 @@ def cmd_oracle(args) -> int:
     row = reports.OracleRow(g.name, res.opt, res.enumerated)
     print(f"{row.instance},{row.opt},{row.enumerated}")
     if args.out:
-        reports.write_rows(_out_path(args.out), [row], append=True)
+        reports.write_rows(args.out, [row], append=True)
 
     lb, ub = _read_bound(args, g, spec, "lb"), _read_bound(args, g, spec, "ub")
     violated = False
@@ -255,8 +240,8 @@ def cmd_report(args) -> int:
                                           ub, ub_method, _pct(ub, ref)))
     if violated:
         return EXIT_CERT_VIOLATION
-    reports.write_rows(_out_path(args.out), summary)
-    print(_out_path(args.out))
+    reports.write_rows(args.out, summary)
+    print(args.out)
     return EXIT_OK
 
 

@@ -67,10 +67,20 @@ class TestGen:
         text = (tmp_path / "GPKCrand50_n8_s1.gp").read_text()
         assert any(line.startswith("k ") for line in text.splitlines())
 
-    def test_outdir_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GPBOUND_OUTDIR", str(tmp_path))
-        main(["gen", "--n", "6", "--density", "0.2", "--seed", "0", "--outdir", "sub"])
-        assert (tmp_path / "sub" / "rand20_n6_s0.gp").exists()
+    def test_outputs_go_where_their_flags_say(self, tmp_path, monkeypatch):
+        # no environment variable moves an output away from the path its flag names
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GPBOUND_OUTDIR", "elsewhere")
+        assert main(["gen", "--n", "8", "--density", "0.5", "--seed", "1",
+                     "--outdir", "inst"]) == 0
+        instance = ["--instance", "inst/rand50_n8_s1.gp", "--k", "2"]
+        assert main(["solve", *instance, "--relaxation", "sdp", "--out", "lb.csv"]) == 0
+        assert main(["heur", *instance, "--lb-csv", "lb.csv", "--out", "ub.csv"]) == 0
+        assert main(["report", "--solve-csv", "lb.csv", "--heur-csv", "ub.csv",
+                     "--out", "summary.csv"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "inst", "lb.csv", "summary.csv", "ub.csv"]
+        assert [p.name for p in (tmp_path / "inst").iterdir()] == ["rand50_n8_s1.gp"]
 
     @pytest.mark.parametrize("flags, message", [
         (["--n", "1"], "vertices"), (["--n", "8", "--density", "1.7"], "density"),

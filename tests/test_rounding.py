@@ -20,7 +20,6 @@ from gpbound.rounding import (
     hyperplane_round,
     hyperplane_transform,
     round_relaxation,
-    two_opt_bisection,
     two_opt_multi,
     vc_plus_two_opt,
     vc_round_gpkc,
@@ -176,19 +175,23 @@ class TestVcGpkc:
         res.partition.validate_for(spec)
 
 
-class TestTwoOptBisection:
+def refine_two_groups(g, p1, p2):
+    """``two_opt_multi`` on the two-group partition (p1, p2) of equal sizes."""
+    start = Partition.from_groups(g.n, [p1, p2])
+    return two_opt_multi(g, start, KEquipartition(k=2, m=len(p1)), seed=0)
+
+
+class TestTwoOptTwoGroups:
     def test_optimal_four_cycle_unchanged(self):
         W = np.zeros((4, 4))
         for i, j in [(0, 1), (1, 2), (2, 3), (3, 0)]:
             W[i, j] = W[j, i] = 1.0
         g = GraphInstance(n=4, W_adj=W, name="C4")
-        p1, p2 = two_opt_bisection(g, (0, 1), (2, 3))
-        assert (p1, p2) == ((0, 1), (2, 3))
+        assert refine_two_groups(g, (0, 1), (2, 3)).groups == ((0, 1), (2, 3))
 
     def test_complete_graph_symmetric_no_move(self):
         g = complete_graph(4)
-        p1, p2 = two_opt_bisection(g, (0, 1), (2, 3))
-        assert (p1, p2) == ((0, 1), (2, 3))
+        assert refine_two_groups(g, (0, 1), (2, 3)).groups == ((0, 1), (2, 3))
 
     def test_never_worsens_random(self):
         for seed in range(20):
@@ -196,8 +199,7 @@ class TestTwoOptBisection:
             rng = np.random.default_rng(seed)
             perm = rng.permutation(8)
             before = Partition.from_groups(8, [tuple(perm[:4]), tuple(perm[4:])])
-            p1, p2 = two_opt_bisection(g, before.groups[0], before.groups[1])
-            after = Partition.from_groups(8, [p1, p2])
+            after = refine_two_groups(g, *before.groups)
             assert cut_value(g, after) <= cut_value(g, before) + 1e-12
 
     def test_finds_planted_improvement(self):
@@ -212,8 +214,7 @@ class TestTwoOptBisection:
                 if i != j:
                     W[i, j] = 10.0
         g = GraphInstance(n=6, W_adj=W, name="two-cliques")
-        p1, p2 = two_opt_bisection(g, (0, 1, 3), (2, 4, 5))
-        after = Partition.from_groups(6, [p1, p2])
+        after = refine_two_groups(g, (0, 1, 3), (2, 4, 5))
         assert cut_value(g, after) == 0.0
 
 
@@ -690,3 +691,149 @@ class TestChunkedSampling:
                 assert [c for (c, _), _ in drawn] == [1] + [per_draw] * full + [rest] * (rest > 0)
             if per_sample < 1:
                 assert len(drawn) == 30
+
+
+# ---------------------------------------------------------------- reference 2-opt
+# Pairwise refinement as it stood before the connection matrix was kept across
+# swaps: every worklist visit re-sums both groups' connections from W and returns
+# sorted tuples. On integer-weight graphs the library must give its partitions,
+# and draw its worklist picks, bit for bit.
+
+def reference_two_opt_pair(g, p1, p2, weights=None, capacity=None):
+    W = g.W_adj
+    g1 = np.array(sorted(p1), dtype=np.int64)
+    g2 = np.array(sorted(p2), dtype=np.int64)
+    c1 = W[:, g1].sum(axis=1)
+    c2 = W[:, g2].sum(axis=1)
+    w1 = float(weights[g1].sum()) if weights is not None else 0.0
+    w2 = float(weights[g2].sum()) if weights is not None else 0.0
+    while True:
+        d1 = c2[g1] - c1[g1]
+        d2 = c1[g2] - c2[g2]
+        gains = d1[:, None] + d2[None, :] - 2.0 * W[np.ix_(g1, g2)]
+        if weights is not None:
+            fits = (
+                (w1 - weights[g1][:, None] + weights[g2][None, :] <= capacity + 1e-9)
+                & (w2 - weights[g2][None, :] + weights[g1][:, None] <= capacity + 1e-9)
+            )
+            gains = np.where(fits, gains, -np.inf)
+        si, ti = divmod(int(np.argmax(gains)), g2.size)
+        if gains[si, ti] <= rounding.EPS_GAIN:
+            break
+        s, t = int(g1[si]), int(g2[ti])
+        g1[si], g2[ti] = t, s
+        c1 += W[:, t] - W[:, s]
+        c2 += W[:, s] - W[:, t]
+        if weights is not None:
+            w1 += weights[t] - weights[s]
+            w2 += weights[s] - weights[t]
+    return tuple(int(v) for v in sorted(g1)), tuple(int(v) for v in sorted(g2))
+
+
+def reference_two_opt_multi(g, partition, spec, seed=None):
+    groups = [tuple(grp) for grp in partition.groups]
+    if len(groups) < 2:
+        return partition
+    rng = _rng(seed)
+    weights = spec.a if isinstance(spec, Gpkc) else None
+    capacity = spec.W if isinstance(spec, Gpkc) else None
+    dirty = {(i, j) for i in range(len(groups)) for j in range(i + 1, len(groups))}
+    while dirty:
+        pairs = sorted(dirty)
+        i, j = pairs[rng.integers(len(pairs))]
+        dirty.discard((i, j))
+        new_i, new_j = reference_two_opt_pair(g, groups[i], groups[j], weights, capacity)
+        if new_i != groups[i] or new_j != groups[j]:
+            groups[i], groups[j] = new_i, new_j
+            for t in range(len(groups)):
+                if t != i:
+                    dirty.add((min(t, i), max(t, i)))
+                if t != j:
+                    dirty.add((min(t, j), max(t, j)))
+    return Partition.from_groups(partition.n, groups)
+
+
+def rounded_starts(g, spec, seed):
+    """Few-sample roundings of a tied relaxation, so 2-opt has many swaps to make:
+    vc and hyp for an equipartition, capacity-aware vc for a knapsack spec."""
+    X = tied_relaxation(g.n, seed) + np.eye(g.n)
+    if isinstance(spec, Gpkc):
+        return [vc_round_gpkc(g, X, spec.a, spec.W, samples=3, seed=seed).partition]
+    return [vc_round_keq(g, X, spec.k, samples=3, seed=seed).partition,
+            hyperplane_round(g, X, spec.k, samples=3, seed=seed).partition]
+
+
+class TestTwoOptMatchesReference:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n, k, density", [(40, 4, 0.5), (60, 3, 0.8), (80, 5, 0.3)])
+    def test_keq_partitions_and_draws(self, n, k, density, seed):
+        g = gen_rand_graph(n, density, seed)
+        spec = KEquipartition.for_graph(n, k)
+        for start in rounded_starts(g, spec, seed):
+            rng, ref_rng = _rng(seed), _rng(seed)
+            out = two_opt_multi(g, start, spec, seed=rng)
+            assert out.groups == reference_two_opt_multi(g, start, spec, seed=ref_rng).groups
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert out != start
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n, density, k", [(40, 0.5, 5), (60, 0.8, 4), (80, 0.2, 4)])
+    def test_knapsack_partitions_and_draws(self, n, density, k, seed):
+        g, spec = gen_gpkc_instance(n, density, k, seed)
+        for start in rounded_starts(g, spec, seed):
+            rng, ref_rng = _rng(seed), _rng(seed)
+            out = two_opt_multi(g, start, spec, seed=rng)
+            assert out.groups == reference_two_opt_multi(g, start, spec, seed=ref_rng).groups
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            out.validate_for(spec)
+            assert cut_value(g, out) < cut_value(g, start)
+
+
+def improving_swaps(g, partition, spec):
+    """Every swap of two vertices in different groups that lowers ``cut_value`` by more
+    than 2-opt's threshold, counting only capacity-feasible swaps for a knapsack spec;
+    found by brute force, each swapped partition scored from scratch."""
+    threshold = rounding.EPS_GAIN * g.W_adj.sum(axis=1).max()
+    base = cut_value(g, partition)
+    assign = partition.assignment()
+    found = []
+    for s in range(g.n):
+        for t in range(s + 1, g.n):
+            if assign[s] == assign[t]:
+                continue
+            swapped = assign.copy()
+            swapped[s], swapped[t] = assign[t], assign[s]
+            after = Partition.from_assignment(swapped)
+            if isinstance(spec, Gpkc) and not all(
+                    spec.a[list(grp)].sum() <= spec.W + 1e-9 for grp in after.groups):
+                continue
+            if base - cut_value(g, after) > threshold:
+                found.append((s, t))
+    return found
+
+
+class TestTwoOptLocalOptimum:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("weighted", [False, True], ids=["integral", "non-integral"])
+    def test_keq_no_improving_swap_left(self, seed, weighted):
+        g = weighted_graph(18, seed) if weighted else gen_rand_graph(18, 0.6, seed)
+        for k in (2, 3, 6):
+            spec = KEquipartition.for_graph(18, k)
+            perm = np.random.default_rng(seed).permutation(18)
+            start = Partition.from_groups(18, np.split(perm, k))
+            out = two_opt_multi(g, start, spec, seed=seed)
+            out.validate_for(spec)
+            assert cut_value(g, out) < cut_value(g, start)
+            assert improving_swaps(g, out, spec) == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("weighted", [False, True], ids=["integral", "non-integral"])
+    def test_knapsack_no_feasible_improving_swap_left(self, seed, weighted):
+        g, spec = gen_gpkc_instance(18, 0.6, 3, seed)
+        if weighted:
+            g = weighted_graph(18, seed)
+        start = vc_round_gpkc(g, np.eye(18), spec.a, spec.W, samples=1, seed=seed).partition
+        out = two_opt_multi(g, start, spec, seed=seed)
+        out.validate_for(spec)
+        assert cut_value(g, out) < cut_value(g, start)
+        assert improving_swaps(g, out, spec) == []
