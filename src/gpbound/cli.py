@@ -104,7 +104,7 @@ def _solve_one(args, g, spec) -> list[reports.SolveRow]:
             trace_rows.append(latest[0])  # the final sweep of every round always shows
 
     def callback(k, state, rec, primal, dual):
-        if k == 1:  # a new round: the previous one has ended
+        if k == 1:  # cutting_loop numbers each round's sweeps from 1: the previous round ended
             keep_latest()
         latest[:] = [reports.TraceRow(k, *rec.as_tuple(), state.sigma, primal, dual)]
         if k % args.trace_every == 0:

@@ -1,3 +1,4 @@
+import math
 import shlex
 from dataclasses import replace
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 from gpbound import reports
 from gpbound.admm import AdmmParams, solve
+from gpbound.certify import ROUND_SLACK
 from gpbound.cli import build_parser, main
 from gpbound.graphs import (GraphInstance, KEquipartition, format_number, gen_gpkc_instance,
                             read_instance, write_instance)
@@ -196,26 +198,73 @@ class TestSolve:
         rows = reports.read_rows(trace)
         assert rows and isinstance(rows[0], reports.TraceRow)
 
-    def test_met_honours_certificate_and_trace_flags(self, tmp_path):
+    def test_met_honours_certificate_and_trace_flags(self, tmp_path, solves):
+        # round 0 of dnn+met is the DNN solved to ROUND_SLACK * eps_tol, and the last
+        # round comes from an eps_tol solve
         main(["gen", "--n", "12", "--density", "0.5", "--seed", "1", "--outdir", str(tmp_path)])
         base = ["solve", "--instance", str(tmp_path / "rand50_n12_s1.gp"), "--problem", "keq",
                 "--k", "3", "--trace-every", "100000"]
-        for relax in ("dnn", "dnn+met"):
-            code = main([*base, "--relaxation", relax, "--max-rounds", "3",
-                         "--out", str(tmp_path / f"{relax}.csv"),
-                         "--trace", str(tmp_path / f"trace_{relax}.csv"),
-                         "--cert-out", str(tmp_path / f"cert_{relax}.csv")])
-            assert code == 0
+        eps = AdmmParams.eps_tol
+        loose = ROUND_SLACK * eps
+        assert main([*base, "--relaxation", "dnn", "--eps-tol", repr(loose),
+                     "--out", str(tmp_path / "dnn.csv")]) == 0
+        assert main([*base, "--relaxation", "dnn+met", "--max-rounds", "3",
+                     "--out", str(tmp_path / "met.csv"), "--trace", str(tmp_path / "trace.csv"),
+                     "--cert-out", str(tmp_path / "cert.csv")]) == 0
         dnn = reports.read_rows(tmp_path / "dnn.csv")
-        met = reports.read_rows(tmp_path / "dnn+met.csv")
-        assert len(dnn) == 1 and len(met) > 1
-        assert (met[0].lb, met[0].iterations) == (dnn[0].lb, dnn[0].iterations)
-        certs = reports.read_rows(tmp_path / "cert_dnn+met.csv")
+        met = reports.read_rows(tmp_path / "met.csv")
+        assert len(dnn) == 1 and len(met) == 3 and len(solves) == 1 + len(met)
+        (_, alone), *rounds = solves
+        assert (met[0].lb, met[0].iterations, met[0].status) == \
+            (dnn[0].lb, dnn[0].iterations, dnn[0].status)
+        assert float(rounds[0][1].certificate.raw).hex() == float(alone.certificate.raw).hex()
+        assert [params.eps_tol for params, _ in rounds] == [loose, loose, eps]
+        assert (met[-1].iterations, met[-1].status) == \
+            (rounds[-1][1].iterations, rounds[-1][1].status)
+        certs = reports.read_rows(tmp_path / "cert.csv")
         assert [c.method for c in certs] == ["eig"] * len(met)
         assert [c.bound for c in certs] == [r.lb for r in met]
         # one trace row per round: the final sweep of each
-        trace = reports.read_rows(tmp_path / "trace_dnn+met.csv")
+        trace = reports.read_rows(tmp_path / "trace.csv")
         assert [t.iter for t in trace] == [r.iterations for r in met]
+
+    def test_met_finishes_a_loose_round_with_no_cuts_left_at_eps_tol(self, tmp_path, solves,
+                                                                      monkeypatch):
+        # separation comes back empty after the loose round 1, so that round is the last:
+        # it is finished at eps_tol and reported, and traced, as one round
+        from gpbound import certify, model
+
+        calls = []
+
+        def first_call_only(X, max_cuts):
+            calls.append(max_cuts)
+            return model.separate_met(X, max_cuts) if len(calls) == 1 else []
+
+        monkeypatch.setattr(certify, "separate_met", first_call_only)
+        main(["gen", "--n", "12", "--density", "0.5", "--seed", "1", "--outdir", str(tmp_path)])
+        assert main(["solve", "--instance", str(tmp_path / "rand50_n12_s1.gp"), "--problem",
+                     "keq", "--k", "3", "--relaxation", "dnn+met", "--max-rounds", "4",
+                     "--out", str(tmp_path / "met.csv"), "--trace", str(tmp_path / "trace.csv"),
+                     "--trace-every", "100000"]) == 0
+        met = reports.read_rows(tmp_path / "met.csv")
+        eps = AdmmParams.eps_tol
+        assert len(calls) == 2 and len(met) == 2
+        assert [params.eps_tol for params, _ in solves] == [ROUND_SLACK * eps] * 2 + [eps]
+        loose, finished = solves[1][1], solves[2][1]
+        assert met[-1].iterations == loose.iterations + finished.iterations
+        assert met[-1].status == finished.status
+        assert met[-1].lb == math.ceil(finished.certificate.value) >= met[0].lb
+        trace = reports.read_rows(tmp_path / "trace.csv")
+        assert [t.iter for t in trace] == [r.iterations for r in met]
+
+    def test_met_runs_where_the_round_slack_overflows(self, k8_file, tmp_path, solves):
+        # 30 * 1e307 is not finite, so every round runs at eps_tol itself
+        out = tmp_path / "met.csv"
+        assert main(["solve", "--instance", str(k8_file), "--problem", "keq", "--k", "2",
+                     "--relaxation", "dnn+met", "--max-rounds", "3", "--eps-tol", "1e307",
+                     "--out", str(out)]) == 0
+        assert reports.read_rows(out)
+        assert solves and all(params.eps_tol == 1e307 for params, _ in solves)
 
     def test_cert_out_reads_converged_for_a_bound_stop(self, tmp_path):
         # the column means "stopped by a test": the residual test or the bound test

@@ -339,9 +339,10 @@ class TestCuttingLoop:
             assert later.bound >= earlier.bound - 1e-6 * (1.0 + abs(earlier.bound))
 
 
-    @pytest.mark.parametrize("relaxation", ["sdp", "dnn"])
+    @pytest.mark.parametrize("relaxation", ["sdp", "dnn", "dnn+met"])
     @pytest.mark.parametrize("knapsack", [False, True])
     def test_single_round_is_solve_then_certify(self, relaxation, knapsack):
+        # one round is the last, so it runs solve(problem, params) as it is, bit for bit
         from gpbound.certify import certify_bound, cutting_loop
         from gpbound.graphs import KEquipartition, gen_gpkc_instance
         from gpbound.model import build
@@ -352,14 +353,42 @@ class TestCuttingLoop:
             g = gen_rand_graph(9, 0.5, 4)
             spec = KEquipartition.for_graph(9, 3)
         params = admm.AdmmParams(eps_tol=1e-4)
-        rounds = cutting_loop(g, spec, relaxation, params)
-        problem = build(g, spec, relaxation)
+        rounds = cutting_loop(g, spec, relaxation, params, max_rounds=1)
+        problem = build(g, spec, "dnn" if relaxation == "dnn+met" else relaxation)
         result = admm.solve(problem, params)
         cert = certify_bound(problem, result)
         assert len(rounds) == 1
         assert rounds[0].certificate == cert
         assert rounds[0].bound == cert.value
+        assert float(rounds[0].certificate.raw).hex() == float(cert.raw).hex()
         assert (rounds[0].iterations, rounds[0].status) == (result.iterations, result.status)
+        assert rounds[0].eps_tol == params.eps_tol
+
+    def test_every_round_before_the_last_is_a_loose_solve(self):
+        # rounds 0 and 1 equal solve(problem, AdmmParams(eps_tol=ROUND_SLACK * eps_tol))
+        # on their own problems and starts; round 2, the last, is solved at eps_tol
+        from gpbound.certify import ROUND_SLACK, cutting_loop
+        from gpbound.graphs import KEquipartition
+        from gpbound.model import add_cuts, build, separate_met
+
+        g, spec = gen_rand_graph(12, 0.8, 0), KEquipartition.for_graph(12, 3)
+        params = admm.AdmmParams()
+        loose = admm.AdmmParams(eps_tol=ROUND_SLACK * params.eps_tol)
+        rounds = cutting_loop(g, spec, "dnn+met", params, max_rounds=3)
+        assert len(rounds) == 3
+        problem, start, expected = build(g, spec, "dnn"), None, []
+        for prm in (loose, loose, params):
+            if expected:
+                present = {c.triple for c in problem.met_cuts}
+                cuts = [c for c in separate_met(expected[-1].state.X, 2 * g.n + len(present))
+                        if c.triple not in present][:2 * g.n]
+                problem = add_cuts(problem, cuts)
+                start = admm.pad_state(expected[-1].state, problem)
+            expected.append(admm.solve(problem, prm, start=start))
+        assert [r.eps_tol for r in rounds] == [loose.eps_tol, loose.eps_tol, params.eps_tol]
+        for r, res in zip(rounds, expected):
+            assert (r.iterations, r.status, float(r.certificate.raw).hex()) == \
+                (res.iterations, res.status, float(res.certificate.value).hex()), r.round
 
     def test_rounds_carry_their_solves_sweep_and_certificate_counts(self, monkeypatch):
         from gpbound import certify
