@@ -58,9 +58,13 @@ instead of 80-90 sweeps, with bounds lower by under 1e-4 relative
 (BENCH_certified_stop.json). The best certificate is returned as
 ``AdmmResult.certificate``, and :func:`gpbound.certify.certify_bound` reports it.
 A warm start may stop by the bound test only once a check sweep has certified
-strictly above the start's own certificate. Its X violates the rows just added and
-lies near the start's bound, so without that gate a cut round could meet the test
-within a few check sweeps and return its start. The gate has no limit of its own:
+strictly above the start's own certificate, and only on a check sweep whose largest
+residual is within ``WARM_WITHIN`` * eps_tol. Its X violates the rows just added and
+lies near the start's bound, so without the first gate a cut round could meet the
+test within a few check sweeps and return its start. Without the second, the primal
+objective of an X that still violates its rows could meet the bound below the
+relaxation's optimum, most of all in a round warm-started from a loosely solved one
+(:func:`gpbound.certify.cutting_loop`). The gates have no limit of their own:
 a warm start that never certifies above its start ends only by the residual test
 or at ``max_iter``. On 236 warm DNN+MET rounds of small and n = 60 instances the
 first check sweep above the start came at sweep 10 to 960, median 30. With every
@@ -134,6 +138,9 @@ BOUND_STOP = 10
 # residual record, the start's or a check sweep's, has its largest residual within
 # DOUBLE_WITHIN * eps_tol; every later sweep runs in double (module docstring)
 DOUBLE_WITHIN = 10
+# a warm start passes the bound test only once its largest residual is within
+# WARM_WITHIN * eps_tol (module docstring)
+WARM_WITHIN = 10
 # the statuses of a solve that a stopping test ended; the other one is "iter_limit"
 STOPPED = ("converged", "bound")
 # while sigma holds still, a type-II Anderson step extrapolates the next sweep's input
@@ -577,7 +584,8 @@ def solve(
     test: the best eigenvalue bound seen, b, satisfies |<C, X> - b| <=
     ``BOUND_STOP`` * eps_tol * |b| and rose by less than that since the previous
     check sweep (status ``"bound"``); a warm start passes it only once b is strictly
-    above its start's certificate, so one that never does ends by the residual test
+    above its start's certificate and only on a check sweep whose largest residual is
+    within ``WARM_WITHIN`` * eps_tol, so one that never does ends by the residual test
     or at ``max_iter``. Otherwise the loop ends at ``max_iter``
     (status ``"iter_limit"``).
 
@@ -692,7 +700,8 @@ def solve(
             if xbar is not None:
                 slack = BOUND_STOP * prm.eps_tol * abs(best_lb)
                 if (best_lb > start_lb and abs(primal - best_lb) <= slack
-                        and best_lb - last_lb < slack):
+                        and best_lb - last_lb < slack
+                        and (start is None or rec.max_residual <= WARM_WITHIN * prm.eps_tol)):
                     status = "bound"
                     break
                 last_lb = best_lb

@@ -24,12 +24,9 @@ solved to full accuracy (BiqMac: Rendl, Rinaldi & Wiegele, Math. Prog. 121, 2010
 Its bound is still certified, since the eigenvalue bound is valid at any
 multipliers, only at a looser solve. The last round is always solved to eps_tol:
 when separation comes back empty after a loose round, that round is finished at
-eps_tol from where it stopped. On the cli-met grid (12 keq instances at n = 60,
-3 rounds) the loops' sweeps fell from 2930 to 2010, round 0 certified a median 7e-4
-below an eps_tol solve, and the final bounds rose in sum. Final bounds move both
-ways, since the cuts are separated at other points: on 69 small loops of 4 rounds, 23
-ended more than BOUND_STOP * eps_tol below the loops with every round at eps_tol,
-and 9 that much above (BENCH_inexact_rounds.json).
+eps_tol from where it stopped. Cuts separated at looser points differ, so final
+bounds move both ways against loops with every round at eps_tol
+(BENCH_inexact_rounds.json).
 """
 from __future__ import annotations
 
@@ -58,9 +55,8 @@ __all__ = [
     "cutting_loop",
 ]
 
-# every DNN+MET round but the last is solved to ROUND_SLACK * eps_tol (module docstring).
-# Of 10, 30 and 100, 30 gave the cli-met loops the highest final bounds in sum; 100 took
-# 380 fewer sweeps but left round 0 a median 2e-3 below an eps_tol solve
+# every DNN+MET round but the last is solved to ROUND_SLACK * eps_tol (module docstring);
+# chosen from 10, 30 and 100 on the cli-met loops (BENCH_inexact_rounds.json)
 ROUND_SLACK = 30
 
 
@@ -213,7 +209,9 @@ def cutting_loop(
     from the state it returned, and reported as one round: its sweeps and
     seconds are those of both solves, within ``params.max_iter`` sweeps in all. So
     ``"sdp"``, ``"dnn"`` and ``max_rounds=1`` run ``solve(problem, params)`` as it
-    is, and the last round always comes from an eps_tol solve.
+    is, and the last round always comes from an eps_tol solve. Every round after the
+    first is a warm start, so it stops by the bound test only with its residual within
+    ``WARM_WITHIN`` * its eps_tol (:func:`gpbound.admm.solve`).
     ``callback`` goes to every ``solve``, with the sweeps of each round numbered
     from 1, so a round finished by a second solve numbers its sweeps on.
     """

@@ -660,15 +660,15 @@ class TestCheckCadence:
 
 
 def certified_path(p, params=None, start=None):
-    """Per check sweep: (sweep, its eigenvalue bound, its primal objective), read
-    through the callback; plus the result."""
+    """Per check sweep: (sweep, its eigenvalue bound, its primal objective, its
+    largest residual), read through the callback; plus the result."""
     prm = params or AdmmParams()
     path = []
 
     def cb(k, state, rec, primal, dual):
         if k % admm.CHECK_EVERY == 0 or k == prm.max_iter:
             lb = eig_lower_bound(p, state, xbar_for(p), trace=p.n).value
-            path.append((k, lb, primal))
+            path.append((k, lb, primal, rec.max_residual))
 
     return path, solve(p, prm, start=start, callback=cb)
 
@@ -685,8 +685,8 @@ class TestCertifiedStop:
         p = build_keq_sdp(gen_rand_graph(12, density, seed), 3)
         path, res = certified_path(p)
         cert = certify_bound(p, res)
-        assert cert.raw >= max(lb for _, lb, _ in path)
-        assert (res.state.iter, cert.raw) in [(k, lb) for k, lb, _ in path]
+        assert cert.raw >= max(lb for _, lb, _, _ in path)
+        assert (res.state.iter, cert.raw) in [(k, lb) for k, lb, _, _ in path]
         assert res.residuals == residuals(res.state, p)
         if seed == 6:
             assert res.state.iter < res.iterations
@@ -696,14 +696,17 @@ class TestCertifiedStop:
         p, start = cadence_case(name, tagged=True)
         prm = AdmmParams()
         path, res = certified_path(p, prm, start)
-        # a warm start stops by the bound only once it certified above its start
+        # a warm start stops by the bound only once it certified above its start and
+        # its residual is within WARM_WITHIN * eps_tol
         best = floor = -np.inf if start is None else \
             eig_lower_bound(p, start, xbar_for(p), trace=p.n).value
+        within = np.inf if start is None else admm.WARM_WITHIN * prm.eps_tol
         stop = None
-        for k, lb, primal in path:
+        for k, lb, primal, largest in path:
             last, best = best, max(best, lb)
             slack = admm.BOUND_STOP * prm.eps_tol * abs(best)
-            if best > floor and abs(primal - best) <= slack and best - last < slack:
+            if (best > floor and abs(primal - best) <= slack and best - last < slack
+                    and largest <= within):
                 stop = k
                 break
         assert stop is not None and (res.status, res.iterations) == ("bound", stop)

@@ -353,7 +353,10 @@ class TestCuttingLoop:
             g = gen_rand_graph(9, 0.5, 4)
             spec = KEquipartition.for_graph(9, 3)
         params = admm.AdmmParams(eps_tol=1e-4)
-        rounds = cutting_loop(g, spec, relaxation, params, max_rounds=1)
+        if relaxation == "dnn+met":
+            rounds = cutting_loop(g, spec, relaxation, params, max_rounds=1)
+        else:   # sdp and dnn run one round at the default max_rounds too
+            rounds = cutting_loop(g, spec, relaxation, params)
         problem = build(g, spec, "dnn" if relaxation == "dnn+met" else relaxation)
         result = admm.solve(problem, params)
         cert = certify_bound(problem, result)
@@ -363,6 +366,28 @@ class TestCuttingLoop:
         assert float(rounds[0].certificate.raw).hex() == float(cert.raw).hex()
         assert (rounds[0].iterations, rounds[0].status) == (result.iterations, result.status)
         assert rounds[0].eps_tol == params.eps_tol
+
+    @pytest.mark.parametrize("n, density, seed, k", [(24, 0.2, 100, 2), (24, 0.5, 102, 2),
+                                                     (40, 0.2, 102, 4)])
+    def test_warm_rounds_stop_by_the_bound_only_near_their_rows(self, n, density, seed, k):
+        # a round warm-started from a loose one ends by the bound test only on a check
+        # sweep whose largest residual is within WARM_WITHIN * its eps_tol
+        from gpbound.certify import cutting_loop
+        from gpbound.graphs import KEquipartition
+
+        stops = []
+
+        def callback(sweep, state, rec, primal, dual):
+            if sweep == 1:
+                stops.append(None)
+            stops[-1] = rec.max_residual
+
+        rounds = cutting_loop(gen_rand_graph(n, density, seed), KEquipartition.for_graph(n, k),
+                              "dnn+met", admm.AdmmParams(), max_rounds=4, callback=callback)
+        assert len(stops) == len(rounds) == 4
+        assert [r.status for r in rounds[1:]] == ["bound"] * 3
+        for r, largest in zip(rounds[1:], stops[1:]):
+            assert largest <= admm.WARM_WITHIN * r.eps_tol, r.round
 
     def test_every_round_before_the_last_is_a_loose_solve(self):
         # rounds 0 and 1 equal solve(problem, AdmmParams(eps_tol=ROUND_SLACK * eps_tol))
