@@ -222,6 +222,10 @@ class TestCriterion6SolverMicroInvariants:
             problems.append(model.build_keq_dnn(g, 3))
             gg, spec = gen_gpkc_instance(6, 0.5, 2, seed)
             problems.append(model.build_gpkc_dnn(gg, spec))
+        # a DNN+MET round with 60 cuts (test_admm's warm_round), whose factor is sparse
+        keq = model.build_keq_dnn(gen_rand_graph(30, 0.5, 1), 3)
+        problems.append(model.add_cuts(keq, model.separate_met(solve(keq).state.X, 60)))
+        assert problems[-1].q == 60
         checks = 0
         for p in problems:
             fac = admm.factor_normal_matrix(p)

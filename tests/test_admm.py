@@ -22,8 +22,8 @@ from gpbound.admm import (
 from gpbound.graphs import GraphInstance, gen_gpkc_instance, gen_rand_graph
 from gpbound.certify import certify_bound, cutting_loop
 from gpbound.eigbound import _box_support, eig_lower_bound, xbar_for
-from gpbound.model import (ProblemTag, SdpProblem, add_cuts, build_gpkc_dnn, build_gpkc_sdp,
-                           build_keq_dnn, build_keq_sdp, separate_met)
+from gpbound.model import (ProblemTag, SdpProblem, TriangleCut, add_cuts, build_gpkc_dnn,
+                           build_gpkc_sdp, build_keq_dnn, build_keq_sdp, separate_met)
 from gpbound.graphs import KEquipartition
 from gpbound.symm import precision_split
 
@@ -105,27 +105,42 @@ class TestNormalFactor:
             factor_normal_matrix(p)
 
     def test_duplicated_keq_row_named_from_the_gram_matrix(self):
-        # a keq DNN at n=40 with its diagonal row 3 appended again as row 80:
-        # exactly that row is named, by the factorization and by solve (which
-        # factors the row-equilibrated copy), and the diagnosis stays near the
-        # size of the 81 x 81 Gram matrix instead of densifying 81 x 1600 rows
+        # a keq DNN at n=40 with its diagonal row 3 appended again as row 80, alone
+        # (dense Cholesky) and with one triangle cut (sparse LU): exactly that row is
+        # named, by the factorization and by solve (which factors the row-equilibrated
+        # copy), and the diagnosis stays near the size of the Gram matrix instead of
+        # densifying its rows over 1600 columns
         import tracemalloc
+
+        import scipy.sparse.linalg  # noqa: F401 (the sparse LU's first import is not traced)
 
         p = build_keq_dnn(gen_rand_graph(40, 0.5, 1), 4)
         dup = SdpProblem(n=p.n, C=p.C, A=sp.vstack([p.A, p.A[3]]), b=np.append(p.b, 1.0),
                          box_lo=p.box_lo, tag=p.tag)
-        tracemalloc.start()
-        try:
+        for prob in (dup, add_cuts(dup, [TriangleCut(0, 1, 2)])):
+            tracemalloc.start()
+            try:
+                with pytest.raises(DependentRowsError) as info:
+                    factor_normal_matrix(prob)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert info.value.rows == (80,)
+            assert peak < 500_000
             with pytest.raises(DependentRowsError) as info:
-                factor_normal_matrix(dup)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert info.value.rows == (80,)
-        assert peak < 500_000
-        with pytest.raises(DependentRowsError) as info:
-            solve(dup)
-        assert info.value.rows == (80,)
+                solve(prob)
+            assert info.value.rows == (80,)
+
+    @pytest.mark.parametrize("Q", [[[1.0, 2.0], [2.0, 1.0]],    # a negative pivot
+                                   [[0.0, 1.0], [1.0, 0.0]],    # a pivot off the diagonal
+                                   [[4.0, 2.0], [2.0, 1.0]]])   # exactly singular
+    def test_sparse_lu_refuses_what_cholesky_refuses(self, Q):
+        # SuperLU factors each of these; the sparse path must refuse them as the
+        # dense Cholesky factorization does
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.array(Q))
+        with pytest.raises(DependentRowsError):
+            admm._sparse_lu(sp.csc_matrix(Q))
 
 
     def test_solve_reads_the_factor_in_place(self):
@@ -503,13 +518,13 @@ class TestSolve:
 
     def test_solve_matches_cho_solve_bit_for_bit(self):
         # the direct dpotrs call is the LAPACK call scipy.linalg.cho_solve makes, on the
-        # factors solve uses: a keq DNN, a knapsack DNN and a DNN+MET round
+        # dense factors solve uses: a keq DNN and a knapsack DNN (a problem with cuts
+        # takes the sparse LU, whose solves C6c checks by their residual)
         import scipy.linalg
 
         g, spec = gen_gpkc_instance(30, 0.5, 3, 2)
-        met, _ = warm_round()
         rng = np.random.default_rng(3)
-        for p in (build_keq_dnn(gen_rand_graph(30, 0.5, 1), 3), build_gpkc_dnn(g, spec), met):
+        for p in (build_keq_dnn(gen_rand_graph(30, 0.5, 1), 3), build_gpkc_dnn(g, spec)):
             fac = factor_normal_matrix(admm._equilibrated(p)[0])
             for rhs in (rng.normal(size=fac.m + fac.q), 1e6 * rng.normal(size=fac.m + fac.q)):
                 want = scipy.linalg.cho_solve((fac.R.T, False), rhs, check_finite=False)

@@ -831,11 +831,24 @@ def test_simplex_not_reexported():
         assert name not in certify.__all__
 
 
+def imported_by_gpbound(module: str) -> str:
+    """"True" or "False": whether ``import gpbound`` in a fresh interpreter imports
+    ``module``."""
+    src = Path(gpbound.__file__).resolve().parents[1]
+    code = f"import sys, gpbound; print({module!r} in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    return out.stdout.strip()
+
+
 def test_import_leaves_scipy_optimize_out():
     # importing scipy.optimize alone adds about 17 MB RSS, which the benchmark's
     # peak-RSS bound would see; the bundled simplex keeps the LP route off it
-    src = Path(gpbound.__file__).resolve().parents[1]
-    code = "import sys, gpbound; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "False"
+    assert imported_by_gpbound("scipy.optimize") == "False"
+
+
+def test_import_leaves_scipy_sparse_linalg_out():
+    # only a problem with triangle cuts factors its normal matrix with the sparse LU,
+    # which imports scipy.sparse.linalg (about 1.3 MB RSS and 15 ms) when it first runs,
+    # so runs without cuts pay neither
+    assert imported_by_gpbound("scipy.sparse.linalg") == "False"
