@@ -565,20 +565,6 @@ class AdmmResult:
     accelerated_sweeps: int        # sweeps whose input was an Anderson extrapolation
 
 
-def pad_state(state: AdmmState, problem: SdpProblem) -> AdmmState:
-    """Warm start for a problem extended with new inequality rows (zeros appended)."""
-    q = problem.q
-    if q < state.ybar.size:
-        raise ValueError("target problem has fewer inequality rows than the state")
-    grown = state.copy()
-    pad = q - state.ybar.size
-    if pad:
-        grown.ybar = np.concatenate([grown.ybar, np.zeros(pad)])
-        grown.v = np.concatenate([grown.v, np.zeros(pad)])
-        grown.s = np.concatenate([grown.s, np.zeros(pad)])
-    return grown
-
-
 def _row_scales(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray]:
     G = problem.stacked_rows()
     norms = np.sqrt(np.asarray(G.multiply(G).sum(axis=1)).ravel())
@@ -601,7 +587,22 @@ def _equilibrated(problem: SdpProblem):
     return scaled, d_eq, d_in
 
 
-def _check_start(start: AdmmState) -> None:
+def _check_start(start: AdmmState, problem: SdpProblem) -> None:
+    """Refuse a start that ``solve(problem, start=start)`` cannot continue from."""
+    n = problem.n
+    for name, want in (("X", (n, n)), ("Xt", (n, n)), ("Z", (n, n)), ("S", (n, n)),
+                       ("y", (problem.m,))):
+        got = getattr(start, name).shape
+        if got != want:
+            raise ValueError(f"start state {name} has shape {got}, the problem needs {want}")
+    rows = start.ybar.shape
+    if len(rows) != 1 or rows[0] > problem.q:
+        raise ValueError(f"start state ybar has shape {rows}, the problem has {problem.q} "
+                         "inequality rows and a start may not have more")
+    for name in ("v", "s"):
+        got = getattr(start, name).shape
+        if got != rows:
+            raise ValueError(f"start state {name} has shape {got}, its ybar {rows}")
     if not (np.isfinite(start.sigma) and start.sigma > 0):
         raise ValueError(f"start state sigma must be finite and positive, got {start.sigma!r}")
     for name in ("X", "Xt", "s", "y", "ybar", "Z", "S", "v"):
@@ -647,8 +648,12 @@ def solve(
     checked, certified or returned, and ``accelerated_sweeps`` counts the sweeps
     that started from one. Identical inputs produce an identical iterate stream. A
     start state's X, Xt, Z and S are symmetrized once, so a start and its
-    symmetrized copy give the same result. A start state with a non-finite entry
-    raises ``ValueError``, and a sweep that produces one raises
+    symmetrized copy give the same result, and the start itself is never written.
+    A start may carry fewer inequality rows than ``problem``, as a cut round starts
+    from the round before it: its ybar, v and s get zeros for the rows it lacks. A
+    start of another n or m, with more inequality rows, with ybar, v and s of unequal
+    lengths, or with a non-finite entry raises ``ValueError`` before the problem is
+    scaled, and a sweep that produces a non-finite entry raises
     :class:`SolverDivergedError`.
 
     The stepsize rule is the same for every problem (module docstring): a cold start
@@ -656,6 +661,8 @@ def solve(
     balances residuals from the sigma in ``start``.
     """
     prm = params or AdmmParams()
+    if start is not None:
+        _check_start(start, problem)
     t0 = time.perf_counter()
     work, d_eq, d_in = _equilibrated(problem)
     factor = factor_normal_matrix(work)
@@ -666,17 +673,18 @@ def solve(
         xbar = None
 
     if start is not None:
-        _check_start(start)
-        state = start.copy()
-        state.iter = 0
-        # sweeps keep the iterate symmetric bit for bit and split N as it is
-        for name in ("X", "Xt", "Z", "S"):
-            mat = getattr(state, name)
-            setattr(state, name, 0.5 * (mat + mat.T))
-        state.y = state.y * d_eq
-        state.ybar = state.ybar * d_in
-        state.v = state.v * d_in
-        state.s = state.s / d_in
+        pad = np.zeros(problem.q - start.ybar.size)   # rows added since the start: zeros
+
+        def sym(mat):   # sweeps keep the iterate symmetric bit for bit and split N as it is
+            return 0.5 * (mat + mat.T)
+
+        X = sym(start.X)
+        state = AdmmState(
+            X=X, Xt=X if start.Xt is start.X else sym(start.Xt), Z=sym(start.Z),
+            S=sym(start.S), y=start.y * d_eq, ybar=np.concatenate([start.ybar, pad]) * d_in,
+            v=np.concatenate([start.v, pad]) * d_in, s=np.concatenate([start.s, pad]) / d_in,
+            sigma=start.sigma,
+        )
     else:
         state = AdmmState.zeros(work, 1.0)
 

@@ -23,10 +23,10 @@ the last only feeds separation and the next warm start, so it is solved to
 solved to full accuracy (BiqMac: Rendl, Rinaldi & Wiegele, Math. Prog. 121, 2010).
 Its bound is still certified, since the eigenvalue bound is valid at any
 multipliers, only at a looser solve. The last round is always solved to eps_tol:
-when separation comes back empty after a loose round, that round is finished at
-eps_tol from where it stopped. Cuts separated at looser points differ, so final
-bounds move both ways against loops with every round at eps_tol
-(BENCH_inexact_rounds.json).
+when separation comes back empty after a loose round, one more round solves the
+same problem at eps_tol, warm-started from it. Every round is one solve. Cuts
+separated at looser points differ, so final bounds move both ways against loops
+with every round at eps_tol (BENCH_inexact_rounds.json).
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import AdmmParams, AdmmResult, pad_state, solve
+from .admm import AdmmParams, AdmmResult, solve
 from .eigbound import BoundCertificate, eig_lower_bound, xbar_for
 from .graphs import GraphInstance, PartitionSpec
 from .model import SdpProblem, add_cuts, build, separate_met
@@ -171,20 +171,6 @@ class CutRound:
         return self.certificate.value
 
 
-def _finish(problem: SdpProblem, params: AdmmParams, first: AdmmResult,
-            callback) -> AdmmResult:
-    """Solve ``problem`` at ``params`` on from ``first``'s state, and count both solves
-    as one: the sweeps number on from ``first``'s, within ``params.max_iter`` in all."""
-    done = first.iterations
-    on = None if callback is None else (lambda k, *rest: callback(done + k, *rest))
-    res = solve(problem, replace(params, max_iter=params.max_iter - done),
-                start=first.state, callback=on)
-    return replace(res, iterations=done + res.iterations, elapsed=first.elapsed + res.elapsed,
-                   single_sweeps=first.single_sweeps + res.single_sweeps,
-                   certify_s=first.certify_s + res.certify_s,
-                   accelerated_sweeps=first.accelerated_sweeps + res.accelerated_sweeps)
-
-
 def cutting_loop(
     g: GraphInstance,
     spec: PartitionSpec,
@@ -199,21 +185,22 @@ def cutting_loop(
     ``"sdp"`` and ``"dnn"`` run one round. ``"dnn+met"`` starts from the plain
     DNN; each later round appends at most ``m_met`` (default 2n) most violated
     triangle inequalities not yet present and re-solves warm-started. It stops
-    after ``max_rounds`` rounds or as soon as separation comes back empty. Every
+    after ``max_rounds`` rounds or once separation comes back empty. Every
     round reports its eigenvalue certificate, ``certify_bound(problem, result)``.
 
     The last round is solved at ``params.eps_tol``, and every round before it at
     ``ROUND_SLACK`` times that, or at eps_tol itself when that product is not
-    finite; ``CutRound.eps_tol`` says which. A loose round whose separation comes
-    back empty is the last after all, so it is finished at eps_tol, warm-started
-    from the state it returned, and reported as one round: its sweeps and
-    seconds are those of both solves, within ``params.max_iter`` sweeps in all. So
-    ``"sdp"``, ``"dnn"`` and ``max_rounds=1`` run ``solve(problem, params)`` as it
-    is, and the last round always comes from an eps_tol solve. Every round after the
-    first is a warm start, so it stops by the bound test only with its residual within
+    finite; ``CutRound.eps_tol`` says which. When separation after a loose round
+    comes back empty, the next round, the last, solves the same problem at eps_tol
+    and reports the same cut count; with every round at eps_tol the loop just ends.
+    So ``"sdp"``, ``"dnn"`` and ``max_rounds=1`` run ``solve(problem, params)`` as
+    it is, and the last round always comes from an eps_tol solve. Every round is one
+    ``solve``, within ``params.max_iter`` sweeps, and its CPU ``seconds`` cover that
+    solve and its certificate. Every round after the first is warm-started from the
+    state the round before returned, as it is (``solve`` pads the rows of the new
+    cuts), so it stops by the bound test only with its residual within
     ``WARM_WITHIN`` * its eps_tol (:func:`gpbound.admm.solve`).
-    ``callback`` goes to every ``solve``, with the sweeps of each round numbered
-    from 1, so a round finished by a second solve numbers its sweeps on.
+    ``callback`` goes to every ``solve``, so each round numbers its sweeps from 1.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
@@ -229,28 +216,28 @@ def cutting_loop(
 
     rounds: list[CutRound] = []
     start = None
+    final = False
     for rnd in range(max_rounds):
-        final = rnd == max_rounds - 1
+        final = final or rnd == max_rounds - 1
         round_prm = prm if final else inexact
         t0 = time.process_time()
         result = solve(problem, round_prm, start=start, callback=callback)
-        cpu = time.process_time() - t0
-        cuts = []
-        if not final:
-            # a loosely solved round can still violate its own cuts; skip those
-            present = {c.triple for c in problem.met_cuts}
-            cuts = [c for c in separate_met(result.state.X, m_met + len(present))
-                    if c.triple not in present][:m_met]
-        t0 = time.process_time()
-        if not cuts and round_prm.eps_tol != prm.eps_tol:
-            result, round_prm = _finish(problem, prm, result, callback), prm
         cert = certify_bound(problem, result)
         rounds.append(CutRound(rnd, cert, len(problem.met_cuts), result.iterations,
-                               result.status, cpu + time.process_time() - t0,
+                               result.status, time.process_time() - t0,
                                result.single_sweeps, result.certify_s,
                                result.accelerated_sweeps, round_prm.eps_tol))
-        if not cuts:
+        if final:
             break
-        problem = add_cuts(problem, cuts)
-        start = pad_state(result.state, problem)
+        # a loosely solved round can still violate its own cuts; skip those
+        present = {c.triple for c in problem.met_cuts}
+        cuts = [c for c in separate_met(result.state.X, m_met + len(present))
+                if c.triple not in present][:m_met]
+        if cuts:
+            problem = add_cuts(problem, cuts)
+        elif inexact is prm:
+            break   # every round already ran at eps_tol
+        else:
+            final = True   # nothing left to cut: the same problem once more, at eps_tol
+        start = result.state
     return rounds

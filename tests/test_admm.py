@@ -508,7 +508,7 @@ class TestSolve:
         check(build_gpkc_dnn(g, spec))
         met = add_cuts(keq, separate_met(res.state.X, 60))
         assert met.q == 60
-        check(met, admm.pad_state(res.state, met))
+        check(met, res.state)
 
     def test_iter_limit_status(self):
         g = gen_rand_graph(16, 0.5, 3)
@@ -554,7 +554,7 @@ class TestRowsCheckedOnce:
         assert checks == ["equality", "inequality"]
         res = solve(p, AdmmParams(max_iter=20))
         met = add_cuts(p, separate_met(res.state.X, 40))
-        solve(met, AdmmParams(max_iter=20), start=admm.pad_state(res.state, met))
+        solve(met, AdmmParams(max_iter=20), start=res.state)
         assert checks == ["equality", "inequality"]
 
     def test_derived_problems_equal_their_checked_copies(self):
@@ -594,12 +594,19 @@ def cadence_problems(tagged=False):
 
 
 def warm_round():
-    """A DNN+MET round with 60 cuts and the start state cutting_loop would give it."""
+    """A DNN+MET round with 60 cuts and the start cutting_loop gives it: the cut-free
+    round's state, as it is."""
     keq = build_keq_dnn(gen_rand_graph(30, 0.5, 1), 3)
     res = solve(keq)
     met = add_cuts(keq, separate_met(res.state.X, 60))
     assert met.q == 60
-    return met, admm.pad_state(res.state, met)
+    return met, res.state
+
+
+def start_bound(p, start):
+    """The certificate a warm start of ``p`` from ``start`` must beat: that of the
+    start itself, padded for the rows it lacks, as ``solve`` certifies it."""
+    return solve(p, AdmmParams(max_iter=0), start=start).certificate.value
 
 
 def assert_callback_does_not_move_the_stop(p, start):
@@ -713,8 +720,7 @@ class TestCertifiedStop:
         path, res = certified_path(p, prm, start)
         # a warm start stops by the bound only once it certified above its start and
         # its residual is within WARM_WITHIN * eps_tol
-        best = floor = -np.inf if start is None else \
-            eig_lower_bound(p, start, xbar_for(p), trace=p.n).value
+        best = floor = -np.inf if start is None else start_bound(p, start)
         within = np.inf if start is None else admm.WARM_WITHIN * prm.eps_tol
         stop = None
         for k, lb, primal, largest in path:
@@ -760,9 +766,9 @@ class TestCertifiedStop:
         p0 = build_keq_dnn(gen_rand_graph(12, 0.5, 3), 4)
         r0 = solve(p0)
         p1 = add_cuts(p0, separate_met(r0.state.X, 24))
-        for p, start in (warm_round(), (p1, admm.pad_state(r0.state, p1))):
+        for p, start in (warm_round(), (p1, r0.state)):
             res = solve(p, start=start)
-            before = eig_lower_bound(p, start, xbar_for(p), trace=p.n).value
+            before = start_bound(p, start)
             assert res.status in admm.STOPPED
             assert certify_bound(p, res).raw > before
             assert 0 < res.state.iter <= res.iterations
@@ -778,8 +784,8 @@ class TestCertifiedStop:
             p0 = build_gpkc_dnn(*gen_gpkc_instance(15, 0.5, 3, 6))
             r0 = solve(p0)
             p = add_cuts(p0, separate_met(r0.state.X, 30))
-            start = admm.pad_state(r0.state, p)
-        cap = eig_lower_bound(p, start, xbar_for(p), trace=p.n).value
+            start = r0.state
+        cap = start_bound(p, start)
         certify = admm.eig_lower_bound
 
         def capped(*args, **kwargs):
@@ -909,18 +915,66 @@ class TestBadInput:
 
 
 class TestWarmStart:
-    def test_pad_state_shapes(self):
-        from gpbound.model import TriangleCut, add_cuts
+    @staticmethod
+    def cut_rounds():
+        """A keq DNN with one cut, its state after 20 sweeps, and the DNN with a second
+        cut: a start that lacks one of the problem's two inequality rows."""
+        p1 = add_cuts(build_keq_dnn(gen_rand_graph(6, 0.8, 2), 2), [TriangleCut(0, 1, 2)])
+        p2 = add_cuts(p1, [TriangleCut(3, 4, 5)])
+        return p1, p2, solve(p1, AdmmParams(max_iter=20)).state
 
-        g = gen_rand_graph(6, 0.8, 2)
-        p = build_keq_dnn(g, 2)
-        res = solve(p, AdmmParams(max_iter=20))
-        p2 = add_cuts(p, [TriangleCut(0, 1, 2), TriangleCut(3, 4, 5)])
-        grown = admm.pad_state(res.state, p2)
-        assert grown.ybar.shape == (2,) and grown.v.shape == (2,) and grown.s.shape == (2,)
-        assert np.array_equal(grown.X, res.state.X)
-        with pytest.raises(ValueError):
-            admm.pad_state(grown, p)  # cannot shrink back
+    def test_start_lacking_rows_runs_as_its_zero_padded_copy(self):
+        p1, p2, start = self.cut_rounds()
+        kept = start.copy()
+        padded = start.copy()
+        for name in ("ybar", "v", "s"):
+            setattr(padded, name, np.append(getattr(start, name), 0.0))
+        a = solve(p2, AdmmParams(max_iter=20), start=start)
+        b = solve(p2, AdmmParams(max_iter=20), start=padded)
+        assert (a.iterations, a.status, a.single_sweeps) == (b.iterations, b.status,
+                                                               b.single_sweeps)
+        assert a.certificate == b.certificate
+        for field in ("X", "y", "ybar", "S", "Z", "v", "s"):
+            assert np.array_equal(getattr(a.state, field), getattr(b.state, field)), field
+        grown = solve(p2, AdmmParams(max_iter=0), start=start).state
+        assert grown.ybar.shape == grown.v.shape == grown.s.shape == (2,)
+        assert grown.ybar[1] == grown.v[1] == grown.s[1] == 0.0
+        assert np.array_equal(grown.X, start.X)
+        for field in ("X", "Xt", "y", "ybar", "S", "Z", "v", "s"):   # the start is not written
+            assert np.array_equal(getattr(start, field), getattr(kept, field)), field
+        with pytest.raises(ValueError, match="ybar"):   # cannot shrink back
+            solve(p1, start=solve(p2, AdmmParams(max_iter=20), start=start).state)
+
+    @pytest.mark.parametrize("field", ["X", "Xt", "Z", "S", "y", "ybar", "v", "s"])
+    def test_start_it_cannot_continue_from_rejected(self, field, monkeypatch):
+        # a start of another n or m, with more inequality rows than the problem, or
+        # with ybar, v and s of unequal lengths is refused before the problem is
+        # scaled, by a message that names the field and both shapes
+        p1, p2, start = self.cut_rounds()
+        n, m = p2.n, p2.m
+        bad = start.copy()
+        if field in ("X", "Xt", "Z", "S"):
+            setattr(bad, field, np.eye(n + 1))
+            shapes = [(n + 1, n + 1), (n, n)]
+        elif field == "y":
+            bad.y = np.zeros(m - 1)
+            shapes = [(m - 1,), (m,)]
+        elif field == "ybar":   # three rows, v and s too, for a problem with two
+            for name in ("ybar", "v", "s"):
+                setattr(bad, name, np.zeros(3))
+            shapes = [(3,), 2]
+        else:
+            setattr(bad, field, np.zeros(2))
+            shapes = [(2,), (1,)]
+
+        def scaled(*args):
+            raise AssertionError("the problem was scaled before the start was checked")
+
+        monkeypatch.setattr(admm, "_equilibrated", scaled)
+        with pytest.raises(ValueError, match=f"start state {field} ") as info:
+            solve(p2, start=bad)
+        for shape in shapes:
+            assert str(shape) in str(info.value)
 
     def test_warm_start_reaches_same_bound(self):
         g = gen_rand_graph(10, 0.8, 6)

@@ -230,17 +230,24 @@ class TestSolve:
 
     def test_met_finishes_a_loose_round_with_no_cuts_left_at_eps_tol(self, tmp_path, solves,
                                                                       monkeypatch):
-        # separation comes back empty after the loose round 1, so that round is the last:
-        # it is finished at eps_tol and reported, and traced, as one round
+        # separation comes back empty after the loose round 1, so round 2, the last,
+        # solves round 1's problem at eps_tol from round 1's state; every round is one
+        # solve, one row and one final trace row
         from gpbound import certify, model
 
-        calls = []
+        calls, problems = [], []
+        counted = certify.solve
 
         def first_call_only(X, max_cuts):
             calls.append(max_cuts)
             return model.separate_met(X, max_cuts) if len(calls) == 1 else []
 
+        def kept(problem, *args, **kwargs):
+            problems.append(problem)
+            return counted(problem, *args, **kwargs)
+
         monkeypatch.setattr(certify, "separate_met", first_call_only)
+        monkeypatch.setattr(certify, "solve", kept)
         main(["gen", "--n", "12", "--density", "0.5", "--seed", "1", "--outdir", str(tmp_path)])
         assert main(["solve", "--instance", str(tmp_path / "rand50_n12_s1.gp"), "--problem",
                      "keq", "--k", "3", "--relaxation", "dnn+met", "--max-rounds", "4",
@@ -248,12 +255,14 @@ class TestSolve:
                      "--trace-every", "100000"]) == 0
         met = reports.read_rows(tmp_path / "met.csv")
         eps = AdmmParams.eps_tol
-        assert len(calls) == 2 and len(met) == 2
+        assert len(calls) == 2 and len(met) == 3
         assert [params.eps_tol for params, _ in solves] == [ROUND_SLACK * eps] * 2 + [eps]
-        loose, finished = solves[1][1], solves[2][1]
-        assert met[-1].iterations == loose.iterations + finished.iterations
-        assert met[-1].status == finished.status
-        assert met[-1].lb == math.ceil(finished.certificate.value) >= met[0].lb
+        assert [(r.iterations, r.status) for r in met] == \
+            [(res.iterations, res.status) for _, res in solves]
+        assert problems[2] is problems[1] and problems[1].met_cuts
+        last = solve(problems[2], AdmmParams(), start=solves[1][1].state)
+        assert (met[-1].iterations, met[-1].status) == (last.iterations, last.status)
+        assert met[-1].lb == math.ceil(last.certificate.value) >= met[1].lb
         trace = reports.read_rows(tmp_path / "trace.csv")
         assert [t.iter for t in trace] == [r.iterations for r in met]
 

@@ -315,11 +315,15 @@ class TestGramConditioning:
 
 
 class TestCuttingLoop:
-    def test_one_round_trace_when_solution_clean(self):
-        g = complete_graph(6)
-        trace = model_cutting_loop_for(g, 2)
-        assert len(trace) == 1
-        assert trace[0].cuts == 0
+    def test_two_cut_free_rounds_when_solution_clean(self):
+        # the loose round 0 leaves nothing to cut, so round 1, the last, solves the same
+        # problem at eps_tol
+        from gpbound.certify import ROUND_SLACK
+
+        eps = admm.AdmmParams().eps_tol
+        trace = model_cutting_loop_for(complete_graph(6), 2)
+        assert [(r.round, r.cuts, r.eps_tol) for r in trace] == \
+            [(0, 0, ROUND_SLACK * eps), (1, 0, eps)]
 
     def test_trace_length_capped_by_max_rounds(self):
         from gpbound.certify import cutting_loop
@@ -408,32 +412,71 @@ class TestCuttingLoop:
                 cuts = [c for c in separate_met(expected[-1].state.X, 2 * g.n + len(present))
                         if c.triple not in present][:2 * g.n]
                 problem = add_cuts(problem, cuts)
-                start = admm.pad_state(expected[-1].state, problem)
+                start = expected[-1].state
             expected.append(admm.solve(problem, prm, start=start))
         assert [r.eps_tol for r in rounds] == [loose.eps_tol, loose.eps_tol, params.eps_tol]
         for r, res in zip(rounds, expected):
             assert (r.iterations, r.status, float(r.certificate.raw).hex()) == \
                 (res.iterations, res.status, float(res.certificate.value).hex()), r.round
 
-    def test_rounds_carry_their_solves_sweep_and_certificate_counts(self, monkeypatch):
+    @pytest.mark.parametrize("case", ["sdp", "dnn", "dnn+met-1", "dnn+met-3", "clean",
+                                      "empty-after-loose"])
+    def test_every_round_is_one_solve_from_the_round_before(self, case, monkeypatch):
+        # each round is one solve, warm-started from the state the round before returned
+        # as it is, and it reports that solve's sweep, status, bound and counts; "clean"
+        # separates nothing after round 0, "empty-after-loose" nothing after round 1, so
+        # one more round runs at eps_tol
         from gpbound import certify
         from gpbound.graphs import KEquipartition
 
-        results = []
+        g, k, relaxation, max_rounds = {
+            "sdp": (gen_rand_graph(9, 0.5, 4), 3, "sdp", 10),
+            "dnn": (gen_rand_graph(9, 0.5, 4), 3, "dnn", 10),
+            "dnn+met-1": (gen_rand_graph(12, 0.8, 0), 3, "dnn+met", 1),
+            "dnn+met-3": (gen_rand_graph(12, 0.8, 0), 3, "dnn+met", 3),
+            "clean": (complete_graph(6), 2, "dnn+met", 10),
+            "empty-after-loose": (gen_rand_graph(12, 0.8, 2), 4, "dnn+met", 10),
+        }[case]
+        calls = []
 
-        def spy(*args, **kwargs):
-            results.append(admm.solve(*args, **kwargs))
-            return results[-1]
+        def spy(problem, params, start=None, callback=None):
+            result = admm.solve(problem, params, start=start, callback=callback)
+            calls.append((problem, params, start, result))
+            return result
 
         monkeypatch.setattr(certify, "solve", spy)
-        rounds = certify.cutting_loop(gen_rand_graph(12, 0.8, 0),
-                                      KEquipartition.for_graph(12, 3), max_rounds=3)
-        assert len(rounds) == len(results) > 1
-        assert any(r.single_sweeps for r in rounds)
-        assert any(r.accelerated_sweeps for r in rounds)
-        for r, res in zip(rounds, results):
+        sweeps = []
+        rounds = certify.cutting_loop(g, KEquipartition.for_graph(g.n, k), relaxation,
+                                      max_rounds=max_rounds,
+                                      callback=lambda it, *rest: sweeps.append(it))
+        assert len(calls) == len(rounds) == {"sdp": 1, "dnn": 1, "dnn+met-1": 1,
+                                             "dnn+met-3": 3, "clean": 2,
+                                             "empty-after-loose": 3}[case]
+        eps = admm.AdmmParams().eps_tol
+        assert rounds[-1].eps_tol == eps
+        if case in ("clean", "empty-after-loose"):
+            assert [r.cuts for r in rounds] == ([0, 0] if case == "clean" else [0, 24, 24])
+            assert calls[-1][0] is calls[-2][0]
+        if case == "dnn+met-3":
+            assert any(r.single_sweeps for r in rounds)
+            assert any(r.accelerated_sweeps for r in rounds)
+        before = None
+        for r, (problem, params, start, result) in zip(rounds, calls):
+            assert start is before
+            again = admm.solve(problem, params, start=start)
+            assert (r.iterations, r.status, float(r.certificate.raw).hex(), r.eps_tol) == \
+                (again.iterations, again.status, float(again.certificate.value).hex(),
+                 params.eps_tol), r.round
             assert (r.single_sweeps, r.certify_s, r.accelerated_sweeps) == \
-                (res.single_sweeps, res.certify_s, res.accelerated_sweeps)
+                (result.single_sweeps, result.certify_s, result.accelerated_sweeps)
+            assert r.cuts == len(problem.met_cuts)
+            before = result.state
+        per_round = []
+        for it in sweeps:
+            if it == 1:
+                per_round.append([])
+            per_round[-1].append(it)
+        assert per_round == [list(range(1, r.iterations + 1)) for r in rounds]
 
     @pytest.mark.parametrize("case", ["keq", "gpkc"])
     def test_every_warm_round_rises_above_the_round_before(self, case):
