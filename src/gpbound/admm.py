@@ -21,19 +21,19 @@ DNNs save less (BENCH_relaxed_step.json). Stepping the slack s too saved 0.2% of
 the sweeps, and stepping X in place would leave it neither PSD nor
 complementary to Z.
 
-That eigendecomposition is most of a sweep (about 0.21 of 0.27 s at keq n = 1000),
-so :func:`solve` runs it in single precision on the sweeps that need no exact
-split (see :func:`gpbound.symm.precision_split`): every sweep that is not a check
-sweep, until a residual record (the start's or a check sweep's) has its largest
-residual within ``DOUBLE_WITHIN`` * eps_tol. From then on every sweep runs in double, and check
-sweeps and the sweep at ``max_iter`` always do. So every state that is certified,
-residual-tested, returned, warm-started from or rounded comes from a
-double-precision split. A single-precision sweep keeps X / sigma - Z = N and
-<X, Z> = 0 to double rounding, as a double one does, but whichever of X and Z is the
-difference side of the split is semidefinite only to float32 accuracy. The split
-runs 18-35% faster on bench sweep matrices at n = 80-300, keq-eig solves keep their
-sweeps and bounds (BENCH_single_sweeps.json), and ``AdmmResult.single_sweeps``
-counts the sweeps that ran it.
+That eigendecomposition is most of a sweep (about 0.21 of 0.27 s at keq n = 1000), so
+:func:`solve` runs it in single precision on the sweeps that need no exact split (see
+:func:`gpbound.symm.precision_split`): every sweep that is not a check sweep, until a
+residual record (the start's or a check sweep's) has its largest residual within
+max(``DOUBLE_WITHIN`` * eps_tol, ``DOUBLE_FLOOR``), since float32 stalls at 3-8e-7.
+From then on every sweep runs in double, and check sweeps and the sweep at
+``max_iter`` always do. So every state that is certified, residual-tested, returned,
+warm-started from or rounded comes from a double-precision split. A single-precision
+sweep keeps X / sigma - Z = N and <X, Z> = 0 to double rounding, as a double one does,
+but whichever of X and Z is the difference side of the split is semidefinite only to
+float32 accuracy. The split runs 18-35% faster on bench sweep matrices at n = 80-300,
+keq-eig solves keep their sweeps and bounds (BENCH_single_sweeps.json), and
+``AdmmResult.single_sweeps`` counts the sweeps that ran it.
 
 Apart from that eigendecomposition, a sweep is kept to a few passes over n x n
 arrays. It forms Xt / sigma once for both the multiplier right-hand side and
@@ -48,30 +48,29 @@ rule does not need them after every sweep, so :func:`solve` evaluates them only
 on every ``CHECK_EVERY``-th sweep (and the last); a non-finite iterate in between
 is caught by the sweep itself before its eigendecomposition.
 
-The eigenvalue bound of :mod:`gpbound.eigbound` is valid at every iterate, and the
-product of a solve is that bound. So on the same check sweeps :func:`solve` also
-certifies the iterate (about 8 ms at n = 300, against about 13 ms per sweep; their
-sum is ``AdmmResult.certify_s``), keeps
-the best certificate and its state by reference (sweeps rebind the state's arrays
-and never write into them), and stops once the best bound meets the primal
-objective within ``BOUND_STOP`` * eps_tol relative and has stopped rising by that
-much. The residual test still runs first. Keq-eig bench solves end after 60
-instead of 80-90 sweeps, with bounds lower by under 1e-4 relative
-(BENCH_certified_stop.json). The best certificate is returned as
-``AdmmResult.certificate``, and :func:`gpbound.certify.certify_bound` reports it.
-A warm start may stop by the bound test only once a check sweep has certified
-strictly above the start's own certificate, and only on a check sweep whose largest
-residual is within ``WARM_WITHIN`` * eps_tol. Its X violates the rows just added and
-lies near the start's bound, so without the first gate a cut round could meet the
-test within a few check sweeps and return its start. Without the second, the primal
-objective of an X that still violates its rows could meet the bound below the
-relaxation's optimum, most of all in a round warm-started from a loosely solved one
-(:func:`gpbound.certify.cutting_loop`). The gates have no limit of their own:
-a warm start that never certifies above its start ends only by the residual test
-or at ``max_iter``. On 236 warm DNN+MET rounds of small and n = 60 instances the
-first check sweep above the start came at sweep 10 to 960, median 30. With every
-certificate capped at the start's, a keq and a knapsack round ended by the residual
-test after 110 and 260 sweeps.
+The eigenvalue bound of :mod:`gpbound.eigbound` is valid at every iterate (given the
+rows diag(X) = e), and the product of a solve is that bound. So on the same check
+sweeps :func:`solve` also certifies the iterate (about 8 ms at n = 300, against about
+13 ms per sweep; their sum is ``AdmmResult.certify_s``), keeps the best certificate and
+its state by reference (sweeps rebind the state's arrays and never write into them),
+and stops once the best bound meets the primal objective within ``BOUND_STOP`` *
+eps_tol relative and has stopped rising by that much. The residual test still runs
+first. Keq-eig bench solves end after 60 instead of 80-90 sweeps, with bounds lower by
+under 1e-4 relative (BENCH_certified_stop.json). The best certificate is returned as
+``AdmmResult.certificate``, and :func:`gpbound.certify.certify_bound` reports it. A
+warm start may stop by the bound test only once a check sweep has certified strictly
+above the start's own certificate, and only on a check sweep whose largest residual is
+within ``WARM_WITHIN`` * eps_tol. Its X violates the rows just added and lies near the
+start's bound, so without the first gate a cut round could meet the test within a few
+check sweeps and return its start. Without the second, the primal objective of an X
+that still violates its rows could meet the bound below the relaxation's optimum, most
+of all in a round warm-started from a loosely solved one
+(:func:`gpbound.certify.cutting_loop`). The gates have no limit of their own: a warm
+start that never certifies above its start ends only by the residual test or at
+``max_iter``. On 236 warm DNN+MET rounds of small and n = 60 instances the first check
+sweep above the start came at sweep 10 to 960, median 30. With every certificate capped
+at the start's, a keq and a knapsack round ended by the residual test after 110 and 260
+sweeps.
 
 For a fixed sigma a sweep is a fixed-point map of its input (Xt, Z, S, s, v), and
 ADMM's linear tail makes its iterates crawl. So after every sweep that leaves sigma
@@ -138,8 +137,9 @@ OPENING_SWEEPS = 100
 BOUND_STOP = 10
 # ``solve`` runs the sweeps that are not check sweeps in single precision until a
 # residual record, the start's or a check sweep's, has its largest residual within
-# DOUBLE_WITHIN * eps_tol; every later sweep runs in double (module docstring)
+# max(DOUBLE_WITHIN * eps_tol, DOUBLE_FLOOR), which float32 reaches (module docstring)
 DOUBLE_WITHIN = 10
+DOUBLE_FLOOR = 1e-5
 # a warm start passes the bound test only once its largest residual is within
 # WARM_WITHIN * eps_tol (module docstring)
 WARM_WITHIN = 10
@@ -559,16 +559,10 @@ class AdmmResult:
     dual_obj: float
     iterations: int                # sweeps run; state.iter is the returned state's sweep
     elapsed: float
-    certificate: BoundCertificate | None   # eigenvalue bound of ``state``; None without xbar
+    certificate: BoundCertificate  # eigenvalue bound of ``state``
     single_sweeps: int             # sweeps whose split ran in single precision
     certify_s: float               # seconds of ``elapsed`` spent in eigenvalue certificates
     accelerated_sweeps: int        # sweeps whose input was an Anderson extrapolation
-
-
-def _row_scales(problem: SdpProblem) -> tuple[np.ndarray, np.ndarray]:
-    G = problem.stacked_rows()
-    norms = np.sqrt(np.asarray(G.multiply(G).sum(axis=1)).ravel())
-    return norms[: problem.m], norms[problem.m :]
 
 
 def _equilibrated(problem: SdpProblem):
@@ -578,7 +572,9 @@ def _equilibrated(problem: SdpProblem):
     back through the returned diagonal scales. Needed because raw vertex-weight
     magnitudes leave the slack block orders of magnitude off the matrix block.
     """
-    d_eq, d_in = _row_scales(problem)
+    G = problem.stacked_rows()
+    norms = np.sqrt(np.asarray(G.multiply(G).sum(axis=1)).ravel())
+    d_eq, d_in = norms[: problem.m], norms[problem.m :]
     # scaled rows stay symmetric, so the copy skips the problem's row check
     scaled = problem._derived(
         A=sp.diags(1.0 / d_eq) @ problem.A, b=problem.b / d_eq,
@@ -620,27 +616,24 @@ def solve(
 
     The loop itself runs on a row-equilibrated copy of the constraints; the stopping
     tests, the returned state, and the residual record all live in the caller's
-    coordinates. The tests run only on check sweeps: every ``CHECK_EVERY``-th sweep
-    and the sweep at ``max_iter``. First the residual test: the largest residual is
-    within ``eps_tol`` (status ``"converged"``). Then, when the problem has a provable
-    ``xbar`` (every builder's problem does; a ``custom`` tag does not), the bound
-    test: the best eigenvalue bound seen, b, satisfies |<C, X> - b| <=
-    ``BOUND_STOP`` * eps_tol * |b| and rose by less than that since the previous
-    check sweep (status ``"bound"``); a warm start passes it only once b is strictly
-    above its start's certificate and only on a check sweep whose largest residual is
-    within ``WARM_WITHIN`` * eps_tol, so one that never does ends by the residual test
-    or at ``max_iter``. Otherwise the loop ends at ``max_iter``
-    (status ``"iter_limit"``).
+    coordinates. The tests run only on check sweeps: every ``CHECK_EVERY``-th sweep and
+    the sweep at ``max_iter``. First the residual test: the largest residual is within
+    ``eps_tol`` (status ``"converged"``). Then the bound test: the best eigenvalue bound
+    seen, b, satisfies |<C, X> - b| <= ``BOUND_STOP`` * eps_tol * |b| and rose by less
+    than that since the previous check sweep (status ``"bound"``); a warm start passes
+    it only once b is strictly above its start's certificate and only on a check sweep
+    whose largest residual is within ``WARM_WITHIN`` * eps_tol, so one that never does
+    ends by the residual test or at ``max_iter``. Otherwise the loop ends at
+    ``max_iter`` (status ``"iter_limit"``).
 
-    With an ``xbar``, every check sweep's state is certified, and the state with the
-    best bound is returned, with its own residual record and that bound as
-    ``certificate``; a warm start's own certificate is the first to beat, so a solve
-    never certifies below its start, and a cold start that no check sweep certified
-    is certified once, at return. Without one, the state of the last check sweep is
-    returned, and ``certificate`` is None. So the returned state comes from a check
+    Every check sweep's state is certified with trace n and ``xbar_for(problem)``, and
+    the state with the best bound is returned, with its own residual record and that
+    bound as ``certificate``; a warm start's own certificate is the first to beat, so a
+    solve never certifies below its start, and a cold start that no check sweep
+    certified is certified once, at return. So the returned state comes from a check
     sweep or is the start, ``state.iter`` names its sweep, ``iterations`` counts the
-    sweeps run, and ``residuals`` describes the returned state; ``max_iter=0``
-    returns the start state with its record.
+    sweeps run, and ``residuals`` describes the returned state; ``max_iter=0`` returns
+    the start state with its record.
     ``callback(iteration, state, record, primal, dual)`` fires after every sweep when
     provided, with a record formed for it; it does not change where the loop stops.
     After a sweep that leaves sigma unchanged, the next sweep may start from an
@@ -653,8 +646,8 @@ def solve(
     from the round before it: its ybar, v and s get zeros for the rows it lacks. A
     start of another n or m, with more inequality rows, with ybar, v and s of unequal
     lengths, or with a non-finite entry raises ``ValueError`` before the problem is
-    scaled, and a sweep that produces a non-finite entry raises
-    :class:`SolverDivergedError`.
+    scaled, as does a problem without the rows diag(X) = e (no bound is provable), and
+    a sweep that produces a non-finite entry raises :class:`SolverDivergedError`.
 
     The stepsize rule is the same for every problem (module docstring): a cold start
     opens at sigma 1 with ``OPENING_SWEEPS`` norm-ratio sweeps, and a warm start
@@ -664,13 +657,10 @@ def solve(
     if start is not None:
         _check_start(start, problem)
     t0 = time.perf_counter()
+    xbar = xbar_for(problem)
     work, d_eq, d_in = _equilibrated(problem)
     factor = factor_normal_matrix(work)
     opening = OPENING_SWEEPS if start is None else 0
-    try:
-        xbar = xbar_for(problem)
-    except ValueError:
-        xbar = None
 
     if start is not None:
         pad = np.zeros(problem.q - start.ybar.size)   # rows added since the start: zeros
@@ -710,12 +700,13 @@ def solve(
     view = unscaled_view()
     rec = residuals(view, problem)
     best, best_rec = view, rec
-    cert = certified(view) if start is not None and xbar is not None else None
+    cert = certified(view) if start is not None else None
     best_lb = cert.value if cert is not None else -np.inf
     last_lb = best_lb
     start_lb = best_lb   # a warm start stops by the bound only once it certified above this
     sweeps = single_sweeps = accelerated_sweeps = 0
-    single = rec.max_residual > DOUBLE_WITHIN * prm.eps_tol
+    handover = max(DOUBLE_WITHIN * prm.eps_tol, DOUBLE_FLOOR)
+    single = rec.max_residual > handover
     anderson = _Anderson(work.n, work.q, ANDERSON_MEMORY)
     extrapolated = False
 
@@ -731,30 +722,26 @@ def solve(
             # every part of the state enters the numerator of some residual
             if check and not np.isfinite(rec.as_tuple()).all():
                 raise SolverDivergedError(k, f"sigma={state.sigma:.3e}")
-            if check and rec.max_residual <= DOUBLE_WITHIN * prm.eps_tol:
+            if check and rec.max_residual <= handover:
                 single = False
             primal = float((C * view.X).sum())
         if callback is not None:
             dual, _ = dual_objective(problem, view.y, view.v, view.S)
             callback(k, view, rec, primal, dual)
         if check:
-            if xbar is None:
-                best, best_rec = view, rec
-            else:
-                lb = certified(view)
-                if lb.value > best_lb:
-                    best, best_rec, cert, best_lb = view, rec, lb, lb.value
+            lb = certified(view)
+            if lb.value > best_lb:
+                best, best_rec, cert, best_lb = view, rec, lb, lb.value
             if rec.max_residual <= prm.eps_tol:
                 status = "converged"
                 break
-            if xbar is not None:
-                slack = BOUND_STOP * prm.eps_tol * abs(best_lb)
-                if (best_lb > start_lb and abs(primal - best_lb) <= slack
-                        and best_lb - last_lb < slack
-                        and (start is None or rec.max_residual <= WARM_WITHIN * prm.eps_tol)):
-                    status = "bound"
-                    break
-                last_lb = best_lb
+            slack = BOUND_STOP * prm.eps_tol * abs(best_lb)
+            if (best_lb > start_lb and abs(primal - best_lb) <= slack
+                    and best_lb - last_lb < slack
+                    and (start is None or rec.max_residual <= WARM_WITHIN * prm.eps_tol)):
+                status = "bound"
+                break
+            last_lb = best_lb
 
         if k <= opening:
             ratio = norm_ratio(state)
@@ -771,7 +758,7 @@ def solve(
                 anderson.reset()
                 extrapolated = False
 
-    if cert is None and xbar is not None:
+    if cert is None:
         cert = certified(best)   # a cold start that no check sweep certified (max_iter=0)
     primal = float((C * best.X).sum())
     dual, _ = dual_objective(problem, best.y, best.v, best.S)

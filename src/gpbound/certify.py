@@ -5,12 +5,13 @@
 * ``"eig"``, the default and the bound that ``cutting_loop`` and the command line
   report (:mod:`gpbound.eigbound`): evaluate the dual objective at sign-feasible
   multipliers and pay for the dual-equality violation through the negative
-  spectrum of the rebuilt slack matrix, with margins for every rounding
-  (xbar = group size m for the equipartition DNN, n - m for its SDP,
-  min(n, W / min(a)) for the knapsack DNN and n for the knapsack SDP). It is valid
-  in floating point no matter how early the solver stopped, and
-  :func:`gpbound.admm.solve` already returns its best one. With integral edge
-  weights every cut is an integer, so this route reports its bound rounded up;
+  spectrum of the rebuilt slack matrix, with margins for every rounding and the xbar
+  that :func:`gpbound.eigbound.xbar_for` reads from the rows (group size m for the
+  equipartition DNN, max(m, n - m) for its SDP, min(n, W / min(a)) for the knapsack
+  DNN and n for the knapsack SDP). It is valid in floating point no matter how early
+  the solver stopped, and :func:`gpbound.admm.solve` already returns its best one.
+  With integral edge weights every cut is an integer, so this route reports its
+  bound rounded up;
 * ``"lp"``, a cross-check for the benchmark gate and the tests: freeze the
   solver's PSD dual block Z as it is and re-optimize the remaining multipliers
   with the bundled dense simplex. Its value is the simplex's primal objective,
@@ -22,9 +23,7 @@ the last only feeds separation and the next warm start, so it is solved to
 ``ROUND_SLACK`` * eps_tol, as SDP cutting-plane codes separate from relaxations not
 solved to full accuracy (BiqMac: Rendl, Rinaldi & Wiegele, Math. Prog. 121, 2010).
 Its bound is still certified, since the eigenvalue bound is valid at any
-multipliers, only at a looser solve. The last round is always solved to eps_tol:
-when separation comes back empty after a loose round, one more round solves the
-same problem at eps_tol, warm-started from it. Every round is one solve. Cuts
+multipliers; the last round is solved to eps_tol (:func:`cutting_loop`). Cuts
 separated at looser points differ, so final bounds move both ways against loops
 with every round at eps_tol (BENCH_inexact_rounds.json).
 """
@@ -134,18 +133,15 @@ def certify_bound(p: SdpProblem, result: AdmmResult, method: str = "eig") -> Bou
     """Certify ``result``, which must come from ``solve(p, ...)``, by ``method``.
 
     ``"eig"`` reports the solver's own certificate, ``result.certificate``: the best
-    eigenvalue bound of the solve, charged with trace n (every builder emits the
-    rows diag(X) = e) and ``xbar_for(p)``. Only a result that carries none is
-    certified here, on its state. When the problem's tag says its edge weights are
-    integral, the optimum is an integer, so the certificate reports the bound
-    rounded up and keeps the unrounded one in ``raw``. ``"lp"`` takes the LP route;
-    its value carries no rounding margin, so it is not rounded up.
+    eigenvalue bound of the solve, charged with trace n and ``xbar_for(p)``. When
+    ``p.integral`` says its edge weights are integral, the optimum is an integer, so
+    the certificate reports the bound rounded up and keeps the unrounded one in
+    ``raw``. ``"lp"`` takes the LP route; its value carries no rounding margin, so it
+    is not rounded up.
     """
     if method == "eig":
         cert = result.certificate
-        if cert is None:
-            cert = eig_lower_bound(p, result.state, xbar_for(p), trace=p.n)
-        if p.tag.integral and math.isfinite(cert.value):
+        if p.integral and math.isfinite(cert.value):
             cert = replace(cert, value=float(math.ceil(cert.value)))
         return cert
     if method == "lp":

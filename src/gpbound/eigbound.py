@@ -2,14 +2,14 @@
 
 The dual objective b'y + F1(S) + F2(v) is evaluated at sign-feasible multipliers,
 and the dual-equality violation is paid for through the negative spectrum of the
-rebuilt slack matrix Zc = C - A*(y) - B*(v) - S. Every feasible X has trace n
-(each relaxation has the rows diag(X) = e) and top eigenvalue at most a provable
-``xbar``, so <Zc, X> >= min{sum mu_i lambda_i : 0 <= mu_i <= xbar, sum mu_i <= n}:
-xbar on the floor(n / xbar) most negative eigenvalues and the remainder on the
-next. Eigenvalues are charged less a margin for rounding, in ``eigvalsh``
-(n * eps * ||Zc||_F) and in forming Zc, and the dual value and the charge each
-less a bound on their own summation error, so the bound holds in floating point
-(Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 2007).
+rebuilt slack matrix Zc = C - A*(y) - B*(v) - S. Every feasible X has trace n and top
+eigenvalue at most ``xbar``, both proven from the rows by :func:`xbar_for`, so
+<Zc, X> >= min{sum mu_i lambda_i : 0 <= mu_i <= xbar, sum mu_i <= n}: xbar on the
+floor(n / xbar) most negative eigenvalues and the remainder on the next. Eigenvalues
+are charged less a margin for rounding, in ``eigvalsh`` (n * eps * ||Zc||_F) and in
+forming Zc, and the dual value and the charge each less a bound on their own
+summation error, so the bound holds in floating point (Jansson, Chaykin & Keil,
+SIAM J. Numer. Anal. 2007).
 
 The bound holds for any multipliers, so :func:`gpbound.admm.solve` evaluates it on
 its check sweeps, stops once it meets the primal objective and returns the best
@@ -73,24 +73,57 @@ def dual_objective(problem: SdpProblem, y, v, S):
 
 
 def xbar_for(p: SdpProblem) -> float:
-    """Provable upper bound on the top eigenvalue of every feasible primal matrix.
+    """Provable bound on the top eigenvalue of every feasible X, read from the rows
+    on the first call and cached on the problem.
 
-    Equipartition DNN points are nonnegative with row sums m, so their top
-    eigenvalue is at most the group size m. Equipartition SDP points have e as an
-    eigenvector with eigenvalue m and trace n, so every other eigenvalue is
-    nonnegative and at most n - m. Knapsack SDP points are PSD with trace n.
-    Knapsack DNN points are also nonnegative with (X a)_i <= W, so the row sums of
-    Diag(a)^-1 X Diag(a) are at most W / min(a), and by Perron so is the top
-    eigenvalue. A problem whose tag names none of these raises ``ValueError``.
+    The premise is diag(X) = e, n equality rows c e_i e_i' = c, so tr X = n bounds it;
+    a problem without them raises ``ValueError``. A block of n rows (e_i w' + w e_i')/2
+    with one w > 0 reads (X w)_i against r_i (b, or u for inequalities) and narrows it:
+    with ``box_lo`` >= 0 to max_i r_i / w_i by Collatz-Wielandt (m for the keq DNN,
+    W / min(a) for the knapsack DNN), rounded up unless an integer; as equalities with
+    r = c w, c an integer, w is an eigenvector and the other eigenvalues sum to n - c,
+    so to max(c, n - c) (the keq SDP).
     """
-    tag = p.tag
-    if tag.problem == "keq" and tag.m is not None:
-        return float(tag.m if tag.relaxation != "sdp" else max(tag.m, p.n - tag.m))
-    if tag.problem == "gpkc" and tag.relaxation == "sdp":
-        return float(p.n)
-    if tag.problem == "gpkc" and tag.capacity is not None and tag.min_weight:
-        return float(min(p.n, tag.capacity / tag.min_weight))
-    raise ValueError(f"no provable xbar for a {tag.problem!r} {tag.relaxation!r} problem")
+    if "_xbar" not in p.__dict__:
+        p.__dict__["_xbar"] = _xbar_from_rows(p)
+    return p.__dict__["_xbar"]
+
+
+def _xbar_from_rows(p: SdpProblem) -> float:
+    n, A = p.n, p.A
+    rows = np.flatnonzero(np.diff(A.indptr) == 1)
+    col, val = A.indices[A.indptr[rows]], A.data[A.indptr[rows]]
+    pins = (col % (n + 1) == 0) & (val == p.b[rows]) & (val != 0)
+    if np.unique(col[pins]).size < n:
+        raise ValueError("no rows pin diag(X) = e, so no eigenvalue bound is provable")
+    xbar = float(n)
+    for M, rhs, equal in ((A, p.b, True), (p.B, p.u, False)):
+        M = M if M.has_canonical_format else M.tocoo().tocsr()   # sorted, no duplicates
+        # row i of a block that model._sym_rows builds for (X w)_i has 2n - 1 entries,
+        # the first in column i, and votes for the block i rows above it
+        full = np.flatnonzero(np.diff(M.indptr) == 2 * n - 1)
+        first = M.indices[M.indptr[full]]
+        votes = np.bincount((full - first)[(first < n) & (full >= first)])
+        for s in np.flatnonzero(votes == n):
+            a, b = np.divmod(M.indices[M.indptr[s]:M.indptr[s + n]], n)
+            val = M.data[M.indptr[s]:M.indptr[s + n]]
+            row = np.repeat(np.arange(n), 2 * n - 1)
+            # 2n - 1 distinct columns in row i or column i are the pattern; its diagonal
+            # entry is w_i, and an entry off it w_j / 2, j the other index
+            diag, off = a == b, a != b
+            w = val[diag]
+            if not (((a == row) | (b == row)).all() and (w > 0).all()
+                    and (val[off] == 0.5 * w[(a + b - row)[off]]).all()):
+                continue
+            r = rhs[s:s + n]
+            q = r / w
+            with np.errstate(invalid="ignore"):   # fmod(inf, w) is NaN
+                exact = np.fmod(r, w) == 0   # r_i / w_i is an integer, so q_i is exact
+            if p.box_lo.min() >= 0:
+                xbar = min(xbar, np.where(exact, q, np.nextafter(q, np.inf)).max())
+            if equal and exact.all() and (q == q[0]).all():
+                xbar = min(xbar, max(q[0], n - q[0]))
+    return max(float(xbar), 1.0)   # below tr X / n = 1 nothing is feasible
 
 
 def _gamma(k: int) -> float:
@@ -147,15 +180,15 @@ def eig_lower_bound(p: SdpProblem, approx, xbar: float,
     rebuilt as Zc = C - A*(y) - B*(v) - S from the clamped multipliers, and its
     negative eigenvalues are charged by ``_spectral_charge`` with ``xbar`` and
     ``trace``, which must bound the top eigenvalue and the trace of every feasible
-    X (the bound is valid for any multipliers). Rebuilding (rather than trusting
-    the solver's projected PSD matrix) is what keeps the bound safe at loose
-    stopping tolerances. Each computed eigenvalue is lowered by
-    ``n * eps * ||Zc||_F`` (for ``eigvalsh``) plus the Zc margin of
-    ``_rounding_margins``, the dual value by its d0 margin, the charge by a doubled
-    Higham bound on its own sums and products, and the final sum of those three by
-    a doubled gamma_2 of their magnitudes, since the exact values lie no further
-    away than that. ``perturbation`` is the charge after its margin; ``raw`` and
-    ``value`` are both the bound.
+    X; ``xbar_for(p)`` and ``trace=p.n`` do, as ``solve`` charges them (the bound is
+    valid for any multipliers). Rebuilding (rather than trusting the solver's
+    projected PSD matrix) is what keeps the bound safe at loose stopping tolerances.
+    Each computed eigenvalue is lowered by ``n * eps * ||Zc||_F`` (for ``eigvalsh``)
+    plus the Zc margin of ``_rounding_margins``, the dual value by its d0 margin,
+    the charge by a doubled Higham bound on its own sums and products, and the final
+    sum of those three by a doubled gamma_2 of their magnitudes, since the exact
+    values lie no further away than that. ``perturbation`` is the charge after its
+    margin; ``raw`` and ``value`` are both the bound.
     """
     if xbar <= 0:
         raise ValueError("xbar must be positive")

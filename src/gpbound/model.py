@@ -15,7 +15,7 @@ certifies and tightens them with cuts, ``cutting_loop``, lives in
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -24,18 +24,6 @@ import scipy.sparse as sp
 from .graphs import Gpkc, GraphInstance, KEquipartition, PartitionSpec, laplacian
 
 MET_VIOLATION_TOL = 1e-4
-
-
-@dataclass(frozen=True)
-class ProblemTag:
-    """Which partition problem and relaxation a conic problem encodes."""
-
-    problem: str              # "keq" | "gpkc"
-    relaxation: str           # "sdp" | "dnn" | "dnn+met"
-    m: int | None = None      # equipartition group size
-    capacity: float | None = None
-    min_weight: float | None = None   # smallest knapsack vertex weight
-    integral: bool = False    # integral edge weights: every cut, so the optimum, is an integer
 
 
 @dataclass(frozen=True)
@@ -70,7 +58,8 @@ class SdpProblem:
     and the box are stored symmetric bit for bit: ``C`` as 0.5 C + 0.5 C', the box as
     its intersection with its transpose, the box a symmetric X lies in. The rows are
     checked when a problem is constructed; the problems the solver and ``add_cuts``
-    derive from it (``_derived``) do not check them again.
+    derive from it (``_derived``) do not check them again. A problem needs the rows
+    diag(X) = e to be solved (:func:`gpbound.eigbound.xbar_for`).
     """
 
     n: int
@@ -82,7 +71,7 @@ class SdpProblem:
     u: np.ndarray = field(default_factory=lambda: np.zeros(0))
     box_lo: np.ndarray | None = None
     box_hi: np.ndarray | None = None
-    tag: ProblemTag = ProblemTag(problem="custom", relaxation="sdp")
+    integral: bool = False    # integral edge weights: every cut, so the optimum, is an integer
     met_cuts: tuple = ()
 
     def __post_init__(self):
@@ -236,7 +225,7 @@ def _keq_base(g: GraphInstance, k: int):
     # CSR order: the 2n - 1 entries of row n + i are column i of rows 0..i-1, row i, then
     # column i of rows i+1..n-1 of the n x n pattern, each 1/2 but 1 at (i, i); the
     # arrays are those _sym_rows builds, without its sort
-    spec = KEquipartition.for_graph(g.n, k)
+    m = KEquipartition.for_graph(g.n, k).m
     n = g.n
     i = np.arange(n)[:, None]
     p = np.arange(2 * n - 1)
@@ -247,24 +236,22 @@ def _keq_base(g: GraphInstance, k: int):
          np.concatenate([np.arange(n), n + (2 * n - 1) * np.arange(n + 1)])),
         shape=(2 * n, n * n),
     )
-    b = np.concatenate([np.ones(n), np.full(n, float(spec.m))])
-    return spec, A, b
+    b = np.concatenate([np.ones(n), np.full(n, float(m))])
+    return A, b
 
 
 def build_keq_sdp(g: GraphInstance, k: int) -> SdpProblem:
     """Equipartition relaxation: diag(X) = e, X e = m e, X PSD, free box."""
-    spec, A, b = _keq_base(g, k)
-    tag = ProblemTag("keq", "sdp", m=spec.m, integral=_integral(g))
-    return SdpProblem(n=g.n, C=laplacian(g, 0.5), A=A, b=b, tag=tag)
+    A, b = _keq_base(g, k)
+    return SdpProblem(n=g.n, C=laplacian(g, 0.5), A=A, b=b, integral=_integral(g))
 
 
 def build_keq_dnn(g: GraphInstance, k: int) -> SdpProblem:
     """As :func:`build_keq_sdp` with the elementwise lower bound X >= 0."""
-    spec, A, b = _keq_base(g, k)
-    tag = ProblemTag("keq", "dnn", m=spec.m, integral=_integral(g))
+    A, b = _keq_base(g, k)
     return SdpProblem(
         n=g.n, C=laplacian(g, 0.5), A=A, b=b,
-        box_lo=np.zeros((g.n, g.n)), tag=tag,
+        box_lo=np.zeros((g.n, g.n)), integral=_integral(g),
     )
 
 
@@ -283,11 +270,9 @@ def _gpkc_base(g: GraphInstance, spec: Gpkc):
 def build_gpkc_sdp(g: GraphInstance, spec: Gpkc) -> SdpProblem:
     """Knapsack relaxation: diag(X) = e, X a <= W e, X PSD, free box."""
     A, b, B, u = _gpkc_base(g, spec)
-    tag = ProblemTag("gpkc", "sdp", capacity=spec.W, min_weight=float(spec.a.min()),
-                     integral=_integral(g))
     return SdpProblem(
         n=g.n, C=laplacian(g, 0.5), A=A, b=b,
-        B=B, l=np.full(g.n, -np.inf), u=u, tag=tag,
+        B=B, l=np.full(g.n, -np.inf), u=u, integral=_integral(g),
     )
 
 
@@ -301,13 +286,11 @@ def build_gpkc_dnn(g: GraphInstance, spec: Gpkc) -> SdpProblem:
     A, b, B, u = _gpkc_base(g, spec)
     conflict = spec.a[:, None] + spec.a[None, :] > spec.W
     np.fill_diagonal(conflict, False)
-    tag = ProblemTag("gpkc", "dnn", capacity=spec.W, min_weight=float(spec.a.min()),
-                     integral=_integral(g))
     return SdpProblem(
         n=g.n, C=laplacian(g, 0.5), A=A, b=b,
-        B=B, l=spec.a.copy(), u=u,
+        B=B, l=spec.a.copy(), u=u, integral=_integral(g),
         box_lo=np.zeros((g.n, g.n)),
-        box_hi=np.where(conflict, 0.0, np.inf) if conflict.any() else None, tag=tag,
+        box_hi=np.where(conflict, 0.0, np.inf) if conflict.any() else None,
     )
 
 
@@ -396,9 +379,8 @@ def add_cuts(p: SdpProblem, cuts) -> SdpProblem:
                      np.concatenate([j, r, r]), np.repeat([1.0, 1.0, -1.0], t.size))
     new_l = np.concatenate([p.l, np.full(len(fresh), -np.inf)])
     new_u = np.concatenate([p.u, np.ones(len(fresh))])
-    tag = replace(p.tag, relaxation="dnn+met") if p.tag.relaxation.startswith("dnn") else p.tag
     # the cut rows are symmetric by construction, so the grown problem skips the row check
     return p._derived(
-        B=sp.vstack([p.B, rows], format="csr"), l=new_l, u=new_u, tag=tag,
+        B=sp.vstack([p.B, rows], format="csr"), l=new_l, u=new_u,
         met_cuts=p.met_cuts + tuple(fresh),
     )

@@ -19,10 +19,10 @@ from gpbound.admm import (
     sweep,
     update_y,
 )
-from gpbound.graphs import GraphInstance, gen_gpkc_instance, gen_rand_graph
+from gpbound.graphs import GraphInstance, gen_gpkc_instance, gen_rand_graph, laplacian
 from gpbound.certify import certify_bound, cutting_loop
 from gpbound.eigbound import _box_support, eig_lower_bound, xbar_for
-from gpbound.model import (ProblemTag, SdpProblem, TriangleCut, add_cuts, build_gpkc_dnn,
+from gpbound.model import (SdpProblem, TriangleCut, add_cuts, build_gpkc_dnn,
                            build_gpkc_sdp, build_keq_dnn, build_keq_sdp, separate_met)
 from gpbound.graphs import KEquipartition
 from gpbound.symm import precision_split
@@ -64,10 +64,11 @@ def ineq_toy_kkt_state(sigma=1.0):
     )
 
 
-def untagged(p):
-    """The same problem under a custom tag: it has no xbar, so only the residual test
-    can stop a solve of it."""
-    return dataclasses.replace(p, tag=ProblemTag("custom", p.tag.relaxation))
+@pytest.fixture
+def residual_stop_only(monkeypatch):
+    """A zero bound slack: a best bound never rises by less than 0, so only the
+    residual test can stop a solve."""
+    monkeypatch.setattr(admm, "BOUND_STOP", 0)
 
 
 def random_state(problem, rng, sigma=1.0):
@@ -116,7 +117,7 @@ class TestNormalFactor:
 
         p = build_keq_dnn(gen_rand_graph(40, 0.5, 1), 4)
         dup = SdpProblem(n=p.n, C=p.C, A=sp.vstack([p.A, p.A[3]]), b=np.append(p.b, 1.0),
-                         box_lo=p.box_lo, tag=p.tag)
+                         box_lo=p.box_lo)
         for prob in (dup, add_cuts(dup, [TriangleCut(0, 1, 2)])):
             tracemalloc.start()
             try:
@@ -415,14 +416,14 @@ class TestSolve:
         assert res.status == "converged"
         assert res.primal_obj == pytest.approx(16.0, abs=1e-2)
 
-    def test_rand80_n50_converges(self):
+    def test_rand80_n50_converges(self, residual_stop_only):
         g = gen_rand_graph(50, 0.8, 1)
-        res = solve(untagged(build_keq_dnn(g, 5)))
+        res = solve(build_keq_dnn(g, 5))
         assert res.status == "converged"
         assert res.iterations <= 20000
         assert res.residuals.max_residual <= 1e-5
 
-    def test_weak_duality_on_converged_runs(self):
+    def test_weak_duality_on_converged_runs(self, residual_stop_only):
         cases = []
         for seed in (0, 1):
             g = gen_rand_graph(12, 0.8, seed)
@@ -431,7 +432,7 @@ class TestSolve:
         g, spec = gen_gpkc_instance(9, 0.5, 3, 2)
         cases.append(build_gpkc_dnn(g, spec))
         for p in cases:
-            res = solve(untagged(p))
+            res = solve(p)
             assert res.status == "converged"
             slack = 10 * AdmmParams().eps_tol * (1.0 + abs(res.primal_obj))
             assert res.dual_obj <= res.primal_obj + slack
@@ -473,19 +474,23 @@ class TestSolve:
 
     def test_one_iteration_is_one_sweep(self):
         # unit-norm rows leave the equilibrated copy equal to the problem itself; the
-        # sweep starts from the start state's Xt, and the returned state carries the
+        # sweep starts from the start state's Xt, and the state it hands on (to the
+        # callback, and as the result when it certifies above the start) carries the
         # projection X as its Xt, so a warm start from it begins with Xt = X
         rng = np.random.default_rng(12)
         p = diag_problem([1.0, -2.0, 0.3], box_lo=np.zeros((3, 3)))
         st = random_state(p, rng, sigma=0.9)
         st.Xt = random_state(p, rng).X
-        res = solve(p, AdmmParams(max_iter=1), start=st)
+        seen = []
+        res = solve(p, AdmmParams(max_iter=1), start=st,
+                    callback=lambda k, state, *_: seen.append(state))
         manual = swept(st, p)
         for name in ("y", "S", "Z", "X"):
-            assert np.array_equal(getattr(res.state, name), getattr(manual, name)), name
-        assert res.iterations == 1
-        assert np.array_equal(res.state.Xt, res.state.X)
-        assert np.array_equal(res.state.copy().Xt, res.state.X)
+            assert np.array_equal(getattr(seen[0], name), getattr(manual, name)), name
+        assert res.iterations == 1 and res.state.iter in (0, 1)
+        for state in (seen[0], res.state):
+            assert np.array_equal(state.Xt, state.X)
+            assert np.array_equal(state.copy().Xt, state.X)
         assert not np.array_equal(manual.Xt, manual.X)
 
     def test_callback_records_match_residuals(self):
@@ -571,7 +576,7 @@ class TestRowsCheckedOnce:
                     assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
             for name in ("C", "b", "l", "u", "box_lo", "box_hi"):
                 assert getattr(work, name).tobytes() == getattr(full, name).tobytes()
-            assert work.tag == full.tag and work.met_cuts == full.met_cuts
+            assert work.integral == full.integral and work.met_cuts == full.met_cuts
 
     def test_derived_problem_still_checks_its_vectors(self):
         # a zero equality row scales its right-hand side to a non-finite value
@@ -584,13 +589,11 @@ class TestRowsCheckedOnce:
             p._derived(C=2 * p.C)
 
 
-def cadence_problems(tagged=False):
-    """A keq DNN and a gpkc DNN that converge; untagged unless ``tagged``, so that only
-    the residual test stops them."""
+def cadence_problems():
+    """A keq DNN and a gpkc DNN that converge."""
     g, spec = gen_gpkc_instance(30, 0.5, 3, 2)
-    problems = {"keq": build_keq_dnn(gen_rand_graph(30, 0.5, 1), 3),
-                "gpkc": build_gpkc_dnn(g, spec)}
-    return problems if tagged else {name: untagged(p) for name, p in problems.items()}
+    return {"keq": build_keq_dnn(gen_rand_graph(30, 0.5, 1), 3),
+            "gpkc": build_gpkc_dnn(g, spec)}
 
 
 def warm_round():
@@ -620,17 +623,17 @@ def assert_callback_does_not_move_the_stop(p, start):
     assert traced.residuals == plain.residuals
 
 
-def cadence_case(name, tagged=False):
-    """A cadence problem or the warm round, untagged unless ``tagged``, and its start."""
+def cadence_case(name):
+    """A cadence problem or the warm round, and its start."""
     if name != "warm":
-        return cadence_problems(tagged)[name], None
-    p, start = warm_round()
-    return (p if tagged else untagged(p)), start
+        return cadence_problems()[name], None
+    return warm_round()
 
 
+@pytest.mark.usefixtures("residual_stop_only")
 class TestCheckCadence:
-    """The residual test runs on every CHECK_EVERY-th sweep and at max_iter only; on
-    untagged problems it is the only stopping test."""
+    """The residual test runs on every CHECK_EVERY-th sweep and at max_iter only; with
+    a zero bound slack it is the only stopping test."""
 
     @pytest.mark.parametrize("name", ["keq", "gpkc"])
     def test_residuals_run_on_check_sweeps_only(self, name, monkeypatch):
@@ -715,7 +718,7 @@ class TestCertifiedStop:
 
     @pytest.mark.parametrize("name", ["keq", "gpkc", "warm"])
     def test_stop_is_first_check_sweep_meeting_the_bound(self, name):
-        p, start = cadence_case(name, tagged=True)
+        p, start = cadence_case(name)
         prm = AdmmParams()
         path, res = certified_path(p, prm, start)
         # a warm start stops by the bound only once it certified above its start and
@@ -735,23 +738,49 @@ class TestCertifiedStop:
 
     @pytest.mark.parametrize("name", ["keq", "gpkc", "warm"])
     def test_callback_does_not_move_the_stop(self, name):
-        assert_callback_does_not_move_the_stop(*cadence_case(name, tagged=True))
+        assert_callback_does_not_move_the_stop(*cadence_case(name))
 
     @pytest.mark.parametrize("name", ["keq", "gpkc", "warm"])
-    def test_custom_tag_never_stops_on_the_bound(self, name):
-        p, start = cadence_case(name, tagged=True)
+    def test_zero_bound_slack_never_stops_on_the_bound(self, name, monkeypatch):
+        # the same iterates run on to the residual test, so the best bound can only rise
+        p, start = cadence_case(name)
         tagged = solve(p, start=start)
-        plain = solve(untagged(p), start=start)
+        monkeypatch.setattr(admm, "BOUND_STOP", 0)
+        plain = solve(p, start=start)
         assert tagged.status == "bound" and plain.status == "converged"
         assert plain.iterations > tagged.iterations
-        assert plain.state.iter == plain.iterations
+        assert plain.certificate.value >= tagged.certificate.value
 
     @pytest.mark.parametrize("name", ["keq", "gpkc", "warm"])
     def test_certificate_is_the_returned_states_bound(self, name):
-        p, start = cadence_case(name, tagged=True)
+        p, start = cadence_case(name)
         res = solve(p, start=start)
         assert res.certificate == eig_lower_bound(p, res.state, xbar_for(p), trace=p.n)
-        assert solve(untagged(p), start=start).certificate is None
+
+    def test_custom_unit_diagonal_problem_stops_on_the_bound(self, monkeypatch):
+        # a max-cut SDP built by hand: its rows diag(X) = e give xbar = n, so it is
+        # certified and stopped like a builder's problem
+        n = 12
+        A = sp.csr_matrix((np.ones(n), (np.arange(n), np.arange(n) * (n + 1))),
+                          shape=(n, n * n))
+        p = SdpProblem(n=n, C=-laplacian(gen_rand_graph(n, 0.5, 0), 0.25), A=A, b=np.ones(n))
+        res = solve(p)
+        assert res.status == "bound" and res.certificate.xbar == n
+        assert res.certificate == eig_lower_bound(p, res.state, float(n), trace=n)
+        monkeypatch.setattr(admm, "BOUND_STOP", 0)
+        plain = solve(p)
+        assert plain.status == "converged" and plain.iterations > res.iterations
+
+    def test_problem_without_unit_diagonal_is_refused_before_scaling(self, monkeypatch):
+        def scaled(*args):
+            raise AssertionError("the problem was scaled")
+
+        monkeypatch.setattr(admm, "_equilibrated", scaled)
+        p = build_keq_dnn(gen_rand_graph(12, 0.5, 1), 3)
+        for q in (dataclasses.replace(p, A=p.A[1:], b=p.b[1:]),
+                  dataclasses.replace(p, b=np.concatenate([np.full(12, 2.0), p.b[12:]]))):
+            with pytest.raises(ValueError, match="diag"):
+                solve(q, callback=lambda *a: pytest.fail("a sweep ran"))
 
     def test_cold_start_without_sweeps_certifies_its_start(self):
         p = build_keq_dnn(gen_rand_graph(12, 0.5, 3), 4)
@@ -1211,17 +1240,27 @@ class TestSinglePrecisionSweeps:
             assert a.bound == pytest.approx(b.bound, rel=1e-6)
 
     @pytest.mark.parametrize("name", ["keq", "gpkc", "warm"])
-    def test_counts_the_non_check_sweeps_before_the_switch(self, name):
+    def test_counts_the_non_check_sweeps_before_the_switch(self, name, residual_stop_only):
         p, start = cadence_case(name)
         prm = AdmmParams()
         worst = {}
         res = solve(p, prm, start=start,
                     callback=lambda k, st, rec, pr, du: worst.__setitem__(k, rec.max_residual))
         checks = [k for k in worst if k % admm.CHECK_EVERY == 0 or k == prm.max_iter]
-        switch = next((k for k in checks if worst[k] <= admm.DOUBLE_WITHIN * prm.eps_tol),
-                      res.iterations)
+        handover = max(admm.DOUBLE_WITHIN * prm.eps_tol, admm.DOUBLE_FLOOR)
+        switch = next((k for k in checks if worst[k] <= handover), res.iterations)
         assert switch < res.iterations   # the switch happens before the stop
         assert res.single_sweeps == switch - switch // admm.CHECK_EVERY
+
+    @pytest.mark.parametrize("args", [(7, 0.2, 7, 3), (9, 0.2, 3, 10)])
+    def test_tight_tolerance_hands_over_to_double(self, args):
+        # float32 sweeps stall at residuals of 3-8e-7, above DOUBLE_WITHIN * 1e-8, and
+        # these SDPs' optimum is 0, where the bound test's slack vanishes: without the
+        # DOUBLE_FLOOR handover both ran all 20000 sweeps
+        p = build_gpkc_sdp(*gen_gpkc_instance(*args))
+        res = solve(p, AdmmParams(eps_tol=1e-8))
+        assert res.status in admm.STOPPED and res.iterations < 1000
+        assert res.single_sweeps < res.iterations
 
     def test_check_sweeps_run_in_double(self, monkeypatch):
         asked = []
@@ -1246,12 +1285,22 @@ class TestSinglePrecisionSweeps:
         for field in ("X", "y", "ybar", "S", "Z", "v", "s"):
             assert np.array_equal(getattr(a.state, field), getattr(b.state, field)), field
 
-    def test_certify_s_times_the_certificates(self):
+    def test_certify_s_times_the_certificates(self, monkeypatch):
+        # one certificate per check sweep, or one at return when no sweep ran
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eig_lower_bound(*args, **kwargs)
+
+        monkeypatch.setattr(admm, "eig_lower_bound", counted)
         p = build_keq_dnn(gen_rand_graph(20, 0.5, 2), 2)
         res = solve(p)
         assert 0.0 < res.certify_s < res.elapsed
-        bare = solve(untagged(p))
-        assert bare.certificate is None and bare.certify_s == 0.0
+        assert len(calls) == res.iterations // admm.CHECK_EVERY
+        calls.clear()
+        bare = solve(p, AdmmParams(max_iter=0))
+        assert len(calls) == 1 and 0.0 < bare.certify_s <= bare.elapsed
 
 
 def sdp_past_the_opening():
@@ -1360,7 +1409,7 @@ class TestAnderson:
     def test_cold_solve_inside_the_opening_runs_without_history(self, monkeypatch):
         # the opening moves sigma after every sweep, so a solve that stops inside it
         # never extrapolates, and it is the solve without any history bit for bit
-        p = cadence_problems(tagged=True)["keq"]
+        p = cadence_problems()["keq"]
         a = solve(p)
         assert a.iterations <= admm.OPENING_SWEEPS and a.accelerated_sweeps == 0
         monkeypatch.setattr(admm, "ANDERSON_MEMORY", 0)

@@ -16,16 +16,15 @@ from gpbound.admm import STOPPED, AdmmParams, AdmmState, dual_objective, solve
 from gpbound.certify import certify_bound, eig_lower_bound, lp_lower_bound, xbar_for
 from gpbound.eigbound import _box_support, _gamma, _spectral_charge
 from gpbound.graphs import Gpkc, GraphInstance, gen_gpkc_instance, gen_rand_graph
-from gpbound.model import (ProblemTag, SdpProblem, TriangleCut, add_cuts, build_gpkc_dnn,
+from gpbound.model import (SdpProblem, TriangleCut, add_cuts, build_gpkc_dnn,
                            build_gpkc_sdp, build_keq_dnn, build_keq_sdp)
 
 
-def diag_problem(c_diag, box_lo=None, tag=None):
+def diag_problem(c_diag, box_lo=None):
     n = len(c_diag)
     A = sp.csr_matrix((np.ones(n), (np.arange(n), np.arange(n) * (n + 1))), shape=(n, n * n))
-    kwargs = {} if tag is None else {"tag": tag}
     return SdpProblem(n=n, C=np.diag(np.asarray(c_diag, float)), A=A,
-                      b=np.ones(n), box_lo=box_lo, **kwargs)
+                      b=np.ones(n), box_lo=box_lo)
 
 
 def state_with(p, y, S=None, v=None, X=None):
@@ -78,10 +77,72 @@ class TestXbar:
         met = add_cuts(dnn, [TriangleCut(0, 1, 3)])
         assert xbar_for(met) == 4.0
 
-    def test_no_provable_value_raises(self):
-        for tag in (ProblemTag("custom", "sdp"), ProblemTag("gpkc", "dnn")):
-            with pytest.raises(ValueError):
-                xbar_for(diag_problem([1.0, 1.0], tag=tag))
+    def test_without_the_diagonal_rows_nothing_is_provable(self):
+        # a row dropped, and rows 2 X_ii = 1: neither pins diag(X) = e
+        p = diag_problem([1.0, 1.0, 1.0])
+        for A, b in ((p.A[:2], p.b[:2]), (2.0 * p.A, p.b)):
+            with pytest.raises(ValueError, match="diag"):
+                xbar_for(SdpProblem(n=3, C=p.C, A=A, b=b))
+        # scaled rows c X_ii = c still pin it
+        assert xbar_for(SdpProblem(n=3, C=p.C, A=2.0 * p.A, b=2.0 * p.b)) == 3.0
+
+    def test_unit_diagonal_alone_gives_n(self):
+        assert xbar_for(diag_problem([1.0, 2.0, 3.0])) == 3.0
+        assert xbar_for(diag_problem([1.0, 2.0, 3.0], box_lo=np.zeros((3, 3)))) == 3.0
+
+    @staticmethod
+    def builder_table():
+        """(name, problem, the xbar its relaxation proves) for every builder, with and
+        without conflict pairs and with triangle cuts: m for the keq DNN, max(m, n - m)
+        for its SDP, n for the knapsack SDP and min(n, W / min(a)) for its DNN."""
+        cuts = [TriangleCut(0, 1, 2), TriangleCut(3, 1, 4)]
+        table = []
+        for n, k in ((12, 3), (12, 6), (30, 2), (60, 4)):
+            g, m = gen_rand_graph(n, 0.5, 1), n // k
+            dnn = build_keq_dnn(g, k)
+            table += [(f"keq-sdp-{n}-{k}", build_keq_sdp(g, k), max(m, n - m)),
+                      (f"keq-dnn-{n}-{k}", dnn, m),
+                      (f"keq-met-{n}-{k}", add_cuts(dnn, cuts), m)]
+        for args in ((8, 0.5, 2, 2), (30, 0.5, 3, 2), (7, 0.2, 7, 3), (9, 0.2, 3, 10),
+                     (10, 0.5, 5, 2)):
+            g, spec = gen_gpkc_instance(*args)
+            dnn = build_gpkc_dnn(g, spec)
+            pairs = int(np.isfinite(dnn.box_hi).any())
+            cap = min(g.n, spec.W / spec.a.min())
+            table += [(f"gpkc-sdp-{args}", build_gpkc_sdp(g, spec), g.n),
+                      (f"gpkc-dnn-{args}-pairs{pairs}", dnn, cap),
+                      (f"gpkc-met-{args}-pairs{pairs}", add_cuts(dnn, cuts), cap)]
+        return table
+
+    def test_builders_rows_give_their_relaxations_value(self):
+        table = self.builder_table()
+        assert {name.split("-pairs")[1] for name, _, _ in table if "pairs" in name} == {"0", "1"}
+        for name, p, want in table:
+            # W / min(a) is rounded up unless it is an integer or above n
+            assert want <= xbar_for(p) <= np.nextafter(want, np.inf), name
+            if want == int(want):
+                assert xbar_for(p) == want, name
+
+    def test_rows_without_their_premise_give_n(self):
+        # a keq DNN without its rows X e = m e: X = ee' is feasible, with top
+        # eigenvalue n, and the optimum is 0, so no certificate may exceed 0
+        for (n, density, seed), sweeps in (((12, 0.5, 1), (20, 300)), ((60, 0.8, 3), (300,))):
+            p = build_keq_dnn(gen_rand_graph(n, density, seed), 3)
+            q = replace(p, A=p.A[:n], b=p.b[:n])
+            assert xbar_for(p) == n // 3 and xbar_for(q) == n
+            X = np.ones((n, n))
+            assert np.allclose(q.eq_apply(X), q.b) and float((q.C * X).sum()) == 0.0
+            for max_iter in sweeps:
+                assert solve(q, AdmmParams(max_iter=max_iter)).certificate.value <= 0.0
+        # the knapsack rows (X a)_i <= W without X >= 0 leave n
+        g, spec = gen_gpkc_instance(10, 0.5, 5, 2)
+        assert xbar_for(build_gpkc_dnn(g, spec)) < 10.0 == xbar_for(build_gpkc_sdp(g, spec))
+
+    def test_xbar_is_read_once_per_problem(self, monkeypatch):
+        p = build_keq_dnn(gen_rand_graph(12, 0.5, 1), 3)
+        assert xbar_for(p) == 4.0
+        monkeypatch.setattr(eigbound, "_xbar_from_rows", None)
+        assert xbar_for(p) == 4.0
 
 
 class TestEigBound:
@@ -383,7 +444,7 @@ class TestTraceCharge:
         real = admm.eig_lower_bound
 
         def spy(p, approx, xbar, trace=math.inf):
-            seen.append((p.tag.problem, p.tag.relaxation, trace, p.n))
+            seen.append((p, trace))
             return real(p, approx, xbar, trace)
 
         monkeypatch.setattr(admm, "eig_lower_bound", spy)
@@ -396,9 +457,8 @@ class TestTraceCharge:
             cert = certify_bound(p, res)
             assert cert.method == "eig"
             assert cert.raw == real(p, res.state, xbar_for(p), trace=p.n).value
-        assert list(dict.fromkeys((prob, relax) for prob, relax, _, _ in seen)) == [
-            ("keq", "sdp"), ("keq", "dnn"), ("gpkc", "sdp"), ("gpkc", "dnn")]
-        assert all(trace == n for _, _, trace, n in seen)
+        assert list(dict.fromkeys(id(p) for p, _ in seen)) == [id(p) for p in problems]
+        assert all(trace == p.n for p, trace in seen)
 
 
 class TestRoundingMargins:
@@ -575,13 +635,6 @@ class TestCertifyRouting:
         for p, res in zip(problems, results):
             assert res.certificate.raw == certify_bound(p, res).raw
 
-    def test_result_without_certificate_is_certified_on_its_state(self):
-        g = gen_rand_graph(9, 0.5, 4)
-        p = build_keq_dnn(g, 3)
-        res = solve(p)
-        cert = certify_bound(p, replace(res, certificate=None))
-        assert cert == certify_bound(p, res)
-
     def test_unknown_method_refused(self):
         p = build_keq_dnn(gen_rand_graph(6, 0.8, 1), 2)
         res = solve(p)
@@ -660,11 +713,11 @@ class TestIntegralRoundUp:
         gk, spec = gen_gpkc_instance(8, 0.5, 2, 2)
         problems = [build_keq_sdp(g, 3), build_keq_dnn(g, 3),
                     build_gpkc_sdp(gk, spec), build_gpkc_dnn(gk, spec)]
-        assert all(p.tag.integral for p in problems)
-        assert add_cuts(problems[1], [TriangleCut(0, 1, 2)]).tag.integral
+        assert all(p.integral for p in problems)
+        assert add_cuts(problems[1], [TriangleCut(0, 1, 2)]).integral
         assert (self.halved(g).W_adj % 1 == 0.5).any()
-        assert not build_keq_dnn(self.halved(g), 3).tag.integral
-        assert not build_gpkc_dnn(self.halved(gk), spec).tag.integral
+        assert not build_keq_dnn(self.halved(g), 3).integral
+        assert not build_gpkc_dnn(self.halved(gk), spec).integral
 
     @pytest.mark.parametrize("halve", [False, True])
     def test_eig_route_rounds_up_only_integral_cuts(self, halve):
