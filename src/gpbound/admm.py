@@ -49,28 +49,25 @@ on every ``CHECK_EVERY``-th sweep (and the last); a non-finite iterate in betwee
 is caught by the sweep itself before its eigendecomposition.
 
 The eigenvalue bound of :mod:`gpbound.eigbound` is valid at every iterate (given the
-rows diag(X) = e), and the product of a solve is that bound. So on the same check
-sweeps :func:`solve` also certifies the iterate (about 8 ms at n = 300, against about
-13 ms per sweep; their sum is ``AdmmResult.certify_s``), keeps the best certificate and
-its state by reference (sweeps rebind the state's arrays and never write into them),
-and stops once the best bound meets the primal objective within ``BOUND_STOP`` *
-eps_tol relative and has stopped rising by that much. The residual test still runs
-first. Keq-eig bench solves end after 60 instead of 80-90 sweeps, with bounds lower by
-under 1e-4 relative (BENCH_certified_stop.json). The best certificate is returned as
-``AdmmResult.certificate``, and :func:`gpbound.certify.certify_bound` reports it. A
-warm start may stop by the bound test only once a check sweep has certified strictly
-above the start's own certificate, and only on a check sweep whose largest residual is
-within ``WARM_WITHIN`` * eps_tol. Its X violates the rows just added and lies near the
-start's bound, so without the first gate a cut round could meet the test within a few
-check sweeps and return its start. Without the second, the primal objective of an X
-that still violates its rows could meet the bound below the relaxation's optimum, most
-of all in a round warm-started from a loosely solved one
+rows diag(X) = e), and the product of a solve is that bound. So on the same check sweeps
+:func:`solve` also certifies the iterate (about 8 ms at n = 300, against about 13 ms per
+sweep; their sum is ``AdmmResult.certify_s``), keeps the best certificate (by its
+``raw``) and its state by reference (sweeps rebind the state's arrays and never write
+into them), and stops once the best bound meets the primal objective within
+``BOUND_STOP`` * eps_tol relative and has stopped rising by that much. The residual test
+still runs first. Keq-eig bench solves end after 60 instead of 80-90 sweeps, with bounds
+lower by under 1e-4 relative (BENCH_certified_stop.json). The best certificate is
+returned as ``AdmmResult.certificate``, and :func:`gpbound.certify.certify_bound`
+reports it. A warm start may stop by the bound test only once a check sweep has
+certified strictly above the start's own certificate, and only on a check sweep whose
+largest residual is within ``WARM_WITHIN`` * eps_tol. Its X violates the rows just added
+and lies near the start's bound, so without the first gate a cut round could meet the
+test within a few check sweeps and return its start. Without the second, the primal
+objective of an X that still violates its rows could meet the bound below the
+relaxation's optimum, most of all in a round warm-started from a loosely solved one
 (:func:`gpbound.certify.cutting_loop`). The gates have no limit of their own: a warm
 start that never certifies above its start ends only by the residual test or at
-``max_iter``. On 236 warm DNN+MET rounds of small and n = 60 instances the first check
-sweep above the start came at sweep 10 to 960, median 30. With every certificate capped
-at the start's, a keq and a knapsack round ended by the residual test after 110 and 260
-sweeps.
+``max_iter``.
 
 For a fixed sigma a sweep is a fixed-point map of its input (Xt, Z, S, s, v), and
 ADMM's linear tail makes its iterates crawl. So after every sweep that leaves sigma
@@ -552,14 +549,17 @@ class AdmmParams:
 
 @dataclass
 class AdmmResult:
+    """``status`` names the test that ended the loop, while ``state``, ``residuals`` and
+    ``certificate`` describe the best-certified state: maybe an earlier, looser one."""
+
     state: AdmmState
     residuals: ResidualRecord
-    status: str                    # "converged" | "bound" | "iter_limit"
+    status: str                    # "converged" | "bound" | "iter_limit": what ended the loop
     primal_obj: float
     dual_obj: float
     iterations: int                # sweeps run; state.iter is the returned state's sweep
     elapsed: float
-    certificate: BoundCertificate  # eigenvalue bound of ``state``
+    certificate: BoundCertificate  # the reported eigenvalue bound of ``state``
     single_sweeps: int             # sweeps whose split ran in single precision
     certify_s: float               # seconds of ``elapsed`` spent in eigenvalue certificates
     accelerated_sweeps: int        # sweeps whose input was an Anderson extrapolation
@@ -619,19 +619,19 @@ def solve(
     coordinates. The tests run only on check sweeps: every ``CHECK_EVERY``-th sweep and
     the sweep at ``max_iter``. First the residual test: the largest residual is within
     ``eps_tol`` (status ``"converged"``). Then the bound test: the best eigenvalue bound
-    seen, b, satisfies |<C, X> - b| <= ``BOUND_STOP`` * eps_tol * |b| and rose by less
-    than that since the previous check sweep (status ``"bound"``); a warm start passes
-    it only once b is strictly above its start's certificate and only on a check sweep
-    whose largest residual is within ``WARM_WITHIN`` * eps_tol, so one that never does
-    ends by the residual test or at ``max_iter``. Otherwise the loop ends at
-    ``max_iter`` (status ``"iter_limit"``).
+    seen, b (a ``raw``), satisfies |<C, X> - b| <= ``BOUND_STOP`` * eps_tol * |b| and
+    rose by less than that since the previous check sweep (status ``"bound"``); a warm
+    start passes it only once b is strictly above its start's certificate and only on
+    a check sweep whose largest residual is within ``WARM_WITHIN`` * eps_tol, so one
+    that never does ends by the residual test or at ``max_iter``. Otherwise the loop
+    ends at ``max_iter`` (status ``"iter_limit"``).
 
-    Every check sweep's state is certified with trace n and ``xbar_for(problem)``, and
-    the state with the best bound is returned, with its own residual record and that
-    bound as ``certificate``; a warm start's own certificate is the first to beat, so a
-    solve never certifies below its start, and a cold start that no check sweep
-    certified is certified once, at return. So the returned state comes from a check
-    sweep or is the start, ``state.iter`` names its sweep, ``iterations`` counts the
+    Every check sweep's state is certified by ``eig_lower_bound(problem, state)``, and
+    the state with the best ``raw`` bound is returned, with its own residual record and
+    its reported bound as ``certificate``; a warm start's own certificate is the first
+    to beat, so a solve never certifies below its start, and a cold start that no check
+    sweep certified is certified once, at return. So the returned state comes from a
+    check sweep or is the start, ``state.iter`` names its sweep, ``iterations`` counts the
     sweeps run, and ``residuals`` describes the returned state; ``max_iter=0`` returns
     the start state with its record.
     ``callback(iteration, state, record, primal, dual)`` fires after every sweep when
@@ -657,7 +657,7 @@ def solve(
     if start is not None:
         _check_start(start, problem)
     t0 = time.perf_counter()
-    xbar = xbar_for(problem)
+    xbar_for(problem)   # reads the certificate's premises; refuses a problem without them
     work, d_eq, d_in = _equilibrated(problem)
     factor = factor_normal_matrix(work)
     opening = OPENING_SWEEPS if start is None else 0
@@ -691,7 +691,7 @@ def solve(
     def certified(view: AdmmState) -> BoundCertificate:
         nonlocal certify_s
         t = time.perf_counter()
-        cert = eig_lower_bound(problem, view, xbar, trace=problem.n)
+        cert = eig_lower_bound(problem, view)
         certify_s += time.perf_counter() - t
         return cert
 
@@ -701,7 +701,7 @@ def solve(
     rec = residuals(view, problem)
     best, best_rec = view, rec
     cert = certified(view) if start is not None else None
-    best_lb = cert.value if cert is not None else -np.inf
+    best_lb = cert.raw if cert is not None else -np.inf
     last_lb = best_lb
     start_lb = best_lb   # a warm start stops by the bound only once it certified above this
     sweeps = single_sweeps = accelerated_sweeps = 0
@@ -730,8 +730,8 @@ def solve(
             callback(k, view, rec, primal, dual)
         if check:
             lb = certified(view)
-            if lb.value > best_lb:
-                best, best_rec, cert, best_lb = view, rec, lb, lb.value
+            if lb.raw > best_lb:
+                best, best_rec, cert, best_lb = view, rec, lb, lb.raw
             if rec.max_residual <= prm.eps_tol:
                 status = "converged"
                 break

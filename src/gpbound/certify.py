@@ -3,15 +3,11 @@
 ``certify_bound`` turns a solve into a bound by one of two routes:
 
 * ``"eig"``, the default and the bound that ``cutting_loop`` and the command line
-  report (:mod:`gpbound.eigbound`): evaluate the dual objective at sign-feasible
-  multipliers and pay for the dual-equality violation through the negative
-  spectrum of the rebuilt slack matrix, with margins for every rounding and the xbar
-  that :func:`gpbound.eigbound.xbar_for` reads from the rows (group size m for the
-  equipartition DNN, max(m, n - m) for its SDP, min(n, W / min(a)) for the knapsack
-  DNN and n for the knapsack SDP). It is valid in floating point no matter how early
-  the solver stopped, and :func:`gpbound.admm.solve` already returns its best one.
-  With integral edge weights every cut is an integer, so this route reports its
-  bound rounded up;
+  report: the eigenvalue bound of :mod:`gpbound.eigbound`, valid in floating point
+  no matter how early the solver stopped, whose best one :func:`gpbound.admm.solve`
+  already returns. Its ``value`` bounds the minimum over the partition matrices the
+  rows admit, rounded up when C makes every such <C, X> an integer, as integral edge
+  weights do, and its ``raw`` bounds the relaxation;
 * ``"lp"``, a cross-check for the benchmark gate and the tests: freeze the
   solver's PSD dual block Z as it is and re-optimize the remaining multipliers
   with the bundled dense simplex. Its value is the simplex's primal objective,
@@ -21,11 +17,10 @@
 the DNN, rounds of violated triangle cuts for DNN+MET. A DNN+MET round that is not
 the last only feeds separation and the next warm start, so it is solved to
 ``ROUND_SLACK`` * eps_tol, as SDP cutting-plane codes separate from relaxations not
-solved to full accuracy (BiqMac: Rendl, Rinaldi & Wiegele, Math. Prog. 121, 2010).
-Its bound is still certified, since the eigenvalue bound is valid at any
-multipliers; the last round is solved to eps_tol (:func:`cutting_loop`). Cuts
-separated at looser points differ, so final bounds move both ways against loops
-with every round at eps_tol (BENCH_inexact_rounds.json).
+solved to full accuracy (BiqMac: Rendl, Rinaldi & Wiegele, Math. Prog. 121, 2010);
+the last round is solved to eps_tol (:func:`cutting_loop`). Cuts separated at looser
+points differ, so final bounds move both ways against loops with every round at
+eps_tol (BENCH_inexact_rounds.json).
 """
 from __future__ import annotations
 
@@ -132,18 +127,13 @@ def lp_lower_bound(p: SdpProblem, Z: np.ndarray) -> BoundCertificate:
 def certify_bound(p: SdpProblem, result: AdmmResult, method: str = "eig") -> BoundCertificate:
     """Certify ``result``, which must come from ``solve(p, ...)``, by ``method``.
 
-    ``"eig"`` reports the solver's own certificate, ``result.certificate``: the best
-    eigenvalue bound of the solve, charged with trace n and ``xbar_for(p)``. When
-    ``p.integral`` says its edge weights are integral, the optimum is an integer, so
-    the certificate reports the bound rounded up and keeps the unrounded one in
-    ``raw``. ``"lp"`` takes the LP route; its value carries no rounding margin, so it
-    is not rounded up.
+    ``"eig"`` reports the solver's own certificate, ``result.certificate``, the best
+    eigenvalue bound of the solve: its ``value`` bounds the minimum over the partition
+    matrices the rows admit and its ``raw`` the relaxation. ``"lp"`` takes the LP
+    route; its value carries no rounding margin, so it is not rounded up.
     """
     if method == "eig":
-        cert = result.certificate
-        if p.integral and math.isfinite(cert.value):
-            cert = replace(cert, value=float(math.ceil(cert.value)))
-        return cert
+        return result.certificate
     if method == "lp":
         return lp_lower_bound(p, result.state.Z)
     raise ValueError(f"unknown certificate method {method!r}")
@@ -182,7 +172,7 @@ def cutting_loop(
     DNN; each later round appends at most ``m_met`` (default 2n) most violated
     triangle inequalities not yet present and re-solves warm-started. It stops
     after ``max_rounds`` rounds or once separation comes back empty. Every
-    round reports its eigenvalue certificate, ``certify_bound(problem, result)``.
+    round reports its solve's certificate, ``result.certificate``.
 
     The last round is solved at ``params.eps_tol``, and every round before it at
     ``ROUND_SLACK`` times that, or at eps_tol itself when that product is not
@@ -218,9 +208,8 @@ def cutting_loop(
         round_prm = prm if final else inexact
         t0 = time.process_time()
         result = solve(problem, round_prm, start=start, callback=callback)
-        cert = certify_bound(problem, result)
-        rounds.append(CutRound(rnd, cert, len(problem.met_cuts), result.iterations,
-                               result.status, time.process_time() - t0,
+        rounds.append(CutRound(rnd, result.certificate, len(problem.met_cuts),
+                               result.iterations, result.status, time.process_time() - t0,
                                result.single_sweeps, result.certify_s,
                                result.accelerated_sweeps, round_prm.eps_tol))
         if final:

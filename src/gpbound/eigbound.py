@@ -11,6 +11,12 @@ forming Zc, and the dual value and the charge each less a bound on their own
 summation error, so the bound holds in floating point (Jansson, Chaykin & Keil,
 SIAM J. Numer. Anal. 2007).
 
+This module alone knows what the certificate assumes about a problem: it reads the
+premises from the problem's data on first use and caches them on the problem. When
+<C, X> is an integer at every partition matrix X, the bound is reported rounded up:
+``value`` bounds the minimum over the partition matrices the rows admit, ``raw`` the
+relaxation.
+
 The bound holds for any multipliers, so :func:`gpbound.admm.solve` evaluates it on
 its check sweeps, stops once it meets the primal objective and returns the best
 one, which :func:`gpbound.certify.certify_bound` reports. This module imports no
@@ -18,26 +24,25 @@ solver code, so both can call it.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .model import SdpProblem
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    value: float
+    value: float                     # eig route: over the partition matrices the rows admit
     method: str                      # "eig" | "lp"
     perturbation: float | None = None
     xbar: float | None = None
     feasible: bool = True            # LP route may fail; -inf value then
     clamp: float = 0.0               # magnitude of sign-clamped multiplier entries
-    raw: float | None = None         # eig route: the bound before rounding up to an integer
+    raw: float | None = None         # eig route: over the relaxation, before rounding up
 
 
 def _box_support(M: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -63,18 +68,34 @@ def _box_support(M: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 
 def dual_objective(problem: SdpProblem, y, v, S):
-    """b'y + F1(S) + F2(v) with the unbounded-paired entries of S and v zeroed.
-
-    Returns (value, clamp magnitude).
-    """
+    """(b'y + F1(S) + F2(v), clamp magnitude), unbounded-paired entries of S and v zeroed."""
     _, mag_s, f1, _ = _box_support(S, problem.box_lo, problem.box_hi)
     _, mag_v, f2, _ = _box_support(v, problem.l, problem.u)
     return float(problem.b @ y) + f1 + f2, mag_s + mag_v
 
 
+class _Premises(NamedTuple):   # what the certificate assumes about a problem
+    xbar: float                 # top eigenvalue of every feasible X
+    integral: bool              # <C, X> is an integer at every partition matrix X
+    abs_At: sp.spmatrix         # |A|', |B|' and the largest column count of the
+    abs_Bt: sp.spmatrix         # stacked rows: the parts of the rounding margin
+    columns: int                # that depend on the problem only
+
+
+def _premises(p: SdpProblem) -> _Premises:
+    """The premises of ``p``, read from its data on the first call and cached on it."""
+    if "_premises" not in p.__dict__:
+        xbar = _xbar_from_rows(p)   # raises without the rows diag(X) = e
+        # without negative entries |M|' is M' itself, no copy (every builder's rows but cuts)
+        At, Bt = (Mt if (Mt.data >= 0).all() else abs(Mt) for Mt in (p.A.T, p.B.T))
+        columns = int((p.A.getnnz(axis=0) + p.B.getnnz(axis=0)).max())
+        p.__dict__["_premises"] = _Premises(xbar, _integral(p.C), At, Bt, columns)
+    return p.__dict__["_premises"]
+
+
 def xbar_for(p: SdpProblem) -> float:
     """Provable bound on the top eigenvalue of every feasible X, read from the rows
-    on the first call and cached on the problem.
+    on the first call, with the certificate's other premises, and cached on the problem.
 
     The premise is diag(X) = e, n equality rows c e_i e_i' = c, so tr X = n bounds it;
     a problem without them raises ``ValueError``. A block of n rows (e_i w' + w e_i')/2
@@ -84,9 +105,16 @@ def xbar_for(p: SdpProblem) -> float:
     r = c w, c an integer, w is an eigenvector and the other eigenvalues sum to n - c,
     so to max(c, n - c) (the keq SDP).
     """
-    if "_xbar" not in p.__dict__:
-        p.__dict__["_xbar"] = _xbar_from_rows(p)
-    return p.__dict__["_xbar"]
+    return _premises(p).xbar
+
+
+def _integral(C: np.ndarray) -> bool:
+    """Whether <C, X> = tr C + sum_{i != j} C_ij X_ij is an integer at every partition
+    matrix X (0/1, unit diagonal): every C_ij a multiple of 1/2 (``fmod`` is exact), and
+    tr C an integer, with an even number of the C_ii odd halves."""
+    if not (np.fmod(C, 0.5) == 0).all():
+        return False
+    return int(np.count_nonzero(np.fmod(np.diagonal(C), 1.0))) % 2 == 0
 
 
 def _xbar_from_rows(p: SdpProblem) -> float:
@@ -146,7 +174,7 @@ def _rounding_margins(p: SdpProblem, y, v, S, abs_s: float, abs_v: float
     evaluating them (relative size below (n^2 + m + q + c) u).
     """
     n = p.n
-    abs_At, abs_Bt, c = p.row_magnitudes
+    _, _, abs_At, abs_Bt, c = _premises(p)
     T = np.abs(p.C) + (abs_At @ np.abs(y) + abs_Bt @ np.abs(v)).reshape(n, n) + np.abs(S)
     zc = 2.0 * _gamma(c + 3) * float(np.linalg.norm(T))
     terms = float(np.abs(p.b) @ np.abs(y)) + abs_s + abs_v
@@ -170,46 +198,42 @@ def _spectral_charge(evals: np.ndarray, xbar: float, trace: float) -> float:
     return charge
 
 
-def eig_lower_bound(p: SdpProblem, approx, xbar: float,
-                    trace: float = math.inf) -> BoundCertificate:
-    """Spectral-perturbation bound from approximate multipliers.
+def eig_lower_bound(p: SdpProblem, approx) -> BoundCertificate:
+    """The reported bound, from approximate multipliers by spectral perturbation.
 
     ``approx`` is any state with multipliers ``y``, ``v`` and ``S`` (an
-    :class:`gpbound.admm.AdmmState`). The multipliers are sign-clamped wherever
-    their support pairing would hit an infinite bound, the PSD-deficient matrix is
-    rebuilt as Zc = C - A*(y) - B*(v) - S from the clamped multipliers, and its
-    negative eigenvalues are charged by ``_spectral_charge`` with ``xbar`` and
-    ``trace``, which must bound the top eigenvalue and the trace of every feasible
-    X; ``xbar_for(p)`` and ``trace=p.n`` do, as ``solve`` charges them (the bound is
-    valid for any multipliers). Rebuilding (rather than trusting the solver's
-    projected PSD matrix) is what keeps the bound safe at loose stopping tolerances.
-    Each computed eigenvalue is lowered by ``n * eps * ||Zc||_F`` (for ``eigvalsh``)
-    plus the Zc margin of ``_rounding_margins``, the dual value by its d0 margin,
-    the charge by a doubled Higham bound on its own sums and products, and the final
-    sum of those three by a doubled gamma_2 of their magnitudes, since the exact
-    values lie no further away than that. ``perturbation`` is the charge after its
-    margin; ``raw`` and ``value`` are both the bound.
+    :class:`gpbound.admm.AdmmState`); the bound is valid for any multipliers. They are
+    sign-clamped wherever their support pairing would hit an infinite bound, Zc = C -
+    A*(y) - B*(v) - S is rebuilt from them (rather than trusting the solver's projected
+    PSD matrix, which keeps the bound safe at loose tolerances), and its negative
+    eigenvalues are charged by ``_spectral_charge`` with ``xbar_for(p)`` and trace n; a
+    problem without the rows diag(X) = e raises ``ValueError``. Each computed eigenvalue
+    is lowered by ``n * eps * ||Zc||_F`` (for ``eigvalsh``) plus the Zc margin of
+    ``_rounding_margins``, the dual value by its d0 margin, the charge by a doubled
+    Higham bound on its own sums and products, and the final sum of those three by a
+    doubled gamma_2 of their magnitudes, since the exact values lie no further away
+    than that. ``perturbation`` is the charge after its margin and ``raw`` the bound
+    on the relaxation; ``value``, the bound on the minimum over the partition matrices
+    the rows admit, is ``raw`` rounded up when <C, X> is an integer at all of them and
+    ``raw`` is finite, else ``raw``.
     """
-    if xbar <= 0:
-        raise ValueError("xbar must be positive")
+    premises = _premises(p)
     y = approx.y
     S_c, mag_s, f1, abs_s = _box_support(approx.S, p.box_lo, p.box_hi)
     v_c, mag_v, f2, abs_v = _box_support(approx.v, p.l, p.u)
-    mag = mag_s + mag_v
-    if mag:
-        log.debug("eig bound clamped multiplier mass %.3e", mag)
     d0 = float(p.b @ y) + f1 + f2
     Zc = p.C - p.adjoint(y, v_c) - S_c
     zc_err, d0_err = _rounding_margins(p, y, v_c, S_c, abs_s, abs_v)
     margin = p.n * np.finfo(float).eps * np.linalg.norm(Zc) + zc_err
     evals = np.linalg.eigvalsh(0.5 * (Zc + Zc.T)) - margin
-    charge = _spectral_charge(evals, xbar, trace)
+    charge = _spectral_charge(evals, premises.xbar, p.n)
     # every product in the charge is <= 0, so |charge| is the sum of their absolute
     # values; it takes at most (number of negative evals) + 3 roundings, doubled
     # like the margins of _rounding_margins
     perturbation = charge - 2.0 * _gamma(int((evals < 0).sum()) + 3) * abs(charge)
     # the two additions of the final sum round too; same doubling
-    value = d0 - d0_err + perturbation
-    value -= 2.0 * _gamma(2) * (abs(d0) + d0_err + abs(perturbation))
+    raw = d0 - d0_err + perturbation
+    raw -= 2.0 * _gamma(2) * (abs(d0) + d0_err + abs(perturbation))
+    value = float(math.ceil(raw)) if premises.integral and math.isfinite(raw) else raw
     return BoundCertificate(value=value, method="eig", perturbation=perturbation,
-                            xbar=xbar, clamp=mag, raw=value)
+                            xbar=premises.xbar, clamp=mag_s + mag_v, raw=raw)

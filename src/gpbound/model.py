@@ -71,7 +71,6 @@ class SdpProblem:
     u: np.ndarray = field(default_factory=lambda: np.zeros(0))
     box_lo: np.ndarray | None = None
     box_hi: np.ndarray | None = None
-    integral: bool = False    # integral edge weights: every cut, so the optimum, is an integer
     met_cuts: tuple = ()
 
     def __post_init__(self):
@@ -178,19 +177,6 @@ class SdpProblem:
         """All constraint rows, equalities first, over vec(X)."""
         return sp.vstack([self.A, self.B], format="csr")
 
-    @cached_property
-    def row_magnitudes(self) -> tuple[sp.spmatrix, sp.spmatrix, int]:
-        """|A|', |B|' and the largest column count of the stacked rows: the parts of the
-        eigenvalue bound's rounding margin that depend on the problem only. A transpose
-        without negative entries is |.|' itself, so every builder's rows but the
-        triangle cuts cost no copy."""
-        def magnitude(Mt):
-            return Mt if (Mt.data >= 0).all() else abs(Mt)
-
-        At, Bt = self._transposes
-        columns = int((self.A.getnnz(axis=0) + self.B.getnnz(axis=0)).max())
-        return magnitude(At), magnitude(Bt), columns
-
 
 def _checked_rows(M, n: int, kind: str) -> sp.csr_matrix:
     """``M`` as CSR after checking it has n^2 columns and every row is symmetric."""
@@ -213,11 +199,6 @@ def _sym_rows(n_rows: int, n: int, row, i, j, val) -> sp.csr_matrix:
          (np.concatenate([row, row]), np.concatenate([i * n + j, j * n + i]))),
         shape=(n_rows, n * n),
     )
-
-
-def _integral(g: GraphInstance) -> bool:
-    """Whether every edge weight is an integer, so that every cut value is one."""
-    return bool((g.W_adj == np.round(g.W_adj)).all())
 
 
 def _keq_base(g: GraphInstance, k: int):
@@ -243,16 +224,13 @@ def _keq_base(g: GraphInstance, k: int):
 def build_keq_sdp(g: GraphInstance, k: int) -> SdpProblem:
     """Equipartition relaxation: diag(X) = e, X e = m e, X PSD, free box."""
     A, b = _keq_base(g, k)
-    return SdpProblem(n=g.n, C=laplacian(g, 0.5), A=A, b=b, integral=_integral(g))
+    return SdpProblem(n=g.n, C=laplacian(g, 0.5), A=A, b=b)
 
 
 def build_keq_dnn(g: GraphInstance, k: int) -> SdpProblem:
     """As :func:`build_keq_sdp` with the elementwise lower bound X >= 0."""
     A, b = _keq_base(g, k)
-    return SdpProblem(
-        n=g.n, C=laplacian(g, 0.5), A=A, b=b,
-        box_lo=np.zeros((g.n, g.n)), integral=_integral(g),
-    )
+    return SdpProblem(n=g.n, C=laplacian(g, 0.5), A=A, b=b, box_lo=np.zeros((g.n, g.n)))
 
 
 def _gpkc_base(g: GraphInstance, spec: Gpkc):
@@ -270,10 +248,7 @@ def _gpkc_base(g: GraphInstance, spec: Gpkc):
 def build_gpkc_sdp(g: GraphInstance, spec: Gpkc) -> SdpProblem:
     """Knapsack relaxation: diag(X) = e, X a <= W e, X PSD, free box."""
     A, b, B, u = _gpkc_base(g, spec)
-    return SdpProblem(
-        n=g.n, C=laplacian(g, 0.5), A=A, b=b,
-        B=B, l=np.full(g.n, -np.inf), u=u, integral=_integral(g),
-    )
+    return SdpProblem(n=g.n, C=laplacian(g, 0.5), A=A, b=b, B=B, l=np.full(g.n, -np.inf), u=u)
 
 
 def build_gpkc_dnn(g: GraphInstance, spec: Gpkc) -> SdpProblem:
@@ -288,8 +263,7 @@ def build_gpkc_dnn(g: GraphInstance, spec: Gpkc) -> SdpProblem:
     np.fill_diagonal(conflict, False)
     return SdpProblem(
         n=g.n, C=laplacian(g, 0.5), A=A, b=b,
-        B=B, l=spec.a.copy(), u=u, integral=_integral(g),
-        box_lo=np.zeros((g.n, g.n)),
+        B=B, l=spec.a.copy(), u=u, box_lo=np.zeros((g.n, g.n)),
         box_hi=np.where(conflict, 0.0, np.inf) if conflict.any() else None,
     )
 

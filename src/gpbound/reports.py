@@ -106,7 +106,7 @@ _BY_HEADER = {_header(t): t for t in _ROW_TYPES}
 
 
 class ReportFormatError(ValueError):
-    """The file does not carry one of the known headers."""
+    """A file of no known schema, a cell that does not parse, or an append across schemas."""
 
 
 def _to_cell(value) -> str:
@@ -123,6 +123,8 @@ def _from_cell(text: str, annotation: str):
     if text == "":
         return None
     if "bool" in annotation:
+        if text not in ("true", "false"):
+            raise ValueError(f"invalid boolean {text!r}")
         return text == "true"
     if "int" in annotation:
         return int(text)
@@ -132,7 +134,8 @@ def _from_cell(text: str, annotation: str):
 
 
 def write_rows(path, rows, append: bool = False) -> None:
-    """Write (or append) rows of one schema; the header is written when needed."""
+    """Write (or append) rows of one schema; the header is written when needed, and
+    appending under another schema's header raises :class:`ReportFormatError`."""
     rows = list(rows)
     if not rows:
         return
@@ -141,6 +144,12 @@ def write_rows(path, rows, append: bool = False) -> None:
         raise ValueError("mixed row types in one file")
     path = Path(path)
     need_header = not (append and path.exists() and path.stat().st_size > 0)
+    if not need_header:
+        with path.open(newline="") as fh:
+            header = tuple(next(csv.reader(fh), ()))
+        if header != _header(row_type):
+            raise ReportFormatError(f"{path}: cannot append {row_type.__name__} rows "
+                                    f"{_header(row_type)} under the header {header}")
     mode = "a" if append else "w"
     with path.open(mode, newline="") as fh:
         writer = csv.writer(fh)
@@ -169,5 +178,8 @@ def read_rows(path):
                 continue
             if len(cells) != len(anns):
                 raise ReportFormatError(f"{path}:{lineno}: expected {len(anns)} cells")
-            out.append(row_type(*[_from_cell(c, a) for c, a in zip(cells, anns)]))
+            try:
+                out.append(row_type(*[_from_cell(c, a) for c, a in zip(cells, anns)]))
+            except ValueError as exc:
+                raise ReportFormatError(f"{path}:{lineno}: {exc}") from None
     return out

@@ -21,7 +21,7 @@ from gpbound.admm import (
 )
 from gpbound.graphs import GraphInstance, gen_gpkc_instance, gen_rand_graph, laplacian
 from gpbound.certify import certify_bound, cutting_loop
-from gpbound.eigbound import _box_support, eig_lower_bound, xbar_for
+from gpbound.eigbound import _box_support, eig_lower_bound
 from gpbound.model import (SdpProblem, TriangleCut, add_cuts, build_gpkc_dnn,
                            build_gpkc_sdp, build_keq_dnn, build_keq_sdp, separate_met)
 from gpbound.graphs import KEquipartition
@@ -576,7 +576,7 @@ class TestRowsCheckedOnce:
                     assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
             for name in ("C", "b", "l", "u", "box_lo", "box_hi"):
                 assert getattr(work, name).tobytes() == getattr(full, name).tobytes()
-            assert work.integral == full.integral and work.met_cuts == full.met_cuts
+            assert work.met_cuts == full.met_cuts
 
     def test_derived_problem_still_checks_its_vectors(self):
         # a zero equality row scales its right-hand side to a non-finite value
@@ -609,7 +609,7 @@ def warm_round():
 def start_bound(p, start):
     """The certificate a warm start of ``p`` from ``start`` must beat: that of the
     start itself, padded for the rows it lacks, as ``solve`` certifies it."""
-    return solve(p, AdmmParams(max_iter=0), start=start).certificate.value
+    return solve(p, AdmmParams(max_iter=0), start=start).certificate.raw
 
 
 def assert_callback_does_not_move_the_stop(p, start):
@@ -692,7 +692,7 @@ def certified_path(p, params=None, start=None):
 
     def cb(k, state, rec, primal, dual):
         if k % admm.CHECK_EVERY == 0 or k == prm.max_iter:
-            lb = eig_lower_bound(p, state, xbar_for(p), trace=p.n).value
+            lb = eig_lower_bound(p, state).raw
             path.append((k, lb, primal, rec.max_residual))
 
     return path, solve(p, prm, start=start, callback=cb)
@@ -749,13 +749,28 @@ class TestCertifiedStop:
         plain = solve(p, start=start)
         assert tagged.status == "bound" and plain.status == "converged"
         assert plain.iterations > tagged.iterations
-        assert plain.certificate.value >= tagged.certificate.value
+        assert plain.certificate.raw >= tagged.certificate.raw
+
+    def test_status_names_the_test_that_ended_the_loop(self, monkeypatch):
+        # with a zero bound slack the residual test ends this solve, on a sweep whose
+        # largest residual is within eps_tol; the state returned is an earlier,
+        # better-certified and looser one, and its record says so
+        p = build_keq_dnn(gen_rand_graph(100, 0.8, 42), 2)
+        monkeypatch.setattr(admm, "BOUND_STOP", 0)
+        last = {}
+        res = solve(p, callback=lambda k, st, rec, *_: last.update(k=k, rec=rec))
+        eps = AdmmParams().eps_tol
+        assert res.status == "converged" and last["k"] == res.iterations
+        assert last["rec"].max_residual <= eps
+        assert res.state.iter < res.iterations
+        assert res.residuals == residuals(res.state, p)
+        assert res.residuals.max_residual > eps
 
     @pytest.mark.parametrize("name", ["keq", "gpkc", "warm"])
     def test_certificate_is_the_returned_states_bound(self, name):
         p, start = cadence_case(name)
         res = solve(p, start=start)
-        assert res.certificate == eig_lower_bound(p, res.state, xbar_for(p), trace=p.n)
+        assert res.certificate == eig_lower_bound(p, res.state)
 
     def test_custom_unit_diagonal_problem_stops_on_the_bound(self, monkeypatch):
         # a max-cut SDP built by hand: its rows diag(X) = e give xbar = n, so it is
@@ -766,7 +781,7 @@ class TestCertifiedStop:
         p = SdpProblem(n=n, C=-laplacian(gen_rand_graph(n, 0.5, 0), 0.25), A=A, b=np.ones(n))
         res = solve(p)
         assert res.status == "bound" and res.certificate.xbar == n
-        assert res.certificate == eig_lower_bound(p, res.state, float(n), trace=n)
+        assert res.certificate == eig_lower_bound(p, res.state)
         monkeypatch.setattr(admm, "BOUND_STOP", 0)
         plain = solve(p)
         assert plain.status == "converged" and plain.iterations > res.iterations
@@ -786,7 +801,7 @@ class TestCertifiedStop:
         p = build_keq_dnn(gen_rand_graph(12, 0.5, 3), 4)
         res = solve(p, AdmmParams(max_iter=0))
         assert res.iterations == 0 and res.state.iter == 0
-        assert res.certificate == eig_lower_bound(p, res.state, xbar_for(p), trace=p.n)
+        assert res.certificate == eig_lower_bound(p, res.state)
 
     def test_warm_start_never_certifies_below_its_start(self):
         # a warm start stops by the bound only once a check sweep certified strictly
@@ -819,12 +834,12 @@ class TestCertifiedStop:
 
         def capped(*args, **kwargs):
             cert = certify(*args, **kwargs)
-            return dataclasses.replace(cert, value=min(cert.value, cap))
+            return dataclasses.replace(cert, raw=min(cert.raw, cap))
 
         monkeypatch.setattr(admm, "eig_lower_bound", capped)
         res = solve(p, start=start)
         assert res.status == "converged" and res.iterations <= 300
-        assert res.state.iter == 0 and res.certificate.value == cap
+        assert res.state.iter == 0 and res.certificate.raw == cap
 
 
 def sigma_path(p, params=None):
@@ -1028,7 +1043,7 @@ class TestWarmStart:
         b = solve(p, start=symmetrized)
         assert (a.iterations, a.status, a.single_sweeps) == (b.iterations, b.status,
                                                                b.single_sweeps)
-        assert a.certificate.value == b.certificate.value
+        assert a.certificate.raw == b.certificate.raw
         for field in ("X", "y", "ybar", "S", "Z", "v", "s"):
             assert np.array_equal(getattr(a.state, field), getattr(b.state, field)), field
 
@@ -1225,8 +1240,8 @@ class TestSinglePrecisionSweeps:
             monkeypatch.undo()
             assert mixed.single_sweeps > 0 and double.single_sweeps == 0
             assert mixed.status == double.status
-            assert mixed.certificate.value == pytest.approx(double.certificate.value,
-                                                            rel=1e-6), memory
+            assert mixed.certificate.raw == pytest.approx(double.certificate.raw,
+                                                          rel=1e-6), memory
 
     def test_cut_loop_matches_all_double(self, monkeypatch):
         g = gen_rand_graph(24, 0.8, 4)
@@ -1281,7 +1296,7 @@ class TestSinglePrecisionSweeps:
         a, b = solve(p), solve(p)
         assert (a.iterations, a.status, a.single_sweeps) == (b.iterations, b.status,
                                                                b.single_sweeps)
-        assert a.certificate.value == b.certificate.value
+        assert a.certificate.raw == b.certificate.raw
         for field in ("X", "y", "ybar", "S", "Z", "v", "s"):
             assert np.array_equal(getattr(a.state, field), getattr(b.state, field)), field
 
@@ -1454,7 +1469,7 @@ class TestAnderson:
         res = solve(p, start=start)
         assert res.state.iter % admm.CHECK_EVERY == 0
         assert res.residuals == residuals(res.state, p)
-        assert res.certificate == eig_lower_bound(p, res.state, xbar_for(p), trace=p.n)
+        assert res.certificate == eig_lower_bound(p, res.state)
 
 
 class TestDualObjective:

@@ -138,21 +138,35 @@ class TestXbar:
         g, spec = gen_gpkc_instance(10, 0.5, 5, 2)
         assert xbar_for(build_gpkc_dnn(g, spec)) < 10.0 == xbar_for(build_gpkc_sdp(g, spec))
 
+    def test_one_sweep_charges_the_rows_premises(self):
+        # charged with the trace and xbar the rows prove, the bound after one sweep
+        # stays below the optimum; xbar = 1 (809.7) or trace = 1 (942.1) would not
+        g = gen_rand_graph(12, 0.5, 1)
+        p = build_keq_dnn(g, 3)
+        res = solve(p, AdmmParams(max_iter=1))
+        assert res.state.iter == 1
+        opt = oracle.brute_force_keq(g, 3).opt
+        assert opt == 626.0
+        cert = eig_lower_bound(p, res.state)
+        assert cert.xbar == 4.0 and cert.value <= opt
+
     def test_xbar_is_read_once_per_problem(self, monkeypatch):
         p = build_keq_dnn(gen_rand_graph(12, 0.5, 1), 3)
         assert xbar_for(p) == 4.0
         monkeypatch.setattr(eigbound, "_xbar_from_rows", None)
+        monkeypatch.setattr(eigbound, "_integral", None)
         assert xbar_for(p) == 4.0
+        eig_lower_bound(p, AdmmState.zeros(p, 1.0))
 
 
 class TestEigBound:
     def test_psd_slack_gives_dual_objective(self):
         p = diag_problem([1.0, 2.0, 3.0])
         st = state_with(p, y=[1.0, 2.0, 3.0])  # C - Diag(y) = 0 is PSD
-        cert = eig_lower_bound(p, st, xbar=4.0)
+        cert = eig_lower_bound(p, st)
         # only the rounding margins are charged
         assert -1e-12 < cert.perturbation <= 0.0
-        assert cert.value == pytest.approx(6.0)
+        assert cert.raw == pytest.approx(6.0)
 
     def test_single_negative_eigenvalue_formula(self):
         delta = 0.3
@@ -161,47 +175,51 @@ class TestEigBound:
         n = 3
         A = sp.csr_matrix((np.ones(n), (np.arange(n), np.arange(n) * (n + 1))), shape=(n, n * n))
         p = SdpProblem(n=n, C=np.diag(y) + Z_target, A=A, b=np.ones(n))
-        cert = eig_lower_bound(p, state_with(p, y=y), xbar=4.0)
-        assert cert.perturbation == pytest.approx(-4.0 * delta)
-        assert cert.value == pytest.approx(float(y.sum()) - 4.0 * delta)
+        cert = eig_lower_bound(p, state_with(p, y=y))
+        # the rows diag(X) = e give xbar = trace = n, all of it on the one eigenvalue
+        assert cert.xbar == n
+        assert cert.perturbation == pytest.approx(-n * delta)
+        assert cert.raw == pytest.approx(float(y.sum()) - n * delta)
 
     def test_eigenvalue_below_rounding_margin_is_charged(self):
         # Zc = C = Diag(1e6, 1e-10): the second eigenvalue is positive but below
         # the margin 2 * eps * ||Zc||_F + 2 * gamma_4 * ||Zc||_F (about 1.3e-9;
         # the second term bounds the rounding in forming Zc, whose entries sum
-        # one row term and C), so it is charged
+        # one row term and C), so it is charged, with xbar = trace = 2
         p = diag_problem([1e6, 1e-10])
         st = state_with(p, y=[0.0, 0.0])
-        cert = eig_lower_bound(p, st, xbar=3.0)
+        cert = eig_lower_bound(p, st)
         u = np.finfo(float).eps / 2
         margin = (2 * np.finfo(float).eps + 2 * 4 * u / (1 - 4 * u)) * np.hypot(1e6, 1e-10)
         assert 0.0 < 1e-10 < margin
-        assert cert.perturbation == pytest.approx(3.0 * (1e-10 - margin), rel=1e-9)
-        assert cert.value < 0.0  # the unmargined bound is exactly 0
+        assert cert.perturbation == pytest.approx(2.0 * (1e-10 - margin), rel=1e-9)
+        assert cert.raw < 0.0  # the unmargined bound is exactly 0
 
     def test_margin_only_lowers_the_bound(self):
         g = gen_rand_graph(12, 0.5, 7)
         p = build_keq_dnn(g, 3)
         res = solve(p, AdmmParams(eps_tol=1e-4))
         xbar = xbar_for(p)
-        cert = eig_lower_bound(p, res.state, xbar)
+        cert = eig_lower_bound(p, res.state)
         Zc = p.C - p.adjoint(res.state.y) - _box_support(res.state.S, p.box_lo, p.box_hi)[0]
         evals = np.linalg.eigvalsh(0.5 * (Zc + Zc.T))
-        d0 = cert.value - cert.perturbation
-        unmargined = d0 + xbar * evals[evals < 0].sum()
+        d0 = cert.raw - cert.perturbation
+        unmargined = d0 + _spectral_charge(evals, xbar, p.n)
         margin = p.n * np.finfo(float).eps * np.linalg.norm(Zc)
-        assert cert.value <= unmargined
-        assert unmargined - cert.value <= xbar * p.n * margin * (1 + 1e-9)
+        assert cert.raw <= unmargined
+        assert unmargined - cert.raw <= xbar * p.n * margin * (1 + 1e-9)
 
-    def test_rejects_nonpositive_xbar(self):
+    def test_refuses_a_problem_without_the_unit_diagonal(self):
+        # the trace and xbar it charges are read from the rows diag(X) = e
         p = diag_problem([1.0, 1.0])
-        with pytest.raises(ValueError):
-            eig_lower_bound(p, state_with(p, y=[0.0, 0.0]), xbar=0.0)
+        q = SdpProblem(n=2, C=p.C, A=p.A[:1], b=p.b[:1])
+        with pytest.raises(ValueError, match="diag"):
+            eig_lower_bound(q, state_with(q, y=[0.0]))
 
     def test_negative_box_dual_entries_clamped(self):
         p = diag_problem([1.0, 1.0], box_lo=np.zeros((2, 2)))
         S = np.array([[0.4, -0.2], [-0.2, 0.1]])  # negatives pair the +inf side
-        cert = eig_lower_bound(p, state_with(p, y=[0.0, 0.0], S=S), xbar=1.0)
+        cert = eig_lower_bound(p, state_with(p, y=[0.0, 0.0], S=S))
         assert np.isfinite(cert.value)
         assert cert.clamp > 0
 
@@ -212,16 +230,20 @@ class TestEigBound:
             p = build_keq_dnn(g, 2)
             for tol in (1e-3, 1e-4, 1e-5):
                 res = solve(p, AdmmParams(eps_tol=tol))
-                cert = eig_lower_bound(p, res.state, xbar_for(p))
+                cert = eig_lower_bound(p, res.state)
                 assert cert.value <= opt + 1e-9
 
-    def test_monotone_in_xbar(self):
+    def test_charge_monotone_in_xbar(self):
+        # the spectrum of a sloppy solve's Zc: a larger xbar never charges less
         g = gen_rand_graph(8, 0.5, 3)
         p = build_keq_dnn(g, 2)
         res = solve(p, AdmmParams(eps_tol=1e-2))  # sloppy on purpose
-        b1 = eig_lower_bound(p, res.state, xbar=4.0).value
-        b2 = eig_lower_bound(p, res.state, xbar=8.0).value
-        assert b2 <= b1 + 1e-12
+        Zc = p.C - p.adjoint(res.state.y) - _box_support(res.state.S, p.box_lo, p.box_hi)[0]
+        evals = np.linalg.eigvalsh(0.5 * (Zc + Zc.T)) - 1e-3   # some negative ones
+        assert (evals < 0).sum() > 1
+        for trace in (p.n, math.inf):
+            charges = [_spectral_charge(evals, xbar, trace) for xbar in (1.0, 2.0, 4.0, 8.0)]
+            assert charges == sorted(charges, reverse=True) and charges[0] > charges[-1]
 
 
 # The five helpers that met a multiplier block with its bounds before
@@ -274,7 +296,7 @@ def ref_dual_objective(problem, y, v, S):
 def ref_rounding_margins(p, y, v, S):
     """``_rounding_margins`` as it read on the reference helpers."""
     n = p.n
-    abs_At, abs_Bt, c = p.row_magnitudes
+    _, _, abs_At, abs_Bt, c = eigbound._premises(p)
     T = np.abs(p.C) + (abs_At @ np.abs(y) + abs_Bt @ np.abs(v)).reshape(n, n) + np.abs(S)
     zc = 2.0 * _gamma(c + 3) * float(np.linalg.norm(T))
     terms = float(np.abs(p.b) @ np.abs(y)) + ref_support_abs(S, p.box_lo, p.box_hi)
@@ -338,7 +360,7 @@ class TestBoxSupport:
     """``_box_support`` against the five helpers it replaced, bit for bit."""
 
     @staticmethod
-    def check(p, st, xbar):
+    def check(p, st):
         S_c, mag_s, f1, abs_s = _box_support(st.S, p.box_lo, p.box_hi)
         v_c, mag_v, f2, abs_v = _box_support(st.v, p.l, p.u)
         for M, lo, hi, (clamped, mag, value, terms) in (
@@ -353,9 +375,11 @@ class TestBoxSupport:
         margins = eigbound._rounding_margins(p, st.y, v_c, S_c, abs_s, abs_v)
         assert all(same_bits(a, b) for a, b in zip(margins,
                                                    ref_rounding_margins(p, st.y, v_c, S_c)))
-        cert = eig_lower_bound(p, st, xbar, trace=p.n)
-        value, perturbation, mag = ref_eig_lower_bound(p, st, xbar, trace=p.n)
-        assert same_bits(cert.value, value) and same_bits(cert.raw, value)
+        cert = eig_lower_bound(p, st)
+        value, perturbation, mag = ref_eig_lower_bound(p, st, xbar_for(p), trace=p.n)
+        assert same_bits(cert.raw, value)
+        assert cert.value == (math.ceil(value) if eigbound._premises(p).integral
+                              and math.isfinite(value) else value)
         assert same_bits(cert.perturbation, perturbation) and same_bits(cert.clamp, mag)
 
     @pytest.mark.parametrize("sweeps", [3, 20, 200])
@@ -367,7 +391,7 @@ class TestBoxSupport:
         res = solve(p, AdmmParams(max_iter=sweeps),
                     callback=lambda k, st, *_: k in (1, sweeps) and seen.append(st.copy()))
         for st in (*seen, res.state):
-            self.check(p, st, xbar_for(p))
+            self.check(p, st)
 
     @pytest.mark.parametrize("name", BUILDER_PROBLEMS)
     def test_random_multipliers(self, name):
@@ -384,7 +408,7 @@ class TestBoxSupport:
             zero = rng.random((p.n, p.n)) < 0.2
             st.S = np.where(zero | zero.T, -0.0 if trial % 2 else 0.0, S + S.T)
             st.v = np.where(rng.random(p.q) < 0.2, -0.0, rng.normal(size=p.q))
-            self.check(p, st, xbar_for(p))
+            self.check(p, st)
 
 
 class TestTraceCharge:
@@ -400,14 +424,6 @@ class TestTraceCharge:
             assert _spectral_charge(evals, xbar, math.inf) == old
             assert _spectral_charge(evals, xbar, trace=xbar * evals.size) == old
 
-    def test_infinite_trace_leaves_the_bound_unchanged(self):
-        g = gen_rand_graph(10, 0.5, 2)
-        p = build_keq_dnn(g, 2)
-        res = solve(p, AdmmParams(eps_tol=1e-2))
-        default = eig_lower_bound(p, res.state, xbar_for(p))
-        assert default == eig_lower_bound(p, res.state, xbar_for(p), trace=math.inf)
-        assert default == eig_lower_bound(p, res.state, xbar_for(p), trace=p.n * xbar_for(p))
-
     def test_trace_aware_charge_is_never_lower(self):
         rng = np.random.default_rng(1)
         for trial in range(40):
@@ -415,37 +431,40 @@ class TestTraceCharge:
             M = rng.normal(size=(n, n))
             p = SdpProblem(n=n, C=M + M.T, A=diag_problem(np.zeros(n)).A, b=np.ones(n))
             st = state_with(p, y=rng.normal(size=n))
+            evals = np.linalg.eigvalsh(p.C - np.diag(st.y))
             xbar = float(rng.uniform(0.5, n))
-            old = eig_lower_bound(p, st, xbar)
-            new = eig_lower_bound(p, st, xbar, trace=n)
-            assert new.value >= old.value, trial
-            assert new.perturbation <= 0.0
+            new = _spectral_charge(evals, xbar, n)
+            assert new >= _spectral_charge(evals, xbar, math.inf), trial
+            assert new <= 0.0
+            assert eig_lower_bound(p, st).perturbation <= 0.0
 
     def test_feasible_spectrum_attains_the_charge(self):
-        # Zc = Diag(-3, -2, -1, 0.5, 2), xbar = 2, trace n = 5: xbar on the two
-        # most negative eigenvalues, the remainder 1 on the third, so the charge
-        # is -11, and X = Diag(2, 2, 1, 0, 0) (PSD, trace 5, top eigenvalue 2)
-        # has <Zc, X> = -11
+        # Zc = Diag(-3, -2, -1, 0.5, 2), xbar = 2, trace 5: xbar on the two most
+        # negative eigenvalues, the remainder 1 on the third, so the charge is -11,
+        # and X = Diag(2, 2, 1, 0, 0) (PSD, trace 5, top eigenvalue 2) has
+        # <Zc, X> = -11; without the trace, xbar on all three gives -12
         z = np.array([-3.0, -2.0, -1.0, 0.5, 2.0])
-        p = diag_problem(z)
-        cert = eig_lower_bound(p, state_with(p, y=np.zeros(5)), xbar=2.0, trace=5.0)
         X = np.diag([2.0, 2.0, 1.0, 0.0, 0.0])
         assert np.trace(X) == 5.0 and np.linalg.eigvalsh(X)[-1] <= 2.0
-        attained = float((p.C * X).sum())
-        assert attained == -11.0
-        assert cert.perturbation <= attained
-        assert cert.perturbation == pytest.approx(attained, abs=1e-12)
-        assert eig_lower_bound(p, state_with(p, y=np.zeros(5)), xbar=2.0).perturbation \
-            == pytest.approx(-12.0, abs=1e-12)
+        assert float((np.diag(z) * X).sum()) == _spectral_charge(z, 2.0, 5.0) == -11.0
+        assert _spectral_charge(z, 2.0, math.inf) == -12.0
+        # the rows diag(X) = e give xbar = trace = 5, all of it on -3, which
+        # X = Diag(5, 0, 0, 0, 0) attains; the certificate's margins only lower it
+        p = diag_problem(z)
+        cert = eig_lower_bound(p, state_with(p, y=np.zeros(5)))
+        assert cert.xbar == 5.0
+        assert cert.perturbation <= -15.0
+        assert cert.perturbation == pytest.approx(-15.0, abs=1e-12)
 
     def test_certify_bound_passes_trace_n_for_every_family(self, monkeypatch):
-        # the solver certifies its check sweeps, and certify_bound reports its best
+        # the solver certifies its check sweeps on the caller's problem, and
+        # certify_bound reports its best, charged with xbar_for(p) and trace n
         seen = []
         real = admm.eig_lower_bound
 
-        def spy(p, approx, xbar, trace=math.inf):
-            seen.append((p, trace))
-            return real(p, approx, xbar, trace)
+        def spy(p, approx):
+            seen.append(p)
+            return real(p, approx)
 
         monkeypatch.setattr(admm, "eig_lower_bound", spy)
         g = gen_rand_graph(9, 0.5, 4)
@@ -455,25 +474,37 @@ class TestTraceCharge:
         for p in problems:
             res = solve(p, AdmmParams(eps_tol=1e-5))
             cert = certify_bound(p, res)
-            assert cert.method == "eig"
-            assert cert.raw == real(p, res.state, xbar_for(p), trace=p.n).value
-        assert list(dict.fromkeys(id(p) for p, _ in seen)) == [id(p) for p in problems]
-        assert all(trace == p.n for p, trace in seen)
+            assert cert.method == "eig" and cert == real(p, res.state)
+            value, _, _ = ref_eig_lower_bound(p, res.state, xbar_for(p), trace=p.n)
+            assert same_bits(cert.raw, value)
+        assert list(dict.fromkeys(id(p) for p in seen)) == [id(p) for p in problems]
 
 
 class TestRoundingMargins:
-    """Hand-built cases whose Zc or dual value rounds upward in floating point."""
+    """Hand-built cases whose Zc or dual value rounds upward in floating point; their
+    rows give the premises the certificate charges."""
 
     BIG = 1e16 + 2.0      # the float spacing here is 2, and BIG + 1 rounds up
 
     @staticmethod
-    def exact_value(p, st, xbar, trace):
+    def group_rows(c_diag):
+        """diag(X) = e, X e = e and X >= 0 (the keq DNN with groups of one), with
+        C = Diag(c_diag): the rows give xbar = 1 and trace n."""
+        n = len(c_diag)
+        p = replace(build_keq_dnn(gen_rand_graph(n, 0.5, 0), n), C=np.diag(c_diag))
+        assert xbar_for(p) == 1.0
+        return p
+
+    @staticmethod
+    def exact_value(p, st):
         # Zc is diagonal, so its eigenvalues are exact rationals of the inputs
-        z = sorted(Fraction(p.C[i, i]) - Fraction(st.y[i]) - Fraction(st.S[i, i])
+        A = p.A.toarray()
+        z = sorted(Fraction(p.C[i, i]) - Fraction(st.S[i, i])
+                   - sum(Fraction(a) * Fraction(yr) for a, yr in zip(A[:, i * (p.n + 1)], st.y))
                    for i in range(p.n))
-        charge, left = Fraction(0), Fraction(trace)
+        charge, left = Fraction(0), Fraction(p.n)
         for lam in z:
-            mu = min(Fraction(xbar), left)
+            mu = min(Fraction(xbar_for(p)), left)
             if lam >= 0 or mu <= 0:
                 break
             charge += mu * lam
@@ -481,54 +512,56 @@ class TestRoundingMargins:
         d0 = sum(Fraction(bi) * Fraction(yi) for bi, yi in zip(p.b, st.y))
         return d0 + charge
 
-    def naive_value(self, p, st, xbar, trace):
+    @staticmethod
+    def naive_value(p, st):
         Zc = p.C - p.adjoint(st.y) - st.S
-        return float(p.b @ st.y) + _spectral_charge(np.linalg.eigvalsh(Zc), xbar, trace)
+        return float(p.b @ st.y) + _spectral_charge(np.linalg.eigvalsh(Zc), xbar_for(p), p.n)
 
     def test_forming_zc(self):
         # Zc_11 = BIG + 1 - (BIG + 2) is -1, but fl(BIG + 1) = BIG + 2 makes it 0;
-        # the dual value b'y = -1 is exact
+        # the dual value b'y = -1 is exact; xbar = trace = 2
         p = diag_problem([self.BIG, 1.0], box_lo=np.zeros((2, 2)))
         st = state_with(p, y=[-1.0, 0.0], S=np.diag([self.BIG + 2.0, 0.0]))
-        exact = self.exact_value(p, st, 2.0, 2.0)
-        assert self.naive_value(p, st, 2.0, 2.0) > exact
-        assert Fraction(eig_lower_bound(p, st, xbar=2.0, trace=2.0).value) <= exact
+        exact = self.exact_value(p, st)
+        assert self.naive_value(p, st) > exact
+        assert Fraction(eig_lower_bound(p, st).raw) <= exact
 
     def test_summing_the_charge(self):
-        # Zc = Diag(-1, -1e-16, -1e-16, -1e-16) is formed exactly; each -1e-16 is
-        # lost against -1 in the running sum, so the naive charge is -1 where the
-        # exact one is -1 - 3e-16
-        p = diag_problem([-1.0, -1e-16, -1e-16, -1e-16])
-        st = state_with(p, y=np.zeros(4))
-        exact = self.exact_value(p, st, 1.0, 4.0)
-        assert self.naive_value(p, st, 1.0, 4.0) > exact
-        assert Fraction(eig_lower_bound(p, st, xbar=1.0, trace=4.0).value) <= exact
+        # Zc = Diag(-1, -1e-16, -1e-16, -1e-16) is formed exactly; with xbar = 1 each
+        # -1e-16 is lost against -1 in the running sum, so the naive charge is -1
+        # where the exact one is -1 - 3e-16
+        p = self.group_rows([-1.0, -1e-16, -1e-16, -1e-16])
+        st = state_with(p, y=np.zeros(p.m))
+        exact = self.exact_value(p, st)
+        assert self.naive_value(p, st) > exact
+        assert Fraction(eig_lower_bound(p, st).raw) <= exact
 
     def test_forming_the_dual_value(self):
-        # b'y = -BIG + 1 rounds up to -BIG + 2; Zc = Diag(4, 4) is formed exactly
-        A = diag_problem([0.0, 0.0]).A
-        p = SdpProblem(n=2, C=np.diag([3.0, 5.0]), A=A, b=np.array([self.BIG, 1.0]))
+        # rows BIG X_11 = BIG and X_22 = 1: b'y = -BIG + 1 rounds up to -BIG + 2, and
+        # Zc = C - Diag(-BIG, 1) = Diag(4, 4) is formed exactly
+        A = sp.csr_matrix(([self.BIG, 1.0], ([0, 1], [0, 3])), shape=(2, 4))
+        p = SdpProblem(n=2, C=np.diag([4.0 - self.BIG, 5.0]), A=A, b=np.array([self.BIG, 1.0]))
         st = state_with(p, y=[-1.0, 1.0])
-        trace = self.BIG + 1.0
-        exact = self.exact_value(p, st, trace, trace)
-        assert self.naive_value(p, st, trace, trace) > exact
-        assert Fraction(eig_lower_bound(p, st, xbar=trace, trace=trace).value) <= exact
+        assert np.array_equal(p.C - p.adjoint(st.y), np.diag([4.0, 4.0]))
+        exact = self.exact_value(p, st)
+        assert self.naive_value(p, st) > exact
+        assert Fraction(eig_lower_bound(p, st).raw) <= exact
 
     def test_the_final_sum(self):
-        # the value is d0 - d0_err + perturbation, summed in floating point; it must
+        # the bound is d0 - d0_err + perturbation, summed in floating point; it must
         # not exceed the exact sum of those three floats, which the plain float sum
         # does on some of these random cases
-        p = diag_problem([0.0, 0.0, 0.0])
+        p = self.group_rows([0.0, 0.0, 0.0])
         rng = np.random.default_rng(15)
         above = 0
         for _ in range(200):
-            st = state_with(p, y=rng.normal(size=3))
-            cert = eig_lower_bound(p, st, xbar=1.0, trace=3.0)
+            st = state_with(p, y=rng.normal(size=p.m))
+            cert = eig_lower_bound(p, st)
             d0, _ = dual_objective(p, st.y, st.v, st.S)
             # S is zero and there are no slack rows, so F1 and F2 add no terms
             _, d0_err = eigbound._rounding_margins(p, st.y, st.v, st.S, 0.0, 0.0)
             exact = Fraction(d0) - Fraction(d0_err) + Fraction(cert.perturbation)
-            assert Fraction(cert.value) <= exact
+            assert Fraction(cert.raw) <= exact
             above += Fraction(d0 - d0_err + cert.perturbation) > exact
         assert above
 
@@ -700,24 +733,48 @@ class TestConflictPairs:
         assert cert.feasible and cert.value <= opt + 1e-9
 
 
+def set_partitions(n):
+    """Every partition of range(n), as group labels (restricted growth strings)."""
+    def grow(labels, groups):
+        if len(labels) == n:
+            yield np.array(labels)
+            return
+        for g in range(groups + 1):
+            yield from grow(labels + [g], max(groups, g + 1))
+    yield from grow([0], 1)
+
+
 class TestIntegralRoundUp:
-    """With integral edge weights every cut is an integer, so the eigenvalue route
-    reports its bound rounded up and keeps the unrounded one in ``raw``."""
+    """When <C, X> is an integer at every partition matrix X, as with integral edge
+    weights, the eigenvalue bound is reported rounded up and the unrounded one kept
+    in ``raw``; that premise is read from C."""
 
     @staticmethod
     def halved(g):
         return GraphInstance(n=g.n, W_adj=0.5 * g.W_adj, name=g.name)
 
-    def test_builders_flag_integral_weights(self):
+    def test_integrality_is_read_from_c(self):
         g = gen_rand_graph(9, 0.5, 4)
         gk, spec = gen_gpkc_instance(8, 0.5, 2, 2)
         problems = [build_keq_sdp(g, 3), build_keq_dnn(g, 3),
                     build_gpkc_sdp(gk, spec), build_gpkc_dnn(gk, spec)]
-        assert all(p.integral for p in problems)
-        assert add_cuts(problems[1], [TriangleCut(0, 1, 2)]).integral
+        assert all(eigbound._premises(p).integral for p in problems)
+        assert eigbound._premises(add_cuts(problems[1], [TriangleCut(0, 1, 2)])).integral
         assert (self.halved(g).W_adj % 1 == 0.5).any()
-        assert not build_keq_dnn(self.halved(g), 3).integral
-        assert not build_gpkc_dnn(self.halved(gk), spec).integral
+        assert not eigbound._premises(build_keq_dnn(self.halved(g), 3)).integral
+        assert not eigbound._premises(build_gpkc_dnn(self.halved(gk), spec)).integral
+        assert not eigbound._premises(replace(problems[1], C=problems[1].C / 3)).integral
+        # 2 C_ij integers off the diagonal and an integer trace, both read exactly: two
+        # odd halves on the diagonal sum to an integer, one does not, and every float
+        # from 2^52 on is an integer
+        for c_diag, off, integral in (([0.5, 1.5, 3.0], 0.5, True),
+                                      ([0.5, 1.0, 3.0], 0.5, False),
+                                      ([1.0, 1.0, 3.0], 0.25, False),
+                                      ([2.0 ** 60, 0.5, 1e300], -1e300, False),
+                                      ([2.0 ** 60, 0.5, -0.5], 1e300, True)):
+            C = np.diag(c_diag) + off * (1 - np.eye(3))
+            p = SdpProblem(n=3, C=C, A=diag_problem(c_diag).A, b=np.ones(3))
+            assert eigbound._premises(p).integral is integral, (c_diag, off)
 
     @pytest.mark.parametrize("halve", [False, True])
     def test_eig_route_rounds_up_only_integral_cuts(self, halve):
@@ -725,9 +782,33 @@ class TestIntegralRoundUp:
         p = build_keq_dnn(self.halved(g) if halve else g, 3)
         res = solve(p)
         cert = certify_bound(p, res)
-        assert cert.raw == eig_lower_bound(p, res.state, xbar_for(p), trace=p.n).value
+        assert cert == eig_lower_bound(p, res.state)
         assert cert.value == (cert.raw if halve else math.ceil(cert.raw))
         assert cert.value != cert.raw or halve
+
+    def test_a_third_of_the_weights_is_not_rounded(self):
+        # C / 3 makes every cut a third of an integer: rounding the bound up to 78
+        # would exceed the optimum 233 / 3
+        g = gen_rand_graph(8, 0.5, 3)
+        p = build_keq_dnn(g, 2)
+        q = replace(p, C=p.C / 3)
+        opt = oracle.brute_force_keq(g, 2).opt
+        assert opt == 233.0
+        cert = certify_bound(q, solve(q))
+        assert cert.value == cert.raw <= opt / 3
+
+    def test_custom_unit_diagonal_problem_with_integer_c_is_rounded(self):
+        # a hand-built SDP over diag(X) = e with integer C: every partition matrix is
+        # feasible and has an integer objective, so the rounded bound stays below them
+        n = 6
+        M = np.random.default_rng(3).integers(-3, 4, size=(n, n)).astype(float)
+        p = diag_problem(np.zeros(n))
+        p = SdpProblem(n=n, C=M + M.T, A=p.A, b=p.b)
+        cert = certify_bound(p, solve(p))
+        assert cert.value == math.ceil(cert.raw) > cert.raw
+        best = min(float((p.C * (lab[:, None] == lab[None, :])).sum())
+                   for lab in set_partitions(n))
+        assert cert.value <= best
 
     def test_lp_route_is_not_rounded(self):
         g, spec = gen_gpkc_instance(8, 0.5, 2, 2)
@@ -856,7 +937,7 @@ class TestSafetyCrossProduct:
             p = build_keq_dnn(g, 4)
             for tol in self.TOLERANCES:
                 res = solve(p, AdmmParams(eps_tol=tol))
-                eig = eig_lower_bound(p, res.state, xbar_for(p))
+                eig = eig_lower_bound(p, res.state)
                 lp = lp_lower_bound(p, res.state.Z)
                 assert eig.value <= opt + 1e-9, (seed, tol)
                 assert lp.value <= opt + 1e-9, (seed, tol)
@@ -871,7 +952,7 @@ class TestSafetyCrossProduct:
                 lp = lp_lower_bound(p, res.state.Z)
                 assert lp.value <= opt + 1e-9, (seed, tol)
                 if res.status == "converged" and tol <= 1e-5:
-                    eig = eig_lower_bound(p, res.state, xbar_for(p))
+                    eig = eig_lower_bound(p, res.state)
                     assert eig.value <= opt + 1e-9, (seed, tol)
 
 

@@ -608,6 +608,23 @@ class TestOracle:
         code = main(["oracle", "--instance", str(gpkc_file)])
         assert code == 0
 
+    def test_out_onto_another_schema_fails_loudly(self, k8_file, tmp_path, capsys):
+        # heur --out onto a solve file, oracle --out onto a cut-round file (both of
+        # three columns): each exits 1 and leaves the file as it was
+        base = ["--instance", str(k8_file), "--problem", "keq", "--k", "2"]
+        lb_csv, cuts = tmp_path / "a.csv", tmp_path / "cuts.csv"
+        assert main(["solve", *base, "--relaxation", "dnn+met", "--max-rounds", "2",
+                     "--out", str(lb_csv), "--cuts-out", str(cuts)]) == 0
+        before = lb_csv.read_bytes(), cuts.read_bytes()
+        capsys.readouterr()
+        assert main(["heur", *base, "--samples", "5", "--out", str(lb_csv)]) == 1
+        assert "a.csv" in capsys.readouterr().err
+        assert main(["oracle", *base, "--out", str(cuts)]) == 1
+        assert "cuts.csv" in capsys.readouterr().err
+        assert (lb_csv.read_bytes(), cuts.read_bytes()) == before
+        assert main(["report", "--solve-csv", str(lb_csv), "--out",
+                     str(tmp_path / "summary.csv")]) == 0
+
 
 class TestReport:
     def test_merged_summary_round_trips(self, k8_file, tmp_path):

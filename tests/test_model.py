@@ -417,7 +417,7 @@ class TestCuttingLoop:
         assert [r.eps_tol for r in rounds] == [loose.eps_tol, loose.eps_tol, params.eps_tol]
         for r, res in zip(rounds, expected):
             assert (r.iterations, r.status, float(r.certificate.raw).hex()) == \
-                (res.iterations, res.status, float(res.certificate.value).hex()), r.round
+                (res.iterations, res.status, float(res.certificate.raw).hex()), r.round
 
     @pytest.mark.parametrize("case", ["sdp", "dnn", "dnn+met-1", "dnn+met-3", "clean",
                                       "empty-after-loose"])
@@ -465,7 +465,7 @@ class TestCuttingLoop:
             assert start is before
             again = admm.solve(problem, params, start=start)
             assert (r.iterations, r.status, float(r.certificate.raw).hex(), r.eps_tol) == \
-                (again.iterations, again.status, float(again.certificate.value).hex(),
+                (again.iterations, again.status, float(again.certificate.raw).hex(),
                  params.eps_tol), r.round
             assert (r.single_sweeps, r.certify_s, r.accelerated_sweeps) == \
                 (result.single_sweeps, result.certify_s, result.accelerated_sweeps)

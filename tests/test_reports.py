@@ -65,3 +65,36 @@ def test_float_cells_round_trip_exactly(tmp_path):
     path = tmp_path / "t.csv"
     write_rows(path, [row])
     assert read_rows(path)[0] == row
+
+
+def test_append_under_another_schema_is_refused(tmp_path):
+    # heur rows appended to a solve file would sit under the SolveRow header
+    path = tmp_path / "a.csv"
+    write_rows(path, SAMPLES["solve"])
+    before = path.read_bytes()
+    with pytest.raises(ReportFormatError) as err:
+        write_rows(path, SAMPLES["heur"], append=True)
+    message = str(err.value)
+    assert str(path) in message
+    assert "('instance', 'n', 'k_or_w'" in message and "('instance', 'k_or_w', 'method'" in message
+    assert path.read_bytes() == before
+    # two schemas of three columns each: oracle rows onto a cut-round file
+    cuts = tmp_path / "cuts.csv"
+    write_rows(cuts, SAMPLES["cuts"])
+    with pytest.raises(ReportFormatError, match="cuts.csv"):
+        write_rows(cuts, SAMPLES["oracle"], append=True)
+    assert read_rows(cuts) == SAMPLES["cuts"]
+
+
+def test_cell_that_does_not_parse_names_its_line(tmp_path):
+    path = tmp_path / "cuts.csv"
+    write_rows(path, SAMPLES["cuts"])
+    with path.open("a") as fh:
+        fh.write("rand80_n8_s1,16.0,35\n")
+    with pytest.raises(ReportFormatError, match=r"cuts\.csv:4: .*'rand80_n8_s1'"):
+        read_rows(path)
+    cert = tmp_path / "cert.csv"
+    write_rows(cert, SAMPLES["cert"])
+    cert.write_text(cert.read_text().replace("true", "yes"))
+    with pytest.raises(ReportFormatError, match=r"cert\.csv:2: .*'yes'"):
+        read_rows(cert)
